@@ -124,15 +124,24 @@ int main() {
   }
   json += "\n  ],\n  \"lu\": [\n";
 
-  benchutil::header("zgetrf/zgetrs: unblocked vs blocked (GEMM-rich) LU");
-  std::printf("%6s %14s %14s %10s\n", "n", "unblk GF/s", "blocked GF/s",
-              "speedup");
+  // n = 48 and 96 are the block sizes the pipeline factors.  Per size: the
+  // panel = 1 reference against the default blocking (factor + 16-RHS
+  // solve, charged (8/3) n^3 as before), then the blocked factor alone, an
+  // n-RHS solve (the RGF shape, 8 n^3) and GEMM at the same n; lu/gemm is
+  // the factor's rate over GEMM's.
+  benchutil::header("zgetrf/zgetrs: unblocked vs blocked LU, next to GEMM");
+  std::printf("%6s %11s %11s %8s %11s %11s %11s %8s\n", "n", "unblk GF/s",
+              "blk GF/s", "speedup", "fact GF/s", "nrhs GF/s", "gemm GF/s",
+              "lu/gemm");
   first = true;
-  for (idx n : {128, 256, 512}) {
+  for (idx n : {48, 96, 128, 256, 512}) {
     const CMatrix a = well_conditioned(n, 3);
     const CMatrix rhs = numeric::random_cmatrix(n, 16, 4);
-    const double flop = 8.0 / 3.0 * double(n) * double(n) * double(n);
-    const int reps = n <= 256 ? 8 : 3;
+    const CMatrix rhs_n = numeric::random_cmatrix(n, n, 5);
+    CMatrix c(n, n);
+    const double n3 = double(n) * double(n) * double(n);
+    const double flop = 8.0 / 3.0 * n3;
+    const int reps = std::max(3, static_cast<int>(2e8 / n3));
     const double t_ref = time_seconds(
         [&] {
           numeric::LUFactor lu(a, numeric::Pivoting::kPartial, /*panel=*/1);
@@ -145,15 +154,30 @@ int main() {
           benchutil::consume(lu.solve(rhs).data());
         },
         reps);
+    const double t_fact = time_seconds(
+        [&] { benchutil::consume(numeric::LUFactor(a).log_abs_det()); }, reps);
+    const numeric::LUFactor lu(a);
+    const double t_solve_n = time_seconds(
+        [&] { benchutil::consume(lu.solve(rhs_n).data()); }, reps);
+    const double t_gemm =
+        time_seconds([&] { numeric::gemm(a, rhs_n, c); }, reps);
     const double g_ref = flop / t_ref * 1e-9;
     const double g_new = flop / t_new * 1e-9;
-    std::printf("%6lld %14.2f %14.2f %9.2fx\n", (long long)n, g_ref, g_new,
-                t_ref / t_new);
+    const double g_fact = flop / t_fact * 1e-9;
+    const double g_solve_n = 8.0 * n3 / t_solve_n * 1e-9;
+    const double g_gemm = 8.0 * n3 / t_gemm * 1e-9;
+    std::printf("%6lld %11.2f %11.2f %7.2fx %11.2f %11.2f %11.2f %8.3f\n",
+                (long long)n, g_ref, g_new, t_ref / t_new, g_fact, g_solve_n,
+                g_gemm, g_fact / g_gemm);
     benchutil::JsonWriter w("%.4f");
     w.field("n", double(n));
     w.field("gflops_unblocked", g_ref);
     w.field("gflops_blocked", g_new);
-    w.field("speedup", t_ref / t_new, true);
+    w.field("speedup", t_ref / t_new);
+    w.field("gflops_factor", g_fact);
+    w.field("gflops_solve_nrhs", g_solve_n);
+    w.field("gflops_gemm", g_gemm);
+    w.field("lu_to_gemm", g_fact / g_gemm, true);
     json += std::string(first ? "" : ",\n") + "    {" + w.body + "}";
     first = false;
   }

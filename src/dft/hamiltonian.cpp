@@ -43,7 +43,11 @@ LeadBlocks build_lead_blocks(const lattice::Structure& structure,
   const idx nbw = std::max<idx>(
       1, static_cast<idx>(std::ceil(options.cutoff_nm / lcell)));
 
-  const bool periodic_z = structure.periodicity == lattice::Periodicity::kZ;
+  // Periodic images along z need a period: with z_period = 0 the image
+  // count ceil(cutoff / z_period) below would be infinite (its conversion to
+  // idx is undefined), so such a structure gets no images.
+  const bool periodic_z = structure.periodicity == lattice::Periodicity::kZ &&
+                          structure.z_period > 0.0;
   const idx mz = periodic_z
                      ? static_cast<idx>(std::ceil(options.cutoff_nm /
                                                   structure.z_period))

@@ -25,12 +25,22 @@ constexpr idx kMC = 96;    // multiple of kMR
 constexpr idx kKC = 192;
 constexpr idx kNC = 1008;  // multiple of kNR
 
-// Persistent per-thread packing scratch: grows to the high-water mark once,
-// then every later GEMM is allocation-free.
+// Persistent per-thread packing scratch: grows to the high-water mark of
+// the panels this thread has packed (at most kMC x kKC and kKC x kNC), then
+// every later GEMM of that size is allocation-free.  A thread that only runs
+// small GEMMs (the blocked LU's updates of s = 48 blocks) keeps small
+// buffers.
 struct PackBuffers {
   std::vector<double> a_re, a_im;  // kMC x kKC, padded to kMR rows
   std::vector<double> b_re, b_im;  // kKC x kNC, padded to kNR cols
 };
+
+void grow(std::vector<double>& re, std::vector<double>& im, idx size) {
+  if (re.size() < static_cast<std::size_t>(size)) {
+    re.resize(static_cast<std::size_t>(size));
+    im.resize(static_cast<std::size_t>(size));
+  }
+}
 
 PackBuffers& tls_pack() {
   static thread_local PackBuffers buf;
@@ -143,8 +153,8 @@ void gemm_view(char op_a, const cplx* a, idx lda, char op_b, const cplx* b,
     FlopCounter::add(static_cast<std::uint64_t>(m) * n * k * 8u);
 
   PackBuffers& master = tls_pack();
-  master.b_re.resize(static_cast<std::size_t>(kKC * kNC));
-  master.b_im.resize(static_cast<std::size_t>(kKC * kNC));
+  const idx kc_max = std::min(kKC, k);
+  grow(master.b_re, master.b_im, kc_max * round_up(std::min(kNC, n), kNR));
 
   const bool par = g_parallel && static_cast<std::uint64_t>(m) * n * k >
                                      64ull * 64ull * 64ull;
@@ -168,8 +178,7 @@ void gemm_view(char op_a, const cplx* a, idx lda, char op_b, const cplx* b,
         const idx mc = std::min(kMC, m - ic);
         const idx mc_pad = round_up(mc, kMR);
         PackBuffers& local = tls_pack();
-        local.a_re.resize(static_cast<std::size_t>(kMC * kKC));
-        local.a_im.resize(static_cast<std::size_t>(kMC * kKC));
+        grow(local.a_re, local.a_im, round_up(std::min(kMC, m), kMR) * kc_max);
         pack_a(op_a, a, lda, ic, mc, pc, kc, alpha, local.a_re.data(),
                local.a_im.data());
         for (idx jr = 0; jr < nc_pad; jr += kNR) {

@@ -4,13 +4,23 @@
 // identifies as SplitSolve's bottleneck (Section 5E); the partial-pivot
 // variant is the robust default used by FEAST contour solves and baselines.
 //
-// The factorization is right-looking and blocked: panels are factored
-// unblocked, then the trailing submatrix is updated with the packed GEMM
-// kernel, so the O(n^3) work runs at GEMM speed.  FLOPs are accounted
-// analytically — (8/3) n^3 for the factorization, 8 n^2 nrhs per solve —
-// and the internal GEMM calls are non-counting, so perf::lu_flops /
-// perf::lu_solve_flops match the instrumented counter exactly with no
-// double counting from the trailing updates.
+// The factorization is right-looking and blocked with a panel width of 24
+// (a single panel for n <= 24, two for the pipeline's s = 48 blocks): each
+// panel is factored unblocked, then the trailing submatrix is updated with
+// the packed GEMM kernel.  The triangular solves block with the factor's
+// width: each diagonal block is swept row by row, and its contribution to
+// the remaining rows is one gemm_view call.  Everything that is not GEMM —
+// the panel's rank-1 updates, the U12 solve and the in-block sweeps — runs
+// through one complex AXPY kernel on interleaved doubles that the compiler
+// vectorizes, and the pivot search compares |z|^2 rather than calling
+// std::abs.  inverse() skips the structural zeros of L^{-1}.  At n = 48,
+// single-threaded on a 4-vCPU Xeon (AVX-512) host, the factor runs at about
+// 0.4 of GEMM's rate (11-14 GFLOP/s) and the 48-RHS solve at 22-23 GFLOP/s.
+//
+// FLOPs are accounted analytically — (8/3) n^3 for the factorization,
+// 8 n^2 nrhs per solve, 8 n^3 per inverse — and the internal GEMM calls are
+// non-counting, so perf::lu_flops / perf::lu_solve_flops match the
+// instrumented counter exactly with no double counting from the updates.
 #pragma once
 
 #include <vector>
@@ -26,8 +36,9 @@ enum class Pivoting { kPartial, kNone };
 class LUFactor {
  public:
   /// Factor `a`.  Throws std::runtime_error on exact singularity.
-  /// `panel` is the blocking width: 0 picks the tuned default, 1 forces the
-  /// classic unblocked factorization (reference path for tests).
+  /// `panel` is the blocking width of the factorization and of every later
+  /// solve: 0 picks the tuned default, 1 forces the classic unblocked
+  /// algorithm (reference path for tests).
   explicit LUFactor(CMatrix a, Pivoting pivoting = Pivoting::kPartial,
                     idx panel = 0);
 
@@ -48,9 +59,13 @@ class LUFactor {
   /// Row-pivot sequence (LAPACK-style: row k was swapped with pivots()[k]).
   const pool_vector<idx>& pivots() const { return piv_; }
 
+  /// Blocking width the factors were built with; the solves use it too.
+  idx panel() const { return panel_; }
+
  private:
   CMatrix lu_;
   pool_vector<idx> piv_;
+  idx panel_;
   double log_abs_det_ = 0.0;
 };
 

@@ -940,14 +940,12 @@ double landauer_current(const std::vector<double>& energies,
                         double mu_r, double kt) {
   if (energies.size() != transmission.size() || energies.size() < 2)
     throw std::invalid_argument("landauer_current: bad table");
-  // Same trapezoid weights as the charge integration (energy_grid.hpp):
-  // half-weight endpoints, 0.5*(de_left + de_right) interior.
-  const std::vector<double> w = trapezoid_weights(energies);
-  double current = 0.0;
-  for (std::size_t i = 0; i < energies.size(); ++i)
-    current += w[i] * transmission[i] *
-               (fermi(energies[i], mu_l, kt) - fermi(energies[i], mu_r, kt));
-  return current;
+  // The two-terminal case of buttiker_currents, evaluated by it, so the two
+  // agree bit for bit whatever the compiler contracts into FMAs.
+  std::vector<std::vector<double>> table;
+  table.reserve(transmission.size());
+  for (const double t : transmission) table.push_back({0.0, t, t, 0.0});
+  return buttiker_currents(energies, table, {mu_l, mu_r}, kt)[0];
 }
 
 std::vector<double> buttiker_currents(
