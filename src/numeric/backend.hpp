@@ -111,9 +111,8 @@ class Backend {
     return false;
   }
 
-  /// Drop any operand residency (stage_operand state).  Called when the
-  /// inputs behind the stable ids change (new leads / OBC options).  No-op
-  /// on backends without residency.
+  /// Drop any operand residency (stage_operand state) — an explicit flush.
+  /// No-op on backends without residency.
   virtual void invalidate_residency() {}
 };
 

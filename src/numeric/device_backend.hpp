@@ -69,9 +69,9 @@ class ResidencyCache {
   Outcome stage(std::uint64_t id, std::uint64_t bytes,
                 parallel::Device& device);
 
-  /// Drop every resident operand (releasing all reservations).  Called when
-  /// the engine's inputs change (new leads / OBC options), mirroring the
-  /// BoundaryCache invalidation points.
+  /// Drop every resident operand (releasing all reservations) — an explicit
+  /// flush next to BoundaryCache::invalidate(); ids hashed from content
+  /// never go stale.
   void invalidate();
 
   Stats stats() const;

@@ -18,6 +18,7 @@
 #pragma once
 
 #include "dft/hamiltonian.hpp"
+#include "numeric/hash.hpp"
 #include "obc/modes.hpp"
 
 namespace omenx::obc {
@@ -32,13 +33,11 @@ struct BeynOptions {
   unsigned seed = 4242;
   bool parallel_points = true;
 
-  // Memberwise — cached boundaries are invalidated on any change, so a new
-  // field MUST be added here too.
-  friend bool operator==(const BeynOptions& a, const BeynOptions& b) noexcept {
-    return a.annulus_r == b.annulus_r && a.num_points == b.num_points &&
-           a.probe_columns == b.probe_columns && a.rank_tol == b.rank_tol &&
-           a.residual_tol == b.residual_tol && a.prop_tol == b.prop_tol &&
-           a.seed == b.seed && a.parallel_points == b.parallel_points;
+  // Every field is part of the boundary-cache key (ObcOptions::digest), so
+  // a new field MUST be added here too.
+  void digest(numeric::Fnv1a& h) const noexcept {
+    h.add(annulus_r).add(num_points).add(probe_columns).add(rank_tol)
+        .add(residual_tol).add(prop_tol).add(seed).add(parallel_points);
   }
 };
 

@@ -1,14 +1,30 @@
 #include "obc/boundary_cache.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <utility>
 
 namespace omenx::obc {
+
+namespace {
+
+// NaN compares unordered with everything, so a NaN key would be
+// "equivalent" to every key of the map and poison later lookups.
+void require_finite(const BoundaryKey& key) {
+  if (!std::isfinite(key.energy) || !std::isfinite(key.energy_imag) ||
+      !std::isfinite(key.contact_shift))
+    throw std::invalid_argument(
+        "BoundaryCache: key has a non-finite energy or contact shift");
+}
+
+}  // namespace
 
 BoundaryCache::BoundaryCache(std::size_t max_entries)
     : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 
 std::shared_ptr<const Boundary> BoundaryCache::find(const BoundaryKey& key) {
+  require_finite(key);
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -23,6 +39,7 @@ std::shared_ptr<const Boundary> BoundaryCache::find(const BoundaryKey& key) {
 
 std::shared_ptr<const Boundary> BoundaryCache::insert(const BoundaryKey& key,
                                                       Boundary bnd) {
+  require_finite(key);
   auto entry = std::make_shared<const Boundary>(std::move(bnd));
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] = entries_.emplace(key, std::move(entry));
@@ -44,19 +61,6 @@ void BoundaryCache::invalidate() {
   order_.clear();
   ++stats_.invalidations;
   for (auto& [contact, s] : contact_stats_) ++s.invalidations;
-}
-
-void BoundaryCache::invalidate_contact(int contact) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end();)
-    it = it->first.contact == contact ? entries_.erase(it) : std::next(it);
-  order_.erase(std::remove_if(order_.begin(), order_.end(),
-                              [contact](const BoundaryKey& k) {
-                                return k.contact == contact;
-                              }),
-               order_.end());
-  ++stats_.invalidations;
-  ++contact_stats_[contact].invalidations;
 }
 
 void BoundaryCache::reserve(std::size_t min_entries) {

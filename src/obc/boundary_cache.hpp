@@ -1,5 +1,4 @@
-// Cross-sweep cache of boundary conditions, keyed by (k-index, energy,
-// contact-shift).
+// Cross-sweep cache of boundary conditions, keyed by content.
 //
 // The lead Hamiltonian never depends on the device potential, so every SCF
 // outer iteration, transfer-characteristic bias point, and adaptive-grid
@@ -9,12 +8,16 @@
 // object back on every revisit — bit-identical by construction, since a hit
 // reuses the stored matrices rather than recomputing anything.
 //
+// Keys are content-complete: a BoundaryKey holds everything a Boundary
+// depends on (see BoundaryKey), so a changed lead, shift, backend, or
+// backend option is a different key and a stale entry can never be named.
+// Nobody has to detect change and invalidate; going back to an earlier
+// configuration hits the entries it left behind.  invalidate() remains as
+// an explicit flush (cold-start measurements, bounding the footprint).
 // Keys compare doubles exactly on purpose: a near-miss energy is a
 // different physical point and must be recomputed, and exact keys are what
-// makes cached and uncached runs agree to the last bit.  Entries become
-// stale only when the lead electrostatics change (the contact shift is part
-// of the key, but drivers should still invalidate() on a shift change to
-// drop the unreachable entries).
+// makes cached and uncached runs agree to the last bit.  Non-finite doubles
+// are rejected — NaN compares unordered and would alias every key.
 //
 // Thread-safe: the distribution engine shares one cache among a rank's pool
 // workers (flat path), and invalidate() may race with lookups — entries are
@@ -29,6 +32,7 @@
 #include <mutex>
 #include <vector>
 
+#include "numeric/hash.hpp"
 #include "numeric/types.hpp"
 #include "obc/self_energy.hpp"
 
@@ -36,40 +40,48 @@ namespace omenx::obc {
 
 using numeric::idx;
 
-/// Cache key of one boundary evaluation.  Doubles compare exactly (see
-/// file header).  `algorithm` is the ObcAlgorithm enum value (stored as an
-/// int to keep this header strategy-free): two backends at the same (k, E,
-/// shift) produce different Boundaries (e.g. truncated vs full spectra)
-/// and must never alias.  Backend *options* are not part of the key —
-/// holders of a persistent cache invalidate() when they change (the
-/// engine compares each run's ObcOptions against the previous run's).
+/// Cache key of one boundary evaluation: everything the Boundary depends
+/// on — (k, Re E, Im E, shift, algorithm, lead content, backend options,
+/// scattering component) — plus the canonical contact id that partitions
+/// the per-contact statistics.  Doubles compare exactly (see file header).
 struct BoundaryKey {
   idx k = 0;              ///< global momentum index of the sweep
   double energy = 0.0;    ///< Re(E) (eV) the point was requested at
   double contact_shift = 0.0;  ///< uniform lead potential shift (eV)
-  int algorithm = 0;      ///< static_cast<int>(ObcAlgorithm)
+  /// static_cast<int>(ObcAlgorithm), stored as an int to keep this header
+  /// strategy-free: two backends at the same (k, E, shift) produce
+  /// different Boundaries (e.g. truncated vs full spectra).
+  int algorithm = 0;
   /// Im(E) (eV) — non-zero for the complex-contour charge quadrature, whose
   /// nodes sit well off the real axis and are revisited identically on every
   /// SCF iteration (the fixed contour is what makes their hit rate approach
-  /// 100% after the first pass).  Kept last so the pre-existing four-field
-  /// aggregate initializers keep meaning what they always did (real axis).
+  /// 100% after the first pass).  Kept after the four leading fields so
+  /// their aggregate initializers keep meaning the real axis.
   double energy_imag = 0.0;
   /// Canonical contact id (ContactSet::representative) the boundary belongs
-  /// to.  Identical contacts share one id — the symmetric pair caches under
-  /// the left contact's id 0, exactly the pre-refactor key population —
-  /// while dissimilar leads and per-contact shifts get disjoint key ranges
-  /// that invalidate_contact() can drop independently.
+  /// to.  Identical contacts share one id — the symmetric pair fetches once,
+  /// under id 0 — while dissimilar leads and per-contact shifts get their
+  /// own key ranges and hit/miss counters.
   int contact = 0;
-  /// FNV-1a content hash of the contact's lead (lead_content_hash); 0 =
-  /// untracked (direct callers without an engine fingerprint).  Makes a
-  /// swapped lead material a guaranteed miss even under a reused contact id.
+  /// Content hash of the lead (transport::lead_content_hash).  A swapped
+  /// lead material is a guaranteed miss even under a reused contact id.
   std::uint64_t lead_hash = 0;
   /// Scattering-model component (scattering::boundary_key_component): 0 for
   /// the ballistic pipeline and for every model that leaves the contact
-  /// boundaries untouched (Büttiker probes live on interior blocks).  Only
-  /// models advertising kModifiesBoundaries populate it, so existing callers'
-  /// keys — ordering, values, hit rates — are bit-identical to pre-refactor.
+  /// boundaries untouched (Büttiker probes live on interior blocks).
   std::uint64_t scattering = 0;
+  /// ObcOptions::digest() of the backend options the boundary was computed
+  /// under (annulus, ridge, eta, ...).
+  std::uint64_t options = 0;
+
+  /// Content hash of every field — the stable device-residency id of the
+  /// operands derived from this boundary (transport::solve_energy_batch).
+  std::uint64_t digest() const noexcept {
+    numeric::Fnv1a h;
+    h.add(k).add(energy).add(contact_shift).add(algorithm).add(energy_imag)
+        .add(contact).add(lead_hash).add(scattering).add(options);
+    return h.value();
+  }
 
   friend bool operator<(const BoundaryKey& a, const BoundaryKey& b) noexcept {
     if (a.contact != b.contact) return a.contact < b.contact;
@@ -80,6 +92,7 @@ struct BoundaryKey {
       return a.contact_shift < b.contact_shift;
     if (a.lead_hash != b.lead_hash) return a.lead_hash < b.lead_hash;
     if (a.scattering != b.scattering) return a.scattering < b.scattering;
+    if (a.options != b.options) return a.options < b.options;
     return a.algorithm < b.algorithm;
   }
 };
@@ -101,22 +114,19 @@ class BoundaryCache {
   explicit BoundaryCache(std::size_t max_entries = 4096);
 
   /// The cached boundary for `key`, or nullptr (counts a hit or a miss).
+  /// Throws std::invalid_argument for a key with a non-finite double.
   std::shared_ptr<const Boundary> find(const BoundaryKey& key);
 
   /// Store `bnd` under `key` and return the stored entry.  If another
   /// thread (or an earlier sweep) already populated the key, the existing
-  /// entry wins and is returned — first evaluation is canonical.
+  /// entry wins and is returned — first evaluation is canonical.  Throws
+  /// std::invalid_argument for a key with a non-finite double.
   std::shared_ptr<const Boundary> insert(const BoundaryKey& key, Boundary bnd);
 
-  /// Drop every entry (the lead potential shift — or the lead itself —
-  /// changed).  Outstanding shared_ptr handles stay valid.
+  /// Drop every entry — an explicit flush (cold-start measurements, or to
+  /// bound the footprint); never needed for correctness, since keys are
+  /// content-complete.  Outstanding shared_ptr handles stay valid.
   void invalidate();
-
-  /// Drop only the entries cached under canonical contact id `contact` —
-  /// with dissimilar contacts, a shift or lead change on one terminal must
-  /// not cost the other terminals their cached eigenproblems.  Counts one
-  /// invalidation against that contact's stats (and the totals).
-  void invalidate_contact(int contact);
 
   /// Raise the eviction cap to at least `min_entries` (never lowers it).
   void reserve(std::size_t min_entries);

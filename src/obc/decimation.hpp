@@ -6,6 +6,7 @@
 // small imaginary part is added to the energy.
 #pragma once
 
+#include "numeric/hash.hpp"
 #include "numeric/matrix.hpp"
 #include "obc/modes.hpp"
 
@@ -25,11 +26,10 @@ struct DecimationOptions {
   idx max_iter = 200;
   double tol = 1e-12;    ///< convergence on the coupling norm
 
-  // Memberwise — cached boundaries are invalidated on any change, so a new
-  // field MUST be added here too.
-  friend bool operator==(const DecimationOptions& a,
-                         const DecimationOptions& b) noexcept {
-    return a.eta == b.eta && a.max_iter == b.max_iter && a.tol == b.tol;
+  // Every field is part of the boundary-cache key (ObcOptions::digest), so
+  // a new field MUST be added here too.
+  void digest(numeric::Fnv1a& h) const noexcept {
+    h.add(eta).add(max_iter).add(tol);
   }
 };
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include "dft/hamiltonian.hpp"
+#include "numeric/hash.hpp"
 #include "obc/modes.hpp"
 
 namespace omenx::obc {
@@ -24,14 +25,11 @@ struct FeastOptions {
   unsigned seed = 12345;     ///< probing matrix seed (deterministic)
   bool parallel_points = true;
 
-  // Memberwise — cached boundaries are invalidated on any change, so a new
-  // field MUST be added here too.
-  friend bool operator==(const FeastOptions& a,
-                         const FeastOptions& b) noexcept {
-    return a.annulus_r == b.annulus_r && a.num_points == b.num_points &&
-           a.subspace == b.subspace && a.max_refinement == b.max_refinement &&
-           a.residual_tol == b.residual_tol && a.prop_tol == b.prop_tol &&
-           a.seed == b.seed && a.parallel_points == b.parallel_points;
+  // Every field is part of the boundary-cache key (ObcOptions::digest), so
+  // a new field MUST be added here too.
+  void digest(numeric::Fnv1a& h) const noexcept {
+    h.add(annulus_r).add(num_points).add(subspace).add(max_refinement)
+        .add(residual_tol).add(prop_tol).add(seed).add(parallel_points);
   }
 };
 

@@ -12,6 +12,7 @@
 //     Inj_p = -(tc^H u_p + lambda_p Sigma_L u_p).
 #pragma once
 
+#include "numeric/hash.hpp"
 #include "numeric/matrix.hpp"
 #include "obc/modes.hpp"
 
@@ -21,12 +22,9 @@ struct BoundaryOptions {
   /// Tikhonov ridge for the mode pseudo-inverse (U^H U + ridge I)^{-1} U^H.
   double pinv_ridge = 1e-12;
 
-  // Memberwise — cached boundaries are invalidated on any change, so a new
-  // field MUST be added here too.
-  friend bool operator==(const BoundaryOptions& a,
-                         const BoundaryOptions& b) noexcept {
-    return a.pinv_ridge == b.pinv_ridge;
-  }
+  // Every field is part of the boundary-cache key (ObcOptions::digest), so
+  // a new field MUST be added here too.
+  void digest(numeric::Fnv1a& h) const noexcept { h.add(pinv_ridge); }
 };
 
 /// Everything the Schroedinger solver needs to apply open boundaries at one

@@ -7,6 +7,7 @@
 #pragma once
 
 #include "dft/hamiltonian.hpp"
+#include "numeric/hash.hpp"
 #include "obc/modes.hpp"
 
 namespace omenx::obc {
@@ -15,12 +16,9 @@ struct ShiftInvertOptions {
   cplx sigma{1.05, 0.21};  ///< spectral shift (must avoid eigenvalues)
   double prop_tol = 1e-6;
 
-  // Memberwise — cached boundaries are invalidated on any change, so a new
-  // field MUST be added here too.
-  friend bool operator==(const ShiftInvertOptions& a,
-                         const ShiftInvertOptions& b) noexcept {
-    return a.sigma == b.sigma && a.prop_tol == b.prop_tol;
-  }
+  // Every field is part of the boundary-cache key (ObcOptions::digest), so
+  // a new field MUST be added here too.
+  void digest(numeric::Fnv1a& h) const noexcept { h.add(sigma).add(prop_tol); }
 };
 
 /// All finite lead modes at energy `e`, via dense shift-and-invert on the

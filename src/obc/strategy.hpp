@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "dft/hamiltonian.hpp"
+#include "numeric/hash.hpp"
 #include "obc/beyn.hpp"
 #include "obc/decimation.hpp"
 #include "obc/feast.hpp"
@@ -64,15 +65,24 @@ struct ObcOptions {
   /// Uniform lead (contact) potential shift (eV).  A lead floating at
   /// potential V has H -> H + V*S, so its boundary at energy E equals the
   /// pristine lead's boundary at E - V; strategies apply the shift exactly
-  /// that way.  Part of the BoundaryCache key.
+  /// that way.  A BoundaryKey field of its own (per contact), so it is
+  /// not part of digest().
   double contact_shift = 0.0;
 
-  // Memberwise, delegating to each struct's own operator== (declared next
-  // to its fields so additions can't drift past the comparison).
-  friend bool operator==(const ObcOptions& a, const ObcOptions& b) noexcept {
-    return a.feast == b.feast && a.beyn == b.beyn &&
-           a.shift_invert == b.shift_invert && a.decimation == b.decimation &&
-           a.boundary == b.boundary && a.contact_shift == b.contact_shift;
+  /// Content digest of every backend option — the options component of
+  /// the BoundaryCache key, delegating to each struct's own digest()
+  /// (declared next to its fields so additions can't drift past it).  A
+  /// changed annulus, ridge, or eta therefore re-keys the cache: no stale
+  /// Boundary is ever replayed, and going back to an earlier option set
+  /// hits the entries it left behind.
+  std::uint64_t digest() const noexcept {
+    numeric::Fnv1a h;
+    feast.digest(h);
+    beyn.digest(h);
+    shift_invert.digest(h);
+    decimation.digest(h);
+    boundary.digest(h);
+    return h.value();
   }
 };
 
@@ -122,15 +132,6 @@ const char* obc_algorithm_name(ObcAlgorithm algo) noexcept;
 
 /// Capability bits of an algorithm (without instantiating it by hand).
 unsigned obc_algorithm_capabilities(ObcAlgorithm algo);
-
-/// Memberwise equality of two option sets (== on ObcOptions).  Holders of
-/// a persistent BoundaryCache (omen::Engine) compare each run's options
-/// against the previous run's and invalidate on change: cached Boundaries
-/// computed under a different annulus/ridge/eta must never be replayed.
-inline bool obc_options_equal(const ObcOptions& a,
-                              const ObcOptions& b) noexcept {
-  return a == b;
-}
 
 /// Process-wide count of boundary-condition evaluations — one per lead
 /// eigenproblem (or decimation) actually solved.  BoundaryCache hits do not

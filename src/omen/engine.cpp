@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
@@ -242,13 +241,20 @@ bool classic_pair_blocks(const SweepRequest& req, idx nb) {
   return (b0 == 0 && b1 == nb - 1) || (b0 == nb - 1 && b1 == 0);
 }
 
-/// The request's terminal layout over one k's materials.  `lead`/`folded`
-/// are the classic (material -1) blocks; `extras`/`extra_folded` index the
-/// materials >= 0.  Every referenced object must outlive the returned set.
+/// The terminal layout of one k.  `lead`/`folded`/`lead_hash` are the
+/// classic (material -1) lead; `extras`/`extra_folded`/`extra_hashes` index
+/// the materials >= 0.  Classic requests (empty `contacts`, or a symmetric
+/// classic pair) get ContactSet::pair at the uniform shift `shift`.  Every
+/// referenced object must outlive the returned set.
 transport::ContactSet build_contact_set(
-    const SweepRequest& req, const dft::LeadBlocks& lead,
-    const dft::FoldedLead& folded, const std::vector<dft::LeadBlocks>& extras,
-    const std::vector<dft::FoldedLead>& extra_folded) {
+    const SweepRequest& req, double shift, const dft::LeadBlocks& lead,
+    const dft::FoldedLead& folded, std::uint64_t lead_hash,
+    const std::vector<dft::LeadBlocks>& extras,
+    const std::vector<dft::FoldedLead>& extra_folded,
+    const std::vector<std::uint64_t>& extra_hashes) {
+  if (contacts_are_classic_symmetric(req))
+    return transport::ContactSet::pair(lead, folded, 0.0, 0.0, shift,
+                                       lead_hash);
   std::vector<transport::Contact> cs;
   cs.reserve(req.contacts.size());
   for (const SweepContact& sc : req.contacts) {
@@ -260,17 +266,30 @@ transport::ContactSet build_contact_set(
     } else if (sc.material < 0) {
       c.lead = &lead;
       c.folded = &folded;
+      c.lead_hash = lead_hash;
     } else {
-      c.lead = &extras[static_cast<std::size_t>(sc.material)];
-      c.folded = &extra_folded[static_cast<std::size_t>(sc.material)];
+      const auto m = static_cast<std::size_t>(sc.material);
+      c.lead = &extras[m];
+      c.folded = &extra_folded[m];
+      c.lead_hash = extra_hashes[m];
     }
     c.mu = sc.mu;
     c.shift = sc.shift;
     c.block = sc.block;
-    if (c.lead != nullptr) c.lead_hash = transport::lead_content_hash(*c.lead);
     cs.push_back(c);
   }
   return transport::ContactSet(std::move(cs));
+}
+
+/// lead_content_hash of every lead — computed once per (k, material) per
+/// run, never per fetch.
+std::vector<std::uint64_t> lead_hashes(
+    const std::vector<dft::LeadBlocks>& leads) {
+  std::vector<std::uint64_t> out;
+  out.reserve(leads.size());
+  for (const dft::LeadBlocks& lead : leads)
+    out.push_back(transport::lead_content_hash(lead));
+  return out;
 }
 
 /// Coordinator service loop: runs on a helper thread next to rank 0's own
@@ -336,25 +355,25 @@ void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
 struct KData {
   dft::LeadBlocks lead;
   dft::FoldedLead folded;  ///< leaders only; members never run the OBCs
+  std::uint64_t lead_hash = 0;  ///< leaders only: lead_content_hash(lead)
   /// Extra lead materials (SweepContact::material >= 0) and their folds —
   /// contact-mode leaders only; members and classic runs keep them empty.
   std::vector<dft::LeadBlocks> extra_leads;
   std::vector<dft::FoldedLead> extra_folded;
   dft::DeviceMatrices dm;
-  transport::ContactSet contacts;  ///< empty in classic and member mode
   std::unique_ptr<transport::EnergySweepWorker> worker;  ///< leaders only
 
   /// `build_worker` = false is the spatial-member variant: members only
   /// need the assembled device matrices to compute SPIKE partitions of A,
-  /// so the lead folding and the sweep worker are skipped.  `contact_mode`
-  /// routes the worker through the ContactSet entry points; the set points
-  /// at this KData's own members, which are stable for its lifetime (the
+  /// so the lead folding, hashing, and the sweep worker are skipped.  The
+  /// worker's ContactSet (build_contact_set over `opts`' shift) points at
+  /// this KData's own members, which are stable for its lifetime (the
   /// per-rank cache holds KData by unique_ptr).
   KData(dft::LeadBlocks l, const SweepRequest& req,
         const transport::EnergyPointOptions& opts,
         transport::EnergyPointContext& ctx, parallel::DevicePool* pool,
         const dft::FoldedLead* pre_folded = nullptr, bool build_worker = true,
-        std::vector<dft::LeadBlocks> extras = {}, bool contact_mode = false)
+        std::vector<dft::LeadBlocks> extras = {})
       : lead(std::move(l)),
         folded(build_worker
                    ? (pre_folded != nullptr ? *pre_folded
@@ -363,18 +382,16 @@ struct KData {
         extra_leads(std::move(extras)),
         dm(dft::assemble_device(lead, req.cells, req.potential)) {
     if (!build_worker) return;
-    if (contact_mode) {
-      extra_folded.reserve(extra_leads.size());
-      for (const dft::LeadBlocks& ex : extra_leads)
-        extra_folded.push_back(dft::fold_lead(ex));
-      contacts =
-          build_contact_set(req, lead, folded, extra_leads, extra_folded);
-      worker = std::make_unique<transport::EnergySweepWorker>(
-          ctx, dm, contacts, opts, pool);
-      return;
-    }
+    lead_hash = transport::lead_content_hash(lead);
+    extra_folded.reserve(extra_leads.size());
+    for (const dft::LeadBlocks& ex : extra_leads)
+      extra_folded.push_back(dft::fold_lead(ex));
     worker = std::make_unique<transport::EnergySweepWorker>(
-        ctx, dm, lead, folded, opts, pool);
+        ctx, dm,
+        build_contact_set(req, opts.obc_opts.contact_shift, lead, folded,
+                          lead_hash, extra_leads, extra_folded,
+                          lead_hashes(extra_leads)),
+        opts, pool);
   }
 };
 
@@ -612,6 +629,23 @@ void validate_request(const SweepRequest& req) {
   } else if (!req.gf_weights.empty()) {
     throw std::invalid_argument("Engine: gf_weights without gf_nodes");
   }
+  // Non-finite doubles would become boundary-cache keys (NaN compares
+  // unordered with every key); reject them before any rank starts.
+  const auto finite = [](double v) { return std::isfinite(v); };
+  for (const auto& grid : req.energies)
+    if (!std::all_of(grid.begin(), grid.end(), finite))
+      throw std::invalid_argument("Engine: non-finite energy");
+  for (const auto* table : {&req.gf_nodes, &req.gf_weights})
+    for (const auto& row : *table)
+      for (const numeric::cplx z : row)
+        if (!finite(z.real()) || !finite(z.imag()))
+          throw std::invalid_argument(
+              "Engine: non-finite Green's-function node or weight");
+  if (!finite(req.point.obc_opts.contact_shift))
+    throw std::invalid_argument("Engine: non-finite contact shift");
+  for (const SweepContact& c : req.contacts)
+    if (!finite(c.shift))
+      throw std::invalid_argument("Engine: non-finite contact shift");
   if (req.contacts.size() == 1)
     throw std::invalid_argument(
         "Engine: contacts must be empty (classic) or have >= 2 entries");
@@ -655,66 +689,6 @@ void validate_request(const SweepRequest& req) {
               "Engine: density_weight_contacts E-shape mismatch");
     }
   }
-}
-
-/// FNV-1a over the lead blocks' shapes and raw entries — the *content*
-/// identity the boundary caches depend on (see Engine::last_leads_hash_).
-std::uint64_t leads_fingerprint(const std::vector<dft::LeadBlocks>& leads) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const auto mix_matrix = [&](const numeric::CMatrix& m) {
-    mix(static_cast<std::uint64_t>(m.rows()));
-    mix(static_cast<std::uint64_t>(m.cols()));
-    for (idx i = 0; i < m.rows(); ++i)
-      for (idx j = 0; j < m.cols(); ++j) {
-        const double parts[2] = {m(i, j).real(), m(i, j).imag()};
-        std::uint64_t bits;
-        std::memcpy(&bits, &parts[0], sizeof(bits));
-        mix(bits);
-        std::memcpy(&bits, &parts[1], sizeof(bits));
-        mix(bits);
-      }
-  };
-  for (const auto& lead : leads) {
-    mix(static_cast<std::uint64_t>(lead.h.size()));
-    for (const auto& m : lead.h) mix_matrix(m);
-    for (const auto& m : lead.s) mix_matrix(m);
-  }
-  return h;
-}
-
-/// Per-contact cache-validity signature: the contact's lead-material
-/// content, its shift bits, and its attachment block.  mu is deliberately
-/// absent — it weights observables, never the cached Boundary.
-/// `classic_hash` is leads_fingerprint(*req.leads), shared by every
-/// material -1 contact.
-std::vector<std::uint64_t> contact_signatures(const SweepRequest& req,
-                                              std::uint64_t classic_hash) {
-  std::vector<std::uint64_t> sigs;
-  sigs.reserve(req.contacts.size());
-  for (const SweepContact& c : req.contacts) {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(c.probe_eta > 0.0
-            ? 0  // probes carry no lead material
-            : (c.material < 0 ? classic_hash
-                              : leads_fingerprint((*req.contact_leads)
-                                    [static_cast<std::size_t>(c.material)])));
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &c.shift, sizeof(bits));
-    mix(bits);
-    mix(static_cast<std::uint64_t>(c.block));
-    std::memcpy(&bits, &c.probe_eta, sizeof(bits));
-    mix(bits);
-    sigs.push_back(h);
-  }
-  return sigs;
 }
 
 SweepResult shaped_result(const SweepRequest& req) {
@@ -854,62 +828,11 @@ SweepResult Engine::run(const SweepRequest& request) {
   for (const auto& nodes : request.gf_nodes) total += nodes.size();
   if (total == 0) return shaped_result(request);
   const std::size_t nc = request.contacts.size();
-  if (!caches_.empty() || !residency_.empty()) {
-    // Cached Boundaries (and the device-resident operands derived from
-    // them) are only replayable while the OBC options and the lead
-    // matrices hold: the backend is part of the cache key, but an annulus/
-    // ridge/eta change — or different lead Hamiltonians under the same
-    // (k, E) keys — is not.
-    const std::uint64_t leads_hash = leads_fingerprint(*request.leads);
-    if (request.contacts.empty()) {
-      // Classic request: drop everything on either mismatch — exactly the
-      // pre-contact discipline.
-      const bool opts_changed =
-          last_obc_opts_.has_value() &&
-          !obc::obc_options_equal(*last_obc_opts_, request.point.obc_opts);
-      const bool leads_changed =
-          last_leads_hash_.has_value() && *last_leads_hash_ != leads_hash;
-      if (opts_changed || leads_changed) invalidate_boundary_caches();
-      last_contact_sigs_.reset();
-    } else {
-      // Contact request: the global contact_shift is neutral in the
-      // options comparison (shifts live per contact), and a change
-      // confined to one contact's lead material, shift, or attachment
-      // block drops only that contact's key range — the dissimilar-lead
-      // independence the per-contact cache keys exist for.
-      bool opts_changed = false;
-      if (last_obc_opts_.has_value()) {
-        obc::ObcOptions prev = *last_obc_opts_;
-        prev.contact_shift = request.point.obc_opts.contact_shift;
-        opts_changed = !obc::obc_options_equal(prev, request.point.obc_opts);
-      }
-      const auto sigs = contact_signatures(request, leads_hash);
-      if (opts_changed) {
-        invalidate_boundary_caches();
-      } else if (last_contact_sigs_.has_value() &&
-                 last_contact_sigs_->size() == sigs.size()) {
-        bool any = false;
-        for (std::size_t p = 0; p < sigs.size(); ++p)
-          if (sigs[p] != (*last_contact_sigs_)[p]) {
-            for (auto& c : caches_)
-              c->invalidate_contact(static_cast<int>(p));
-            any = true;
-          }
-        // Device-resident operands are not keyed per contact; any stale
-        // contact drops them all (mirrors invalidate_boundary_caches).
-        if (any)
-          for (auto& r : residency_) r->invalidate();
-      }
-      last_contact_sigs_ = sigs;
-    }
-    last_obc_opts_ = request.point.obc_opts;
-    last_leads_hash_ = leads_hash;
-    // One sweep must always fit: a cap below the task count would evict
-    // entries mid-sweep and forfeit every cross-iteration hit.  Contact
-    // mode fetches up to nc boundaries per task.
-    const std::size_t per_task = std::max<std::size_t>(2, nc);
-    for (auto& c : caches_) c->reserve(per_task * total);
-  }
+  // One sweep must always fit: a cap below the task count would evict
+  // entries mid-sweep and forfeit every cross-iteration hit.  Contact mode
+  // fetches up to nc boundaries per task.
+  const std::size_t per_task = std::max<std::size_t>(2, nc);
+  for (auto& c : caches_) c->reserve(per_task * total);
   // Per-contact cache counters are cumulative on the persistent caches;
   // snapshot around the sweep so the stats report this run's deltas.
   std::vector<obc::BoundaryCache::Stats> contact_stats_before;
@@ -956,9 +879,8 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
   // drain-side weight to fold them into.
   popt.want_density_r = !request.density_weight_r.empty();
   // Terminal layout: a symmetric classic pair collapses onto the global
-  // contact shift and the entire pre-refactor pipeline below (batching
-  // included) runs unchanged; anything else routes per-task through the
-  // ContactSet entry points.
+  // contact shift and the classic pipeline below (batching included);
+  // anything else routes per-task through its per-contact ContactSet.
   const bool contact_mode = !contacts_are_classic_symmetric(request);
   if (!request.contacts.empty() && !contact_mode)
     popt.obc_opts.contact_shift = request.contacts[0].shift;
@@ -978,27 +900,24 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
   for (std::size_t k = 0; k < nk; ++k)
     dms[k] = dft::assemble_device((*request.leads)[k], request.cells,
                                   request.potential);
+  const std::vector<std::uint64_t> lead_hash = lead_hashes(*request.leads);
 
-  // Contact mode: per-k copies of the extra lead materials, their folds,
-  // and the ContactSet pointing at them (stable — the vectors are fully
-  // built before any set references them).
-  std::vector<std::vector<dft::LeadBlocks>> extra_leads_k;
-  std::vector<std::vector<dft::FoldedLead>> extra_folded_k;
-  std::vector<transport::ContactSet> contact_sets;
-  if (contact_mode) {
-    const std::size_t m_count = num_extra_materials(request);
-    extra_leads_k.resize(nk);
-    extra_folded_k.resize(nk);
-    contact_sets.resize(nk);
-    for (std::size_t k = 0; k < nk; ++k) {
-      for (std::size_t m = 0; m < m_count; ++m) {
-        extra_leads_k[k].push_back((*request.contact_leads)[m][k]);
-        extra_folded_k[k].push_back(dft::fold_lead(extra_leads_k[k].back()));
-      }
-      contact_sets[k] =
-          build_contact_set(request, (*request.leads)[k], (*folded)[k],
-                            extra_leads_k[k], extra_folded_k[k]);
+  // Per-k copies of the extra lead materials (contact mode only), their
+  // folds, and the ContactSet pointing at them (stable — the vectors are
+  // fully built before any set references them).
+  const std::size_t m_count = num_extra_materials(request);
+  std::vector<std::vector<dft::LeadBlocks>> extra_leads_k(nk);
+  std::vector<std::vector<dft::FoldedLead>> extra_folded_k(nk);
+  std::vector<transport::ContactSet> contact_sets(nk);
+  for (std::size_t k = 0; k < nk; ++k) {
+    for (std::size_t m = 0; m < m_count; ++m) {
+      extra_leads_k[k].push_back((*request.contact_leads)[m][k]);
+      extra_folded_k[k].push_back(dft::fold_lead(extra_leads_k[k].back()));
     }
+    contact_sets[k] = build_contact_set(
+        request, popt.obc_opts.contact_shift, (*request.leads)[k],
+        (*folded)[k], lead_hash[k], extra_leads_k[k], extra_folded_k[k],
+        lead_hashes(extra_leads_k[k]));
   }
 
   const bool has_greens = request_has_greens(request);
@@ -1019,14 +938,8 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
         static_cast<std::size_t>(ie - lay.n_real[sk]);
     transport::EnergyPointOptions task_opt = popt;
     task_opt.k_index = ik;
-    const auto diag =
-        contact_mode
-            ? transport::solve_greens_diagonal(dms[sk], contact_sets[sk],
-                                               request.gf_nodes[sk][sg],
-                                               task_opt)
-            : transport::solve_greens_diagonal(
-                  dms[sk], (*request.leads)[sk], (*folded)[sk],
-                  request.gf_nodes[sk][sg], task_opt);
+    const auto diag = transport::solve_greens_diagonal(
+        dms[sk], contact_sets[sk], request.gf_nodes[sk][sg], task_opt);
     point_charge[flat] = greens_task_charge(
         request, (*request.leads)[sk].block_dim(), request.gf_weights[sk][sg],
         diag);
@@ -1123,7 +1036,8 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
           const auto sk = static_cast<std::size_t>(ik);
           const auto se = static_cast<std::size_t>(ie);
           chunk.push_back({ik, request.energies[sk][se], &dms[sk],
-                           &(*request.leads)[sk], &(*folded)[sk]});
+                           &(*request.leads)[sk], &(*folded)[sk],
+                           lead_hash[sk]});
         }
         const double t0 = now_seconds();
         const auto res = transport::solve_energy_batch(
@@ -1172,14 +1086,9 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
       // The cache key's momentum component is the global k index.
       transport::EnergyPointOptions task_opt = popt;
       task_opt.k_index = ik;
-      const auto res =
-          contact_mode
-              ? transport::solve_energy_point(dms[sk], contact_sets[sk],
-                                              request.energies[sk][se],
-                                              task_opt, pool_)
-              : transport::solve_energy_point(
-                    dms[sk], (*request.leads)[sk], (*folded)[sk],
-                    request.energies[sk][se], task_opt, pool_);
+      const auto res = transport::solve_energy_point(
+          dms[sk], contact_sets[sk], request.energies[sk][se], task_opt,
+          pool_);
       busy[flat] = now_seconds() - t0;
       out.transmission[sk][se] = res.transmission;
       out.caroli[sk][se] = res.transmission_caroli;
@@ -1395,8 +1304,7 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
           cache.emplace(k, std::make_unique<KData>(std::move(lead), request,
                                                    kopt, ctx, my_pool, pre,
                                                    /*build_worker=*/leader,
-                                                   std::move(extras),
-                                                   contact_mode));
+                                                   std::move(extras)));
         } catch (...) {
           rank_error = std::current_exception();
         }
@@ -1449,7 +1357,8 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               bt.push_back({p.ik,
                             request.energies[static_cast<std::size_t>(p.ik)]
                                             [static_cast<std::size_t>(p.ie)],
-                            &p.kd->dm, &p.kd->lead, &p.kd->folded});
+                            &p.kd->dm, &p.kd->lead, &p.kd->folded,
+                            p.kd->lead_hash});
             // The flushed bucket's shape is (pending_nb, pending_s) — set
             // when its tasks were queued, before any shape change flushes.
             numeric::Backend& bucket_backend =
@@ -1516,8 +1425,7 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
                                         std::move(stolen), request, kopt,
                                         ctx, my_pool, pre,
                                         /*build_worker=*/true,
-                                        std::move(stolen_extras),
-                                        contact_mode))
+                                        std::move(stolen_extras)))
                        .first;
               fetched = true;
             }
@@ -1598,12 +1506,7 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               gopt.k_index = ik;
               gopt.spatial = nullptr;  // the RGF diagonal is a solo solve
               const double t0 = now_seconds();
-              const auto diag =
-                  contact_mode
-                      ? it->second->worker->solve_greens(z, gopt)
-                      : transport::solve_greens_diagonal(
-                            ctx, it->second->dm, it->second->lead,
-                            it->second->folded, z, gopt);
+              const auto diag = it->second->worker->solve_greens(z, gopt);
               local.busy_seconds += now_seconds() - t0;
               ++local.tasks;
               ++local.greens_tasks;

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,11 +57,12 @@ struct EngineConfig {
   /// serial baseline.
   bool flat_single_rank = true;
   /// Per-rank OBC boundary caches, persistent across run() calls: the lead
-  /// eigenproblem at a (k, E, contact-shift) key is solved once per rank
-  /// and reused by every later sweep that revisits the point (SCF outer
-  /// iterations, bias points, adaptive-grid passes).  Bit-identical to the
-  /// uncached path — a hit replays the stored Boundary verbatim.  Off =
-  /// recompute every evaluation (benchmark baseline).
+  /// eigenproblem at an obc::BoundaryKey (k, E, shift, lead content, OBC
+  /// backend and options) is solved once per rank and reused by every later
+  /// sweep that revisits the point (SCF outer iterations, bias points,
+  /// adaptive-grid passes).  Bit-identical to the uncached path — a hit
+  /// replays the stored Boundary verbatim.  Off = recompute every
+  /// evaluation (benchmark baseline).
   bool cache_boundaries = true;
   /// Fuse queued same-shape (k, E) tasks into batched numeric::Backend
   /// calls (transport::solve_energy_batch): the OBC stage of the whole
@@ -233,10 +233,10 @@ class Engine {
   /// world never deadlocks on a failed rank.
   SweepResult run(const SweepRequest& request);
 
-  /// Drop every rank's cached boundaries *and* device-resident operands.
-  /// Call when the lead electrostatics change (contact shift, lead
-  /// Hamiltonian) — stale entries are unreachable once the key changes,
-  /// but holding them wastes the footprint (and device memory).
+  /// Drop every rank's cached boundaries *and* device-resident operands —
+  /// an explicit flush (cold-start measurements, bounding the footprint).
+  /// Never needed for correctness: the keys are content-complete, so a
+  /// changed lead, shift, or option set can never replay a stale entry.
   void invalidate_boundary_caches();
 
   /// Cumulative hit/miss/insert/invalidate counters summed over the
@@ -264,26 +264,9 @@ class Engine {
   /// One device-residency cache per world rank, same indexing and lifetime
   /// discipline as caches_: the pool's devices outlive every run(), so
   /// operands staged in one sweep hit residency in the next (the cross-SCF
-  /// story), and the caches are dropped together with the boundary caches
-  /// when the inputs behind the stable ids change.  Empty without a pool.
+  /// story).  Ids hash the operand's BoundaryKey, so changed inputs are new
+  /// ids, never stale hits.  Empty without a pool.
   std::vector<std::unique_ptr<numeric::ResidencyCache>> residency_;
-  /// OBC options of the previous run(): the backend is part of the cache
-  /// key, but a changed option set (annulus, ridge, eta, ...) would
-  /// silently replay stale Boundaries — run() invalidates on mismatch.
-  std::optional<obc::ObcOptions> last_obc_opts_;
-  /// Content fingerprint of the previous run()'s lead matrices: different
-  /// lead Hamiltonians under the same (k, E) keys would collide with the
-  /// cached Boundaries, and pointer identity can't tell (a reused stack
-  /// vector reallocates at the same address; in-place edits keep the
-  /// address).  Hashing the entries once per run is noise next to the
-  /// sweep itself.
-  std::optional<std::uint64_t> last_leads_hash_;
-  /// Per-contact signatures (lead-material fingerprint + shift + block) of
-  /// the previous contact-mode run(): a change in one contact's lead or
-  /// shift drops only that contact's cache entries (invalidate_contact)
-  /// instead of the whole cache — the dissimilar-lead independence the
-  /// per-contact keys exist for.
-  std::optional<std::vector<std::uint64_t>> last_contact_sigs_;
 };
 
 }  // namespace omenx::omen

@@ -127,11 +127,8 @@ void Simulator::set_scattering(const scattering::Spec& spec) {
 }
 
 void Simulator::set_contact_shift(double shift) {
-  // Deprecated uniform-shift wrapper: one value for every terminal.  No
-  // direct invalidation here: the engine compares each run's ObcOptions
-  // (shift included) against the previous run's and drops the caches
-  // exactly once at the next sweep iff the value actually changed —
-  // invalidating both here and there would double-count.
+  // Deprecated uniform-shift wrapper: one value for every terminal.  The
+  // shift is part of every boundary-cache key, so nothing is invalidated.
   config_.point.obc_opts.contact_shift = shift;
   for (ContactConfig& cc : config_.contacts) cc.shift = shift;
 }
@@ -141,9 +138,8 @@ void Simulator::set_contact_shift(idx contact, double shift) {
       static_cast<std::size_t>(contact) >= config_.contacts.size())
     throw std::invalid_argument(
         "set_contact_shift: contact index out of range");
-  // Same discipline as the uniform wrapper: the engine's per-contact
-  // signatures see the changed shift at the next sweep and drop exactly
-  // this contact's cache entries (invalidate_contact), keeping the rest.
+  // The shift keys this contact's boundaries only: the other contacts keep
+  // hitting their cached lead solves.
   config_.contacts[static_cast<std::size_t>(contact)].shift = shift;
 }
 
@@ -725,10 +721,9 @@ std::vector<Simulator::IvPoint> Simulator::transfer_characteristics(
     set_scattering(scf.scattering);
   // The bias sweep's lead electrostatics: both spellings resolve onto ONE
   // per-contact vector (resolved_contact_shifts validates the scalar thin
-  // forward), applied through one path — the engine invalidates the
-  // boundary caches iff a value actually changed (per contact, in the
-  // N-terminal case), so back-to-back sweeps at the same shifts keep their
-  // cached lead eigenproblems.
+  // forward), applied through one path.  The shifts are part of the
+  // boundary-cache keys, so sweeps at shifts seen before keep their cached
+  // lead eigenproblems.
   const std::vector<double> shifts =
       scf.resolved_contact_shifts(config_.contacts.size());
   if (config_.contacts.empty())

@@ -239,19 +239,17 @@ class Simulator {
   void reset_task_counter() noexcept { total_tasks_ = 0; }
 
   /// Set the uniform lead (contact) potential shift handed to the OBC
-  /// stage.  A changed value invalidates the boundary caches at the next
-  /// sweep (the engine detects the option change, exactly once); an
-  /// unchanged value keeps every cached lead solve.
+  /// stage.  The shift is part of every boundary-cache key: a new value
+  /// solves new lead eigenproblems, a value seen before hits the cache.
   ///
   /// Deprecated in favor of set_contact_shift(contact, shift): this is the
   /// uniform-shift wrapper, forwarding the one value to every configured
   /// contact (and to the classic ObcOptions::contact_shift).
   void set_contact_shift(double shift);
 
-  /// Per-contact lead potential shift.  The engine's per-contact
-  /// signatures detect the change and drop exactly that contact's cache
-  /// entries at the next sweep — the other contacts keep their cached lead
-  /// solves.  Throws std::invalid_argument for an out-of-range index.
+  /// Per-contact lead potential shift, part of that contact's cache keys
+  /// only — the other contacts keep hitting their cached lead solves.
+  /// Throws std::invalid_argument for an out-of-range index.
   void set_contact_shift(idx contact, double shift);
 
   /// Number of configured contacts (0 = the implicit classic pair).
@@ -281,8 +279,9 @@ class Simulator {
     return last_tune_;
   }
 
-  /// Drop every cached boundary (lead electrostatics changed by other
-  /// means, or to bound the footprint between very different workloads).
+  /// Drop every cached boundary — an explicit flush (cold-start timing, or
+  /// to bound the footprint between very different workloads).  Never
+  /// needed for correctness: cache keys are content-complete.
   void invalidate_boundary_cache();
 
   /// Cumulative boundary-cache counters of the engine's per-rank caches.

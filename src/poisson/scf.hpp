@@ -61,8 +61,8 @@ struct ScfOptions {
   /// Non-empty must match the driver's configured contact count
   /// (resolved_contact_shifts validates); drivers hand each resolved entry
   /// to Simulator::set_contact_shift(contact, shift), so a change in one
-  /// contact's electrostatics drops only that contact's cached lead solves
-  /// — one cache-invalidation path for both spellings.
+  /// contact's electrostatics re-keys only that contact's cached lead
+  /// solves — one path for both spellings.
   std::vector<double> contact_shifts;
   /// Unify the two spellings: one shift per contact, max(num_contacts, 1)
   /// entries (classic no-contact layouts read entry 0 as the uniform

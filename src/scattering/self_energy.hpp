@@ -69,8 +69,8 @@ struct ButtikerOptions {
   /// With empty `blocks`: attach to every stride-th free block (>= 1).
   idx stride = 1;
 
-  // Memberwise — part of Spec's operator==, which cache-invalidation
-  // decisions compare, so a new field MUST be added here too.
+  // Memberwise — part of Spec's operator==, so a new field MUST be added
+  // here too.
   friend bool operator==(const ButtikerOptions& a,
                          const ButtikerOptions& b) noexcept {
     return a.eta == b.eta && a.blocks == b.blocks && a.stride == b.stride;

@@ -1,12 +1,12 @@
 #include "transport/batch.hpp"
 
 #include <cstdint>
-#include <cstring>
 #include <future>
 #include <stdexcept>
 #include <utility>
 
 #include "numeric/backend.hpp"
+#include "numeric/hash.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/tracer.hpp"
@@ -17,25 +17,15 @@ using solvers::BoundaryProblem;
 
 namespace {
 
-// Stable device-residency id of one per-(k, E) operand: FNV-1a over the
-// momentum index, the energy's bit pattern, and an operand tag.  Bit-stable
-// inputs at a fixed (k, E) — lead self-energies, injection RHS blocks —
-// hash to the same id every SCF iteration, which is exactly what lets them
-// go device-resident once and hit thereafter.  Id 0 is reserved for
-// "stream, do not cache" (see Backend::stage_operand).
-std::uint64_t stable_operand_id(idx k_index, double energy,
-                                std::uint64_t tag) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(k_index));
-  std::uint64_t energy_bits = 0;
-  std::memcpy(&energy_bits, &energy, sizeof(energy_bits));
-  mix(energy_bits);
-  mix(tag);
-  return h == 0 ? 1 : h;
+/// The classic pair of one task: its lead at both ends, at the uniform
+/// contact shift, keyed under contact id 0 with the task's lead hash.
+Contact task_contact(const BatchTask& task, const EnergyPointOptions& options) {
+  Contact c;
+  c.lead = task.lead;
+  c.folded = task.folded;
+  c.shift = options.obc_opts.contact_shift;
+  c.lead_hash = task.lead_hash;
+  return c;
 }
 
 std::uint64_t operand_bytes(const CMatrix& m) {
@@ -83,10 +73,12 @@ std::vector<EnergyPointResult> solve_energy_batch(
       for (std::size_t i = 0; i < n; ++i) {
         EnergyPointOptions task_options = options;
         task_options.k_index = tasks[i].k_index;
-        results[i] =
-            solve_energy_point(ctx.point, *tasks[i].dm, *tasks[i].lead,
-                               *tasks[i].folded, tasks[i].energy, task_options,
-                               pool);
+        const Contact c = task_contact(tasks[i], options);
+        results[i] = solve_energy_point(
+            ctx.point, *tasks[i].dm,
+            ContactSet::pair(*c.lead, *c.folded, 0.0, 0.0, c.shift,
+                             c.lead_hash),
+            tasks[i].energy, task_options, pool);
       }
       if (stats != nullptr) {
         BatchStats local;
@@ -123,7 +115,7 @@ std::vector<EnergyPointResult> solve_energy_batch(
       EnergyPointOptions task_options = options;
       task_options.k_index = task.k_index;
       auto strategy = obc::make_obc_strategy(task_options.obc);
-      return detail::fetch_boundary(*strategy, *task.lead, *task.folded,
+      return detail::fetch_boundary(*strategy, task_contact(task, options), 0,
                                     cplx{task.energy, 0.0}, task_options);
     }));
   }
@@ -220,22 +212,31 @@ std::vector<EnergyPointResult> solve_energy_batch(
 
   // --- Stage operands for device residency ------------------------------
   // The boundary products consumed by Stage 2 — the two lead self-energies
-  // and the injection RHS blocks — are bit-stable at fixed (k, E) across
-  // SCF iterations (only A = E*S - H changes with the potential), so on an
-  // offload backend they are staged under stable ids: iteration 1 pays the
-  // H2D transfer and pins device residency, every later iteration hits.
+  // and the injection RHS blocks — are bit-stable for a fixed BoundaryKey
+  // across SCF iterations (only A = E*S - H changes with the potential), so
+  // on an offload backend they are staged under ids hashed from the task's
+  // key and an operand tag: iteration 1 pays the H2D transfer and pins
+  // device residency, every later iteration hits, and a changed lead,
+  // shift, or option set is a new id — residency never needs invalidating.
+  // Id 0 is reserved for "stream, do not cache" (Backend::stage_operand).
   // The A blocks are deliberately *not* staged — their traffic is accounted
   // by the batched calls themselves and re-streams every iteration.
   if (batched && backend.offloads()) {
     for (const std::size_t i : solvable) {
       const obc::Boundary& bnd = boundaries[i].get();
+      obc::BoundaryKey key = detail::boundary_key(
+          task_contact(tasks[i], options), 0, cplx{tasks[i].energy, 0.0},
+          options);
+      key.k = tasks[i].k_index;
+      const std::uint64_t key_digest = key.digest();
       const CMatrix* operands[4] = {&bnd.sigma_l, &bnd.sigma_r, &ctx.b_top[i],
                                     &ctx.b_bot[i]};
       for (std::uint64_t tag = 0; tag < 4; ++tag) {
         const CMatrix& op = *operands[tag];
         if (op.rows() == 0 || op.cols() == 0) continue;
-        const std::uint64_t id =
-            stable_operand_id(tasks[i].k_index, tasks[i].energy, tag + 1);
+        const std::uint64_t h =
+            numeric::Fnv1a().add(key_digest).add(tag + 1).value();
+        const std::uint64_t id = h == 0 ? 1 : h;
         (backend.stage_operand(id, operand_bytes(op)) ? local.residency_hits
                                                       : local.residency_misses)
             += 1;

@@ -16,6 +16,7 @@
 // bit-identical to the unbatched path, task by task.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "transport/transmission.hpp"
@@ -34,6 +35,9 @@ struct BatchTask {
   const dft::DeviceMatrices* dm = nullptr;
   const dft::LeadBlocks* lead = nullptr;
   const dft::FoldedLead* folded = nullptr;
+  /// lead_content_hash(*lead), computed once per lead by the caller (0 =
+  /// hash per fetch) — the lead component of the task's BoundaryKey.
+  std::uint64_t lead_hash = 0;
 };
 
 /// Per-call accounting, accumulated into the engine's sweep counters.

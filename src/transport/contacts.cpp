@@ -1,8 +1,9 @@
 #include "transport/contacts.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
+
+#include "numeric/hash.hpp"
 
 namespace omenx::transport {
 
@@ -102,28 +103,11 @@ ContactSet ContactSet::pair(const dft::LeadBlocks& lead,
 }
 
 std::uint64_t lead_content_hash(const dft::LeadBlocks& lead) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const auto mix_matrix = [&](const numeric::CMatrix& m) {
-    mix(static_cast<std::uint64_t>(m.rows()));
-    mix(static_cast<std::uint64_t>(m.cols()));
-    for (idx i = 0; i < m.rows(); ++i)
-      for (idx j = 0; j < m.cols(); ++j) {
-        const double parts[2] = {m(i, j).real(), m(i, j).imag()};
-        std::uint64_t bits;
-        std::memcpy(&bits, &parts[0], sizeof(bits));
-        mix(bits);
-        std::memcpy(&bits, &parts[1], sizeof(bits));
-        mix(bits);
-      }
-  };
-  mix(static_cast<std::uint64_t>(lead.h.size()));
-  for (const auto& m : lead.h) mix_matrix(m);
-  for (const auto& m : lead.s) mix_matrix(m);
-  return h;
+  numeric::Fnv1a h;
+  h.add(lead.h.size());
+  for (const auto& m : lead.h) h.add(m);
+  for (const auto& m : lead.s) h.add(m);
+  return h.value() == 0 ? 1 : h.value();  // 0 means "not precomputed"
 }
 
 }  // namespace omenx::transport

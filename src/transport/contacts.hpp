@@ -47,9 +47,10 @@ struct Contact {
   /// other than {0, last} are interior ("probe") attachments and require a
   /// solver advertising solvers::kMultiTerminal.
   idx block = kLastBlock;
-  /// FNV-1a content hash of *lead (lead_content_hash).  0 = untracked —
-  /// the cache then distinguishes leads by contact id only, which is the
-  /// pre-refactor behavior for direct (non-engine) callers.
+  /// Content hash of *lead (lead_content_hash), part of the BoundaryKey.
+  /// 0 = not precomputed: a cache-bound fetch then hashes the lead itself
+  /// on every call, so callers fetching many points (the engine) set it
+  /// once per lead.
   std::uint64_t lead_hash = 0;
   /// Büttiker-probe dephasing strength (eV).  > 0 marks this contact as a
   /// phenomenological probe terminal: it carries no lead material (`lead`
@@ -127,9 +128,9 @@ class ContactSet {
   std::vector<Contact> contacts_;
 };
 
-/// FNV-1a hash over a lead's block dimensions and matrix bit patterns —
-/// the per-lead half of the engine's request fingerprint, reused as the
-/// BoundaryKey lead_hash so dissimilar leads cache independently.
+/// Content hash (numeric::Fnv1a) over a lead's block dimensions and matrix
+/// bit patterns — the BoundaryKey lead_hash, so a different lead material
+/// never aliases a cached Boundary.  Never 0.
 std::uint64_t lead_content_hash(const dft::LeadBlocks& lead);
 
 }  // namespace omenx::transport

@@ -83,44 +83,43 @@ void require_injection_support(const obc::Strategy& strategy,
         "feast, beyn)");
 }
 
+obc::BoundaryKey boundary_key(const Contact& contact, int contact_id,
+                              cplx energy, const EnergyPointOptions& options) {
+  obc::BoundaryKey key{options.k_index, energy.real(), contact.shift,
+                       static_cast<int>(options.obc), energy.imag()};
+  key.contact = contact_id;
+  key.lead_hash = contact.lead_hash != 0 ? contact.lead_hash
+                                         : lead_content_hash(*contact.lead);
+  key.scattering = scattering::boundary_key_component(options.scattering);
+  key.options = options.obc_opts.digest();
+  return key;
+}
+
 FetchedBoundary fetch_boundary(obc::Strategy& strategy,
                                const dft::LeadBlocks& lead,
                                const dft::FoldedLead& folded, cplx energy,
                                const EnergyPointOptions& options) {
-  // Served from the cross-sweep cache when one is bound: the lead does not
-  // depend on the device potential, so SCF outer iterations, bias points,
-  // and adaptive-grid re-sweeps revisiting (k, E, shift) reuse the first
-  // evaluation's Boundary bit-for-bit.  Complex energies (contour nodes)
-  // follow the same discipline — Im(E) is part of the key.
-  FetchedBoundary out;
-  if (options.boundary_cache != nullptr) {
-    obc::BoundaryKey key{options.k_index, energy.real(),
-                         options.obc_opts.contact_shift,
-                         static_cast<int>(options.obc), energy.imag()};
-    key.scattering = scattering::boundary_key_component(options.scattering);
-    out.cached = options.boundary_cache->find(key);
-    out.hit = out.cached != nullptr;
-    if (out.cached == nullptr)
-      out.cached = options.boundary_cache->insert(
-          key, strategy.boundary(lead, folded, energy, options.obc_opts));
-  } else {
-    out.computed = strategy.boundary(lead, folded, energy, options.obc_opts);
-  }
-  return out;
+  Contact contact;
+  contact.lead = &lead;
+  contact.folded = &folded;
+  contact.shift = options.obc_opts.contact_shift;
+  return fetch_boundary(strategy, contact, 0, energy, options);
 }
 
 FetchedBoundary fetch_boundary(obc::Strategy& strategy, const Contact& contact,
                                int contact_id, cplx energy,
                                const EnergyPointOptions& options) {
+  // Served from the cross-sweep cache when one is bound: the lead does not
+  // depend on the device potential, so SCF outer iterations, bias points,
+  // and adaptive-grid re-sweeps revisiting a key reuse the first
+  // evaluation's Boundary bit-for-bit.  Complex energies (contour nodes)
+  // follow the same discipline — Im(E) is part of the key.
   obc::ObcOptions opts = options.obc_opts;
   opts.contact_shift = contact.shift;
   FetchedBoundary out;
   if (options.boundary_cache != nullptr) {
-    obc::BoundaryKey key{options.k_index, energy.real(), contact.shift,
-                         static_cast<int>(options.obc), energy.imag()};
-    key.contact = contact_id;
-    key.lead_hash = contact.lead_hash;
-    key.scattering = scattering::boundary_key_component(options.scattering);
+    const obc::BoundaryKey key =
+        boundary_key(contact, contact_id, energy, options);
     out.cached = options.boundary_cache->find(key);
     out.hit = out.cached != nullptr;
     if (out.cached == nullptr)
@@ -331,84 +330,10 @@ EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
                                      double energy,
                                      const EnergyPointOptions& options,
                                      parallel::DevicePool* pool) {
-  if (options.scattering.algorithm != scattering::ScatteringAlgorithm::kNone) {
-    // Provider assembly on the classic path: when the model attaches
-    // probes, the point becomes a multi-terminal solve over the classic
-    // pair plus the probe pseudo-terminals.  When it attaches nothing the
-    // assembly is a no-op and the ballistic pipeline below runs unchanged.
-    const ContactSet pair = ContactSet::pair(lead, folded, 0.0, 0.0,
-                                             options.obc_opts.contact_shift);
-    ContactSet assembled;
-    if (assemble_providers(pair, dm.h.num_blocks(), options.scattering,
-                           assembled)) {
-      EnergyPointResult r =
-          solve_energy_point(ctx, dm, assembled, energy, options, pool);
-      // Map the per-contact densities back onto the classic source/drain
-      // slots (providers 0/1 are the classic pair).  Probe-injected charge
-      // has no slot in the two-table classic weighting — N-terminal charge
-      // consumers use contact_density with density_weight_contacts instead.
-      if (!r.contact_density.empty()) {
-        r.orbital_density = r.contact_density[0];
-        if (options.want_density_r && r.contact_density.size() > 1)
-          r.orbital_density_r = r.contact_density[1];
-      }
-      return r;
-    }
-  }
-  const numeric::WorkspaceScope scope(ctx.workspace);
-  EnergyPointResult out;
-  out.energy = energy;
-  const cplx e{energy, 0.0};
-  ctx.a.assign_es_minus_h(e, dm.s, dm.h);
-  const BlockTridiag& a = ctx.a;
-  const idx sf = a.block_size();
-
-  // --- strategy lookups (registries + deterministic kAuto resolution) -----
-  solvers::SolverContext binding;
-  binding.pool = pool;
-  binding.partitions = options.partitions;
-  binding.spatial =
-      options.spatial != nullptr && options.spatial->size() > 1
-          ? options.spatial
-          : nullptr;
-  solvers::Solver& solver =
-      ctx.solver(options.solver, binding, a.num_blocks(), sf);
-  obc::Strategy& obc_strategy = ctx.obc_strategy(options.obc);
-  const bool have_injection =
-      (obc_strategy.capabilities() & obc::kProvidesInjection) != 0;
-  detail::require_injection_support(obc_strategy, have_injection, options);
-
-  // kOverlapPrepare backends (SplitSolve Step 1) start work here — before
-  // the boundary conditions exist.
-  solver.prepare(a);
-
-  // --- Open boundary conditions (CPU side, overlapping with Step 1) ---
-  const detail::FetchedBoundary fetched =
-      detail::fetch_boundary(obc_strategy, lead, folded, e, options);
-  const obc::Boundary& bnd = fetched.get();
-  out.num_propagating = bnd.num_incident;
-
-  // --- Solve: Green's-function columns (for Caroli) + injected waves ---
-  // RHS layout: [e_first I (s), e_last I (s), Inj (n_inc)] so one solve
-  // covers both formalisms.
-  const detail::RhsShape shape =
-      detail::rhs_shape(bnd, bnd, have_injection, sf, options);
-  if (shape.m == 0) {
-    // Nothing to solve at this energy — but cooperative/asynchronous
-    // backends may have outstanding work (spatial members' partitions,
-    // SplitSolve's Step 1) that must be settled before the next point.
-    solver.discard();
-    return out;
-  }
-
-  detail::build_rhs(ctx.b_top, ctx.b_bot, bnd, bnd, shape, sf);
-
-  CMatrix& x = ctx.x;
-  x = solver.solve_boundary(a, bnd.sigma_l, bnd.sigma_r, ctx.b_top, ctx.b_bot);
-
-  detail::finalize_observables(out, a, bnd, bnd, have_injection, shape, x,
-                               options);
-  return out;
+  return solve_energy_point(
+      ctx, dm,
+      ContactSet::pair(lead, folded, 0.0, 0.0, options.obc_opts.contact_shift),
+      energy, options, pool);
 }
 
 namespace {
@@ -501,15 +426,16 @@ solvers::SolverAlgorithm multi_terminal_algorithm(
                     : solvers::SolverAlgorithm::kBlockLU;
 }
 
-// Route 2: two dissimilar contacts at {0, last}.  Same 2-terminal solve as
-// the classic path — only the boundary stage differs (two per-contact
-// fetches instead of one shared fetch), so every solver backend works.
-EnergyPointResult solve_dissimilar_pair(EnergyPointContext& ctx,
-                                        const dft::DeviceMatrices& dm,
-                                        const ContactSet& contacts, idx cl,
-                                        idx cr, double energy,
-                                        const EnergyPointOptions& options,
-                                        parallel::DevicePool* pool) {
+// Two contacts at {0, last}: the 2-terminal solve with the left contact's
+// (sigma_l, inj) and the right contact's (sigma_r, inj_r, mode basis), each
+// fetched under its own per-contact key — every solver backend works.
+// Contacts sharing a representative (the symmetric pair) fetch once, and
+// both sides read the one Boundary.
+EnergyPointResult solve_pair(EnergyPointContext& ctx,
+                             const dft::DeviceMatrices& dm,
+                             const ContactSet& contacts, double energy,
+                             const EnergyPointOptions& options,
+                             parallel::DevicePool* pool) {
   const numeric::WorkspaceScope scope(ctx.workspace);
   EnergyPointResult out;
   out.energy = energy;
@@ -517,7 +443,10 @@ EnergyPointResult solve_dissimilar_pair(EnergyPointContext& ctx,
   ctx.a.assign_es_minus_h(e, dm.s, dm.h);
   const BlockTridiag& a = ctx.a;
   const idx sf = a.block_size();
+  const idx cl = contacts.left(a.num_blocks());
+  const idx cr = contacts.right(a.num_blocks());
 
+  // --- strategy lookups (registries + deterministic kAuto resolution) -----
   solvers::SolverContext binding;
   binding.pool = pool;
   binding.partitions = options.partitions;
@@ -532,19 +461,31 @@ EnergyPointResult solve_dissimilar_pair(EnergyPointContext& ctx,
       (obc_strategy.capabilities() & obc::kProvidesInjection) != 0;
   detail::require_injection_support(obc_strategy, have_injection, options);
 
+  // kOverlapPrepare backends (SplitSolve Step 1) start work here — before
+  // the boundary conditions exist.
   solver.prepare(a);
 
-  const detail::FetchedBoundary fl = detail::fetch_boundary(
-      obc_strategy, contacts[cl], static_cast<int>(cl), e, options);
-  const detail::FetchedBoundary fr = detail::fetch_boundary(
-      obc_strategy, contacts[cr], static_cast<int>(cr), e, options);
+  // --- Open boundary conditions (CPU side, overlapping with Step 1) ---
+  const int rep_l = static_cast<int>(contacts.representative(cl));
+  const int rep_r = static_cast<int>(contacts.representative(cr));
+  const detail::FetchedBoundary fl =
+      detail::fetch_boundary(obc_strategy, contacts[cl], rep_l, e, options);
+  detail::FetchedBoundary fr;
+  if (rep_r != rep_l)
+    fr = detail::fetch_boundary(obc_strategy, contacts[cr], rep_r, e, options);
   const obc::Boundary& left = fl.get();
-  const obc::Boundary& right = fr.get();
+  const obc::Boundary& right = rep_r != rep_l ? fr.get() : left;
   out.num_propagating = left.num_incident;
 
+  // --- Solve: Green's-function columns (for Caroli) + injected waves ---
+  // RHS layout: [e_first I (s), e_last I (s), Inj (n_inc), Inj_r] so one
+  // solve covers both formalisms.
   const detail::RhsShape shape =
       detail::rhs_shape(left, right, have_injection, sf, options);
   if (shape.m == 0) {
+    // Nothing to solve at this energy — but cooperative/asynchronous
+    // backends may have outstanding work (spatial members' partitions,
+    // SplitSolve's Step 1) that must be settled before the next point.
     solver.discard();
     return out;
   }
@@ -560,7 +501,7 @@ EnergyPointResult solve_dissimilar_pair(EnergyPointContext& ctx,
   return out;
 }
 
-// Route 3: >= 3 contacts or interior attachment blocks.  One solve against
+// >= 3 contacts or interior attachment blocks: one solve against
 // nc identity column groups (pairwise Caroli T_pq) plus, when the density
 // is requested, every contact's injected modes.  Interface bond currents
 // are not defined per-pair here and stay empty — terminal currents come
@@ -718,26 +659,30 @@ EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
                                      parallel::DevicePool* pool) {
   const idx nb = dm.h.num_blocks();
   {
+    // Provider assembly: when the scattering model attaches probes, the
+    // point becomes a multi-terminal solve over the contacts plus the probe
+    // pseudo-terminals.  When it attaches nothing the set runs unchanged.
     ContactSet assembled;
-    if (assemble_providers(contacts, nb, options.scattering, assembled))
-      return solve_energy_point(ctx, dm, assembled, energy, options, pool);
+    if (assemble_providers(contacts, nb, options.scattering, assembled)) {
+      EnergyPointResult r =
+          solve_energy_point(ctx, dm, assembled, energy, options, pool);
+      // A classic pair maps its per-contact densities back onto the
+      // source/drain slots.  Probe-injected charge has no slot in the
+      // two-table classic weighting — N-terminal charge consumers use
+      // contact_density with density_weight_contacts instead.
+      if (contacts.classic_pair(nb) && !r.contact_density.empty()) {
+        const auto src = static_cast<std::size_t>(contacts.left(nb));
+        const auto drn = static_cast<std::size_t>(contacts.right(nb));
+        r.orbital_density = r.contact_density[src];
+        if (options.want_density_r && r.contact_density.size() > drn)
+          r.orbital_density_r = r.contact_density[drn];
+      }
+      return r;
+    }
   }
   contacts.validate(nb);
-  if (contacts.classic_pair(nb) && !contacts.has_probes()) {
-    const idx cl = contacts.left(nb);
-    const idx cr = contacts.right(nb);
-    if (contacts.same_boundary(cl, cr)) {
-      // Route 1: the symmetric limit runs *literally* the pre-refactor
-      // pipeline — one boundary fetch under the classic key, the same
-      // sigma_l/sigma_r solve — so it is bit-identical by construction.
-      EnergyPointOptions opts = options;
-      opts.obc_opts.contact_shift = contacts[cl].shift;
-      return solve_energy_point(ctx, dm, *contacts[cl].lead,
-                                *contacts[cl].folded, energy, opts, pool);
-    }
-    return solve_dissimilar_pair(ctx, dm, contacts, cl, cr, energy, options,
-                                 pool);
-  }
+  if (contacts.classic_pair(nb) && !contacts.has_probes())
+    return solve_pair(ctx, dm, contacts, energy, options, pool);
   return solve_multi_terminal(ctx, dm, contacts, energy, options, pool);
 }
 
@@ -755,40 +700,10 @@ std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
                                         const dft::FoldedLead& folded,
                                         cplx energy,
                                         const EnergyPointOptions& options) {
-  if (options.scattering.algorithm != scattering::ScatteringAlgorithm::kNone) {
-    // Probe broadening enters G through the same provider assembly as the
-    // wave-function path: -i*eta*I folded into each probe block.
-    const ContactSet pair = ContactSet::pair(lead, folded, 0.0, 0.0,
-                                             options.obc_opts.contact_shift);
-    ContactSet assembled;
-    if (assemble_providers(pair, dm.h.num_blocks(), options.scattering,
-                           assembled))
-      return solve_greens_diagonal(ctx, dm, assembled, energy, options);
-  }
-  const numeric::WorkspaceScope scope(ctx.workspace);
-  ctx.a.assign_es_minus_h(energy, dm.s, dm.h);
-  BlockTridiag& a = ctx.a;
-  const idx sf = a.block_size();
-
-  obc::Strategy& strategy = ctx.obc_strategy(options.obc);
-  const detail::FetchedBoundary fetched =
-      detail::fetch_boundary(strategy, lead, folded, energy, options);
-  const obc::Boundary& bnd = fetched.get();
-
-  // Fold the contact self-energies into the corner blocks; RGF then yields
-  // exactly the diagonal blocks of G = (z S - H - Sigma)^{-1}.  No
-  // injection columns exist off the real axis (every lead mode decays), so
-  // self-energy-only backends are as good as mode-based ones here.
-  a.diag(0) -= bnd.sigma_l;
-  a.diag(a.num_blocks() - 1) -= bnd.sigma_r;
-  const auto blocks = ctx.greens_solver().diagonal_blocks(a);
-
-  std::vector<cplx> out(static_cast<std::size_t>(a.dim()));
-  for (idx b = 0; b < a.num_blocks(); ++b)
-    for (idx i = 0; i < sf; ++i)
-      out[static_cast<std::size_t>(b * sf + i)] =
-          blocks[static_cast<std::size_t>(b)](i, i);
-  return out;
+  return solve_greens_diagonal(
+      ctx, dm,
+      ContactSet::pair(lead, folded, 0.0, 0.0, options.obc_opts.contact_shift),
+      energy, options);
 }
 
 std::vector<cplx> solve_greens_diagonal(const dft::DeviceMatrices& dm,
@@ -811,17 +726,6 @@ std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
       return solve_greens_diagonal(ctx, dm, assembled, energy, options);
   }
   contacts.validate(nb);
-  if (contacts.classic_pair(nb) && !contacts.has_probes()) {
-    const idx cl = contacts.left(nb);
-    const idx cr = contacts.right(nb);
-    if (contacts.same_boundary(cl, cr)) {
-      // Symmetric limit: one fetch, the exact two-contact folds.
-      EnergyPointOptions opts = options;
-      opts.obc_opts.contact_shift = contacts[cl].shift;
-      return solve_greens_diagonal(ctx, dm, *contacts[cl].lead,
-                                   *contacts[cl].folded, energy, opts);
-    }
-  }
   const numeric::WorkspaceScope scope(ctx.workspace);
   ctx.a.assign_es_minus_h(energy, dm.s, dm.h);
   BlockTridiag& a = ctx.a;
@@ -835,7 +739,9 @@ std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
   // Fold every contact's self-energy into its attachment block (last block
   // uses the right-extending lead orientation, everything else the
   // left-facing probe convention — same as the wave-function path), then
-  // read the diagonal of G = (z S - H - sum_p Sigma_p)^{-1}.
+  // read the diagonal of G = (z S - H - sum_p Sigma_p)^{-1} with RGF.  No
+  // injection columns exist off the real axis (every lead mode decays), so
+  // self-energy-only backends are as good as mode-based ones here.
   for (idx p = 0; p < contacts.size(); ++p) {
     const idx bp = contacts.resolve_block(p, nb);
     if (contacts[p].is_probe()) {

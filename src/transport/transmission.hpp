@@ -52,8 +52,8 @@ struct EnergyPointOptions {
   /// ridge governs both the self-energy construction and the transmission
   /// projection) and the uniform lead contact shift.
   obc::ObcOptions obc_opts;
-  /// Cross-sweep boundary cache, keyed by (k_index, energy, contact_shift).
-  /// Null = always recompute.  The distribution engine owns this field
+  /// Cross-sweep boundary cache (content-keyed: obc::BoundaryKey).  Null =
+  /// always recompute.  The distribution engine owns this field
   /// during engine runs (it installs its per-rank persistent cache); set it
   /// only for direct solve_energy_point calls.
   obc::BoundaryCache* boundary_cache = nullptr;
@@ -152,8 +152,10 @@ struct EnergyPointContext {
   ObcAlgorithm obc_algo_ = ObcAlgorithm::kFeast;
 };
 
-/// Solve one energy point for the device `dm` with leads `lead`/`folded`.
-/// `pool` is required for the SplitSolve backend (ignored otherwise).
+/// Solve one energy point for the device `dm` with leads `lead`/`folded`
+/// at both ends — a thin wrapper over the ContactSet entry with
+/// ContactSet::pair (shift options.obc_opts.contact_shift).  `pool` is
+/// required for the SplitSolve backend (ignored otherwise).
 /// Uses a thread-local EnergyPointContext, so sweeping many energies on a
 /// thread pool automatically gives every worker its own warm workspace.
 EnergyPointResult solve_energy_point(const dft::DeviceMatrices& dm,
@@ -172,13 +174,12 @@ EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
                                      const EnergyPointOptions& options = {},
                                      parallel::DevicePool* pool = nullptr);
 
-/// N-terminal entry point.  Routing keeps the validated paths hot:
-///   * two identical contacts at {0, last}  -> the exact pre-refactor
-///     single-boundary pipeline (bit-identical, including cache behavior);
-///   * two dissimilar contacts at {0, last} -> the same 2-terminal solve
-///     with the left contact's (sigma_l, inj) and the right contact's
-///     (sigma_r, inj_r, mode basis), each fetched under its own per-contact
-///     cache key — every solver backend works;
+/// N-terminal entry point.  Routing:
+///   * two contacts at {0, last} -> the 2-terminal solve with the left
+///     contact's (sigma_l, inj) and the right contact's (sigma_r, inj_r,
+///     mode basis) — every solver backend works.  Contacts sharing a
+///     representative (two identical contacts) fetch one Boundary for both
+///     sides; dissimilar ones fetch under their own per-contact keys;
 ///   * anything else (>= 3 contacts or interior attachment blocks) -> the
 ///     multi-terminal path: per-contact boundary fetches (deduplicated for
 ///     contacts sharing lead content + shift), solvers::Attachment solve
@@ -186,6 +187,9 @@ EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
 ///     per-contact injected densities.  Interior contacts use the lead's
 ///     left-facing self-energy and injection set (probe convention).
 /// Contact shifts override options.obc_opts.contact_shift per contact.
+/// When options.scattering attaches probes to a classic pair, the probe-
+/// free source/drain densities are mapped back onto orbital_density /
+/// orbital_density_r.
 EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
                                      const dft::DeviceMatrices& dm,
                                      const ContactSet& contacts, double energy,
@@ -199,7 +203,8 @@ EnergyPointResult solve_energy_point(const dft::DeviceMatrices& dm,
                                      parallel::DevicePool* pool = nullptr);
 
 /// Diagonal of the retarded Green's function G = (z S - H - Sigma)^{-1} at a
-/// complex energy node z, ordered orbital-by-orbital like orbital_density.
+/// complex energy node z, ordered orbital-by-orbital like orbital_density —
+/// a thin wrapper over the ContactSet overload with ContactSet::pair.
 /// The OBC strategy is evaluated at z itself: with Im z > 0 every lead mode
 /// is strictly decaying, so the Boundary carries self-energies only (no
 /// injection states exist or are needed) and any registered backend works.
@@ -223,8 +228,8 @@ std::vector<cplx> solve_greens_diagonal(const dft::DeviceMatrices& dm,
                                         const EnergyPointOptions& options = {});
 
 /// N-terminal Green's-function diagonal: every contact's self-energy is
-/// folded into its attachment block (the symmetric pair reproduces the
-/// two-contact overload bit for bit — one boundary fetch, same folds).
+/// folded into its attachment block (contacts sharing a representative
+/// fetch one Boundary).
 std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
                                         const dft::DeviceMatrices& dm,
                                         const ContactSet& contacts, cplx energy,
@@ -245,24 +250,14 @@ std::vector<EnergyPointResult> sweep_energy_points(
     parallel::DevicePool* pool = nullptr,
     parallel::ThreadPool* threads = nullptr);
 
-/// Per-group energy-sweep entry point: binds one device's matrices and the
-/// solve options to a reusable context, so a distribution layer
-/// (omen::Engine) can solve whatever points the work queue hands its rank —
-/// in any order, allocation-free in steady state.  The referenced matrices,
-/// context, and pool must outlive the worker.
+/// Per-group energy-sweep entry point: binds one device's matrices, its
+/// terminals, and the solve options to a reusable context, so a
+/// distribution layer (omen::Engine) can solve whatever points the work
+/// queue hands its rank — in any order, allocation-free in steady state.
+/// The referenced matrices, context, and pool must outlive the worker, and
+/// so must the set's leads/folded (the set itself is copied).
 class EnergySweepWorker {
  public:
-  EnergySweepWorker(EnergyPointContext& ctx, const dft::DeviceMatrices& dm,
-                    const dft::LeadBlocks& lead, const dft::FoldedLead& folded,
-                    const EnergyPointOptions& options,
-                    parallel::DevicePool* pool = nullptr)
-      : ctx_(ctx), dm_(dm), lead_(&lead), folded_(&folded), options_(options),
-        pool_(pool) {}
-
-  /// N-terminal variant: the worker routes every point through the
-  /// ContactSet entry (whose symmetric-classic case is the constructor
-  /// above's path, bit for bit).  The set's leads/folded must outlive the
-  /// worker; the set itself is copied.
   EnergySweepWorker(EnergyPointContext& ctx, const dft::DeviceMatrices& dm,
                     ContactSet contacts, const EnergyPointOptions& options,
                     parallel::DevicePool* pool = nullptr)
@@ -270,17 +265,12 @@ class EnergySweepWorker {
         pool_(pool) {}
 
   EnergyPointResult solve(double energy) {
-    if (!contacts_.empty())
-      return solve_energy_point(ctx_, dm_, contacts_, energy, options_, pool_);
-    return solve_energy_point(ctx_, dm_, *lead_, *folded_, energy, options_,
-                              pool_);
+    return solve_energy_point(ctx_, dm_, contacts_, energy, options_, pool_);
   }
 
   std::vector<cplx> solve_greens(cplx energy,
                                  const EnergyPointOptions& options) {
-    if (!contacts_.empty())
-      return solve_greens_diagonal(ctx_, dm_, contacts_, energy, options);
-    return solve_greens_diagonal(ctx_, dm_, *lead_, *folded_, energy, options);
+    return solve_greens_diagonal(ctx_, dm_, contacts_, energy, options);
   }
 
   const ContactSet& contacts() const noexcept { return contacts_; }
@@ -288,9 +278,7 @@ class EnergySweepWorker {
  private:
   EnergyPointContext& ctx_;
   const dft::DeviceMatrices& dm_;
-  const dft::LeadBlocks* lead_ = nullptr;
-  const dft::FoldedLead* folded_ = nullptr;
-  ContactSet contacts_;  ///< empty = classic two-identical-contacts mode
+  ContactSet contacts_;
   EnergyPointOptions options_;
   parallel::DevicePool* pool_;
 };
@@ -327,23 +315,29 @@ struct FetchedBoundary {
   }
 };
 
-/// Stage 2: compute (or fetch) the boundary for one (k, E, shift) under the
+/// Cache key of contact `contact` fetched under canonical id `contact_id`
+/// at `energy`: everything the Boundary depends on (obc::BoundaryKey).
+/// Hashes the lead when contact.lead_hash is 0 (not precomputed).
+obc::BoundaryKey boundary_key(const Contact& contact, int contact_id,
+                              cplx energy, const EnergyPointOptions& options);
+
+/// Stage 2: compute (or fetch) the boundary of one contact under the
 /// options' cache discipline — find first, insert on miss (first insert is
-/// canonical), compute without storing when no cache is bound.  `energy` may
-/// sit off the real axis (contour charge quadrature); the cache key carries
-/// Im(E) so contour nodes cache across SCF iterations like real points do.
+/// canonical), compute without storing when no cache is bound.  The key is
+/// boundary_key(contact, contact_id, energy, options); the boundary is
+/// evaluated at E - contact.shift regardless of the global
+/// options.obc_opts.contact_shift.  `energy` may sit off the real axis
+/// (contour charge quadrature): the key carries Im(E), so contour nodes
+/// cache across SCF iterations like real points do.
+FetchedBoundary fetch_boundary(obc::Strategy& strategy, const Contact& contact,
+                               int contact_id, cplx energy,
+                               const EnergyPointOptions& options);
+
+/// Classic variant: `lead` at shift options.obc_opts.contact_shift under
+/// contact id 0 (the lead is hashed per call when a cache is bound).
 FetchedBoundary fetch_boundary(obc::Strategy& strategy,
                                const dft::LeadBlocks& lead,
                                const dft::FoldedLead& folded, cplx energy,
-                               const EnergyPointOptions& options);
-
-/// Per-contact variant: the cache key carries the contact's canonical id,
-/// its own shift, and its lead content hash, so dissimilar leads and
-/// per-contact shifts cache (and invalidate) independently.  The boundary
-/// itself is evaluated at E - contact.shift regardless of the global
-/// options.obc_opts.contact_shift.
-FetchedBoundary fetch_boundary(obc::Strategy& strategy, const Contact& contact,
-                               int contact_id, cplx energy,
                                const EnergyPointOptions& options);
 
 /// The RHS column layout of one point:

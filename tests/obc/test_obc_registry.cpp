@@ -12,8 +12,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "dft/hamiltonian.hpp"
 #include "numeric/blas.hpp"
@@ -421,20 +424,65 @@ TEST(BoundaryCache, KeyedByAlgorithm) {
   EXPECT_EQ(cache.find({0, -0.5, 0.0, beyn}), nullptr);
 }
 
-TEST(ObcOptionsEqual, DetectsEveryFieldChange) {
-  const ob::ObcOptions base;
-  EXPECT_TRUE(ob::obc_options_equal(base, ob::ObcOptions{}));
-  auto differs = [&](auto mutate) {
+TEST(BoundaryCache, RejectsNonFiniteKeys) {
+  // NaN compares unordered with every key: stored in the ordered map it
+  // would be "equivalent" to every later lookup and poison the cache.
+  ob::BoundaryCache cache;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ob::BoundaryKey bad_e{0, nan, 0.0};
+  ob::BoundaryKey bad_shift{0, 0.5, inf};
+  ob::BoundaryKey bad_imag{0, 0.5, 0.0};
+  bad_imag.energy_imag = nan;
+  for (const ob::BoundaryKey& key : {bad_e, bad_shift, bad_imag}) {
+    EXPECT_THROW(cache.find(key), std::invalid_argument);
+    EXPECT_THROW(cache.insert(key, ob::Boundary{}), std::invalid_argument);
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+TEST(ObcOptionsDigest, EveryFieldChangesTheDigest) {
+  // The digest is the options component of the boundary-cache key: a field
+  // it missed would let a Boundary computed under the old value be replayed.
+  const std::uint64_t base = ob::ObcOptions{}.digest();
+  EXPECT_EQ(base, ob::ObcOptions{}.digest());
+  auto digest_of = [](auto mutate) {
     ob::ObcOptions o;
     mutate(o);
-    return !ob::obc_options_equal(base, o);
+    return o.digest();
   };
-  EXPECT_TRUE(differs([](ob::ObcOptions& o) { o.feast.annulus_r = 3.0; }));
-  EXPECT_TRUE(differs([](ob::ObcOptions& o) { o.beyn.seed = 1; }));
-  EXPECT_TRUE(differs([](ob::ObcOptions& o) { o.shift_invert.sigma = {}; }));
-  EXPECT_TRUE(differs([](ob::ObcOptions& o) { o.decimation.eta = 1e-6; }));
-  EXPECT_TRUE(differs([](ob::ObcOptions& o) { o.boundary.pinv_ridge = 0.1; }));
-  EXPECT_TRUE(differs([](ob::ObcOptions& o) { o.contact_shift = 0.2; }));
+  const std::vector<std::uint64_t> changed{
+      digest_of([](ob::ObcOptions& o) { o.feast.annulus_r = 3.0; }),
+      digest_of([](ob::ObcOptions& o) { o.feast.num_points = 8; }),
+      digest_of([](ob::ObcOptions& o) { o.feast.subspace = 4; }),
+      digest_of([](ob::ObcOptions& o) { o.feast.max_refinement = 2; }),
+      digest_of([](ob::ObcOptions& o) { o.feast.residual_tol = 1e-6; }),
+      digest_of([](ob::ObcOptions& o) { o.feast.prop_tol = 1e-5; }),
+      digest_of([](ob::ObcOptions& o) { o.feast.seed = 1; }),
+      digest_of([](ob::ObcOptions& o) { o.feast.parallel_points = false; }),
+      digest_of([](ob::ObcOptions& o) { o.beyn.annulus_r = 3.0; }),
+      digest_of([](ob::ObcOptions& o) { o.beyn.num_points = 8; }),
+      digest_of([](ob::ObcOptions& o) { o.beyn.probe_columns = 4; }),
+      digest_of([](ob::ObcOptions& o) { o.beyn.rank_tol = 1e-6; }),
+      digest_of([](ob::ObcOptions& o) { o.beyn.residual_tol = 1e-5; }),
+      digest_of([](ob::ObcOptions& o) { o.beyn.prop_tol = 1e-5; }),
+      digest_of([](ob::ObcOptions& o) { o.beyn.seed = 1; }),
+      digest_of([](ob::ObcOptions& o) { o.beyn.parallel_points = false; }),
+      digest_of([](ob::ObcOptions& o) { o.shift_invert.sigma = {}; }),
+      digest_of([](ob::ObcOptions& o) { o.shift_invert.prop_tol = 1e-5; }),
+      digest_of([](ob::ObcOptions& o) { o.decimation.eta = 1e-6; }),
+      digest_of([](ob::ObcOptions& o) { o.decimation.max_iter = 50; }),
+      digest_of([](ob::ObcOptions& o) { o.decimation.tol = 1e-10; }),
+      digest_of([](ob::ObcOptions& o) { o.boundary.pinv_ridge = 0.1; }),
+  };
+  for (std::size_t i = 0; i < changed.size(); ++i) {
+    EXPECT_NE(changed[i], base) << "field " << i;
+    for (std::size_t j = 0; j < i; ++j)
+      EXPECT_NE(changed[i], changed[j]) << "fields " << j << ", " << i;
+  }
+  // The shift is a BoundaryKey field of its own, not part of the digest.
+  EXPECT_EQ(digest_of([](ob::ObcOptions& o) { o.contact_shift = 0.2; }), base);
 }
 
 TEST(BoundaryCache, CachedSolveSkipsLeadEigenproblemBitIdentically) {

@@ -5,8 +5,14 @@
 // ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <numeric>
+#include <random>
+#include <string>
 
 #include "dft/hamiltonian.hpp"
 #include "numeric/blas.hpp"
@@ -440,11 +446,12 @@ TEST(Engine, SigmaOnlyObcDensityRequestFailsLoudlyAndDrains) {
   }
 }
 
-TEST(Engine, ObcOptionChangeInvalidatesPersistentCaches) {
-  // The cache key carries the backend but not its options: a run whose
-  // ObcOptions differ from the previous run's must drop the cached
-  // Boundaries instead of replaying entries computed under the old
-  // annulus/eta/ridge.
+TEST(Engine, ObcOptionChangeRekeysPersistentCaches) {
+  // The cache key carries the ObcOptions digest and the lead content hash:
+  // a run under changed options or swapped leads misses instead of
+  // replaying Boundaries computed under the old annulus/eta/ridge or lead,
+  // and going back to the first configuration hits the entries it left.
+  // Nothing is ever invalidated.
   std::vector<df::LeadBlocks> leads{synthetic_lead(4, 71)};
   om::SweepRequest req;
   req.leads = &leads;
@@ -452,40 +459,47 @@ TEST(Engine, ObcOptionChangeInvalidatesPersistentCaches) {
   req.potential.assign(8, 0.0);
   req.point = cheap_options();
   req.energies = {{-1.0, -0.5, 0.0, 0.5}};
+  const std::uint64_t ne = req.energies[0].size();
 
-  om::Engine engine(om::EngineConfig{});
-  engine.run(req);
-  engine.run(req);  // same options: cache serves the sweep
-  EXPECT_EQ(engine.boundary_cache_stats().hits, req.energies[0].size());
-  EXPECT_EQ(engine.boundary_cache_stats().invalidations, 0u);
-
-  req.point.obc_opts.decimation.eta = 1e-5;  // changed backend parameter
-  const auto changed = engine.run(req);
-  EXPECT_EQ(engine.boundary_cache_stats().invalidations, 1u);
-
-  // The post-change results must match a fresh engine under the new
-  // options — no stale-Boundary replay.
   om::EngineConfig fresh_cfg;
   fresh_cfg.cache_boundaries = false;
   om::Engine fresh(fresh_cfg);
-  const auto ref = fresh.run(req);
-  for (std::size_t ie = 0; ie < req.energies[0].size(); ++ie)
-    EXPECT_DOUBLE_EQ(changed.caroli[0][ie], ref.caroli[0][ie]);
+  const auto expect_fresh = [&](const om::SweepResult& got, const char* what) {
+    const auto ref = fresh.run(req);
+    for (std::size_t ie = 0; ie < ne; ++ie)
+      EXPECT_EQ(got.caroli[0][ie], ref.caroli[0][ie]) << what << " " << ie;
+  };
 
-  // A different leads vector (different lead Hamiltonians under the same
-  // (k, E) keys) must also drop the caches — and the swapped-leads sweep
-  // must match its own uncached reference, not replay the old leads.
+  om::Engine engine(om::EngineConfig{});
+  const auto first = engine.run(req);
+  engine.run(req);  // same options: cache serves the sweep
+  EXPECT_EQ(engine.boundary_cache_stats().hits, ne);
+  EXPECT_EQ(engine.boundary_cache_stats().misses, ne);
+
+  req.point.obc_opts.decimation.eta = 1e-5;  // changed backend parameter
+  expect_fresh(engine.run(req), "changed eta");
+  EXPECT_EQ(engine.boundary_cache_stats().hits, ne);
+  EXPECT_EQ(engine.boundary_cache_stats().misses, 2 * ne);
+
+  // Different lead Hamiltonians under the same (k, E): new keys again.
   std::vector<df::LeadBlocks> other_leads{synthetic_lead(4, 72)};
-  const auto inval_before = engine.boundary_cache_stats().invalidations;
   req.leads = &other_leads;
-  const auto swapped = engine.run(req);
-  EXPECT_GT(engine.boundary_cache_stats().invalidations, inval_before);
-  const auto swapped_ref = fresh.run(req);
-  for (std::size_t ie = 0; ie < req.energies[0].size(); ++ie)
-    EXPECT_DOUBLE_EQ(swapped.caroli[0][ie], swapped_ref.caroli[0][ie]);
+  expect_fresh(engine.run(req), "swapped leads");
+  EXPECT_EQ(engine.boundary_cache_stats().hits, ne);
+  EXPECT_EQ(engine.boundary_cache_stats().misses, 3 * ne);
+
+  // Back to the first configuration: every boundary is still cached.
+  req.leads = &leads;
+  req.point.obc_opts.decimation.eta = cheap_options().obc_opts.decimation.eta;
+  const auto back = engine.run(req);
+  EXPECT_EQ(engine.boundary_cache_stats().hits, 2 * ne);
+  EXPECT_EQ(engine.boundary_cache_stats().misses, 3 * ne);
+  for (std::size_t ie = 0; ie < ne; ++ie)
+    EXPECT_EQ(back.caroli[0][ie], first.caroli[0][ie]) << ie;
+  EXPECT_EQ(engine.boundary_cache_stats().invalidations, 0u);
 }
 
-TEST(Engine, ContactShiftChangeInvalidatesCache) {
+TEST(Engine, ContactShiftChangeRekeysCache) {
   om::SimulationConfig cfg = chain_config(8, 1);
   om::Simulator sim(cfg);
   const auto bands = sim.bands(9);
@@ -494,14 +508,24 @@ TEST(Engine, ContactShiftChangeInvalidatesCache) {
   std::vector<double> grid;
   for (double e = window.emin + 0.1; e < window.emax - 0.2; e += 0.25)
     grid.push_back(e);
+  const std::uint64_t ne = grid.size();
 
   const auto base = sim.transmission_spectrum(grid);
-  EXPECT_EQ(sim.boundary_cache_stats().invalidations, 0u);
-  // The shift change invalidates at the *next sweep* — exactly once, even
-  // when set repeatedly to the same new value.
+  EXPECT_EQ(sim.boundary_cache_stats().misses, ne);
+  // The shift is part of the key: the same grid at a new shift misses on
+  // every point, however often the shift is set.
   sim.set_contact_shift(v_shift);
   sim.set_contact_shift(v_shift);
-  EXPECT_EQ(sim.boundary_cache_stats().invalidations, 0u);
+  const auto at_shift = sim.transmission_spectrum(grid);
+  EXPECT_EQ(sim.boundary_cache_stats().misses, 2 * ne);
+  EXPECT_EQ(sim.boundary_cache_stats().hits, 0u);
+  om::SimulationConfig ucfg = cfg;
+  ucfg.cache_boundaries = false;
+  om::Simulator uncached(ucfg);
+  uncached.set_contact_shift(v_shift);
+  const auto ref = uncached.transmission_spectrum(grid);
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    EXPECT_EQ(at_shift.transmission[i], ref.transmission[i]) << i;
 
   // Physics of the shift: leads at potential V with the device floated to
   // the same V is the pristine system at E - V.
@@ -511,22 +535,167 @@ TEST(Engine, ContactShiftChangeInvalidatesCache) {
   const auto shifted = sim.transmission_spectrum(shifted_grid, &lifted);
   for (std::size_t i = 0; i < grid.size(); ++i)
     EXPECT_NEAR(shifted.transmission[i], base.transmission[i], 1e-7) << i;
-  // That sweep saw the changed shift: exactly one invalidation fired.
-  EXPECT_EQ(sim.boundary_cache_stats().invalidations, 1u);
 
-  // The SCF driver plumbs the shift from ScfOptions and invalidates only
-  // on change (0.15 -> 0.0 here; a repeat sweep at the same shift must
-  // keep its cached lead solves).
+  // The SCF driver plumbs the shift from ScfOptions (0.15 -> 0.0 here):
+  // back at shift 0 the first sweep's lead solves are still cached, so
+  // neither bias sweep solves a single lead eigenproblem.
   lt::DeviceRegions regions{3, 2, 3};
   omenx::poisson::ScfOptions scf;
   scf.max_iter = 2;
   scf.contact_shift = 0.0;
+  const auto solves_before = omenx::obc::boundary_solve_count();
+  const auto hits_before = sim.boundary_cache_stats().hits;
   sim.transfer_characteristics({0.0}, 0.05, regions, grid,
                                0.5 * (window.emin + window.emax), scf);
-  EXPECT_EQ(sim.boundary_cache_stats().invalidations, 2u);  // 0.15 -> 0.0
   sim.transfer_characteristics({0.0}, 0.05, regions, grid,
                                0.5 * (window.emin + window.emax), scf);
-  EXPECT_EQ(sim.boundary_cache_stats().invalidations, 2u);
+  EXPECT_EQ(omenx::obc::boundary_solve_count(), solves_before);
+  EXPECT_GT(sim.boundary_cache_stats().hits, hits_before);
+  EXPECT_EQ(sim.boundary_cache_stats().invalidations, 0u);
+}
+
+TEST(Engine, NonFiniteInputsAreRejectedAndNeverPoisonTheCache) {
+  // A NaN energy used to become a cache key; NaN compares unordered with
+  // every key, so the next sweep's lookups all "found" the NaN boundary.
+  std::vector<df::LeadBlocks> leads{synthetic_lead(4, 71)};
+  om::SweepRequest req;
+  req.leads = &leads;
+  req.cells = 8;
+  req.potential.assign(8, 0.0);
+  req.point = cheap_options();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  om::Engine engine(om::EngineConfig{});
+  req.energies = {{nan}};
+  EXPECT_THROW(engine.run(req), std::invalid_argument);
+  req.energies = {{0.5}};
+  const auto cached = engine.run(req);
+  om::EngineConfig ucfg;
+  ucfg.cache_boundaries = false;
+  const auto ref = om::Engine(ucfg).run(req);
+  EXPECT_EQ(cached.caroli[0][0], ref.caroli[0][0]);
+  EXPECT_EQ(cached.transmission[0][0], ref.transmission[0][0]);
+  EXPECT_TRUE(std::isfinite(cached.caroli[0][0]));
+
+  // Contour nodes/weights and contact shifts are key material too.
+  om::SweepRequest bad = req;
+  bad.gf_nodes = {{cplx{0.0, nan}}};
+  bad.gf_weights = {{cplx{1.0, 0.0}}};
+  EXPECT_THROW(engine.run(bad), std::invalid_argument);
+  bad.gf_nodes = {{cplx{0.0, 0.5}}};
+  bad.gf_weights = {{cplx{std::numeric_limits<double>::infinity(), 0.0}}};
+  EXPECT_THROW(engine.run(bad), std::invalid_argument);
+  bad = req;
+  bad.point.obc_opts.contact_shift = nan;
+  EXPECT_THROW(engine.run(bad), std::invalid_argument);
+  bad = req;
+  bad.contacts.resize(2);
+  bad.contacts[0].block = 0;
+  bad.contacts[1].shift = nan;
+  EXPECT_THROW(engine.run(bad), std::invalid_argument);
+}
+
+TEST(Engine, RandomizedCacheFreshnessMatchesUncachedSweeps) {
+  // Property: whatever sequence of option changes, lead swaps, uniform and
+  // per-contact shift changes a persistent cached engine sees, every sweep
+  // equals a fresh uncached engine's bit for bit, and revisiting an earlier
+  // configuration is served entirely from the cache.
+  constexpr unsigned kSeed = 1234567u;
+  SCOPED_TRACE("freshness seed " + std::to_string(kSeed));
+  std::printf("[ freshness ] seed %u\n", kSeed);
+  const idx s = 4, cells = 8;
+  // Two lead materials per k; the drain of a dissimilar pair uses the one
+  // the classic (source) material does not.
+  std::vector<std::vector<df::LeadBlocks>> lead_sets(2);
+  for (unsigned m = 0; m < 2; ++m)
+    for (unsigned k = 0; k < 2; ++k)
+      lead_sets[m].push_back(synthetic_lead(s, 301 + 10 * m + 3 * k));
+  const std::vector<std::vector<df::LeadBlocks>> drain_rows[2] = {
+      {lead_sets[1]}, {lead_sets[0]}};
+  const double shifts[2] = {0.0, 0.15};
+
+  // Configuration: {algorithm, eta, annulus, ridge, lead set, pair mode,
+  // source/uniform shift, drain shift}, each a 0/1 variant index.
+  using Config = std::array<int, 8>;
+  const auto request_for = [&](const Config& c) {
+    om::SweepRequest req;
+    req.leads = &lead_sets[static_cast<std::size_t>(c[4])];
+    req.cells = cells;
+    req.potential.assign(static_cast<std::size_t>(cells), 0.0);
+    req.point = cheap_options();
+    req.point.obc =
+        c[0] != 0 ? tr::ObcAlgorithm::kFeast : tr::ObcAlgorithm::kDecimation;
+    req.point.obc_opts.decimation.eta = c[1] != 0 ? 1e-5 : 1e-7;
+    req.point.obc_opts.feast.annulus_r = c[2] != 0 ? 8.0 : 20.0;
+    req.point.obc_opts.boundary.pinv_ridge = c[3] != 0 ? 1e-10 : 1e-12;
+    if (c[5] == 0) {
+      req.point.obc_opts.contact_shift = shifts[c[6]];
+    } else {
+      req.contacts.resize(2);
+      req.contacts[0].block = 0;
+      req.contacts[0].shift = shifts[c[6]];
+      req.contacts[1].block = tr::kLastBlock;
+      req.contacts[1].shift = shifts[c[7]];
+      req.contacts[1].material = 0;
+      req.contact_leads = &drain_rows[c[4]];
+    }
+    req.energies = {{-1.0, -0.5, 0.0, 0.5}, {-0.75, 0.25}};
+    return req;
+  };
+
+  std::mt19937 rng(kSeed);
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    // Stealing off keeps each k on one rank's cache, so revisits hit.
+    om::EngineConfig ccfg;
+    ccfg.num_ranks = ranks;
+    ccfg.work_stealing = false;
+    om::Engine cached(ccfg);
+    om::EngineConfig ucfg = ccfg;
+    ucfg.cache_boundaries = false;
+    std::vector<Config> seen;
+    Config c{};
+    // Every dimension flips once per shuffled pass, so each kind of change
+    // occurs whatever the seed.
+    std::vector<std::size_t> dims;
+    int revisits = 0;
+    for (int step = 0; step < 24; ++step) {
+      if (step > 0 && rng() % 4 == 0) {
+        c = seen[rng() % seen.size()];  // revisit an earlier configuration
+      } else if (step > 0) {
+        if (dims.empty()) {
+          dims = {0, 1, 2, 3, 4, 5, 6, 7};
+          std::shuffle(dims.begin(), dims.end(), rng);
+        }
+        c[dims.back()] = 1 - c[dims.back()];
+        dims.pop_back();
+      }
+      std::string label = "step " + std::to_string(step) + " config";
+      for (const int v : c) label += " " + std::to_string(v);
+      SCOPED_TRACE(label);
+      const bool revisit = std::find(seen.begin(), seen.end(), c) != seen.end();
+      const om::SweepRequest req = request_for(c);
+      const auto before = cached.boundary_cache_stats();
+      const auto got = cached.run(req);
+      const auto after = cached.boundary_cache_stats();
+      const auto ref = om::Engine(ucfg).run(req);
+      for (std::size_t k = 0; k < req.energies.size(); ++k)
+        for (std::size_t ie = 0; ie < req.energies[k].size(); ++ie) {
+          EXPECT_EQ(got.caroli[k][ie], ref.caroli[k][ie]) << k << "," << ie;
+          EXPECT_EQ(got.transmission[k][ie], ref.transmission[k][ie])
+              << k << "," << ie;
+        }
+      if (revisit) {
+        ++revisits;
+        EXPECT_EQ(after.misses, before.misses);
+        EXPECT_GT(after.hits, before.hits);
+      } else {
+        seen.push_back(c);
+      }
+    }
+    EXPECT_GT(revisits, 0);
+    EXPECT_EQ(cached.boundary_cache_stats().invalidations, 0u);
+  }
 }
 
 TEST(Engine, RejectsBadRequests) {

@@ -1,7 +1,6 @@
 // Tests for the N-terminal contact layer: ContactSet geometry/routing
 // helpers, the lead content hash, and the per-contact partitioning of the
-// BoundaryCache (dissimilar leads must cache — and invalidate —
-// independently).
+// BoundaryCache (dissimilar leads must cache independently).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -187,14 +186,6 @@ TEST(BoundaryCache, ContactsPartitionTheKeySpace) {
   EXPECT_EQ(s1.hits, 1u);
   EXPECT_EQ(s1.misses, 1u);
   EXPECT_EQ(cache.contacts_seen(), (std::vector<int>{0, 1}));
-
-  // Dropping contact 0 must leave contact 1's entries untouched.
-  cache.invalidate_contact(0);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.find(key0), nullptr);
-  EXPECT_NE(cache.find(key1), nullptr);
-  EXPECT_EQ(cache.contact_stats(0).invalidations, 1u);
-  EXPECT_EQ(cache.contact_stats(1).invalidations, 0u);
 }
 
 TEST(BoundaryCache, LeadHashKeysDissimilarMaterials) {
