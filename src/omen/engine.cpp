@@ -203,58 +203,22 @@ dft::LeadBlocks recv_lead_blocks(Comm& comm, int src) {
   return lead;
 }
 
-/// Is the request's terminal layout the classic symmetric pair (or no
-/// contacts at all)?  Symmetric requests are normalized back onto the
-/// pre-refactor pipeline — same batching, same spatial cooperation, same
-/// cache keys — so the symmetric limit stays bit-identical at every world
-/// size.  The comparison is on the *literal* block values {0, kLastBlock}:
-/// the engine has no device length here, and that pair is how the simulator
-/// spells the classic ends.
-bool contacts_are_classic_symmetric(const SweepRequest& req) {
-  if (req.contacts.empty()) return true;
-  if (req.contacts.size() != 2) return false;
-  const SweepContact& a = req.contacts[0];
-  const SweepContact& b = req.contacts[1];
-  if (a.material >= 0 || b.material >= 0) return false;
-  if (a.probe_eta > 0.0 || b.probe_eta > 0.0) return false;
-  if (a.shift != b.shift) return false;
-  return (a.block == 0 && b.block == transport::kLastBlock) ||
-         (a.block == transport::kLastBlock && b.block == 0);
-}
-
-/// Lead materials that travel beside the classic per-k blocks: every row of
-/// contact_leads, but only for contact-mode requests (a symmetric classic
-/// pair references material -1 exclusively and ships nothing extra).
-std::size_t num_extra_materials(const SweepRequest& req) {
-  if (contacts_are_classic_symmetric(req)) return 0;
+/// Lead materials that travel beside the per-k blocks: the rows of
+/// contact_leads, in material order.
+std::size_t num_materials(const SweepRequest& req) {
   return req.contact_leads != nullptr ? req.contact_leads->size() : 0;
 }
 
-/// Two contacts at the classic ends of an nb-block device (either order)?
-/// Those route through solve_boundary and may still cooperate spatially;
-/// anything else is a solo kMultiTerminal solve on the group leader.
-bool classic_pair_blocks(const SweepRequest& req, idx nb) {
-  if (req.contacts.size() != 2) return false;
-  const auto resolve = [nb](idx b) { return b < 0 ? nb - 1 : b; };
-  const idx b0 = resolve(req.contacts[0].block);
-  const idx b1 = resolve(req.contacts[1].block);
-  return (b0 == 0 && b1 == nb - 1) || (b0 == nb - 1 && b1 == 0);
-}
-
-/// The terminal layout of one k.  `lead`/`folded`/`lead_hash` are the
-/// classic (material -1) lead; `extras`/`extra_folded`/`extra_hashes` index
-/// the materials >= 0.  Classic requests (empty `contacts`, or a symmetric
-/// classic pair) get ContactSet::pair at the uniform shift `shift`.  Every
-/// referenced object must outlive the returned set.
+/// The terminal layout of one k.  `lead`/`folded`/`lead_hash` are this k's
+/// entry of `leads` (material -1); `extras`/`extra_folded`/`extra_hashes`
+/// index the materials >= 0.  Every referenced object must outlive the
+/// returned set.
 transport::ContactSet build_contact_set(
-    const SweepRequest& req, double shift, const dft::LeadBlocks& lead,
+    const SweepRequest& req, const dft::LeadBlocks& lead,
     const dft::FoldedLead& folded, std::uint64_t lead_hash,
     const std::vector<dft::LeadBlocks>& extras,
     const std::vector<dft::FoldedLead>& extra_folded,
     const std::vector<std::uint64_t>& extra_hashes) {
-  if (contacts_are_classic_symmetric(req))
-    return transport::ContactSet::pair(lead, folded, 0.0, 0.0, shift,
-                                       lead_hash);
   std::vector<transport::Contact> cs;
   cs.reserve(req.contacts.size());
   for (const SweepContact& sc : req.contacts) {
@@ -308,9 +272,9 @@ void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
       if (kind == 1) {  // a thief fetching the blocks of a k it never owned
         const auto k = static_cast<std::size_t>(msg.at(1));
         send_lead_blocks(comm, status.source, (*req.leads)[k]);
-        // Contact-mode thieves expect the extra materials right behind the
-        // classic blocks, in material order.
-        for (std::size_t m = 0; m < num_extra_materials(req); ++m)
+        // Thieves expect the extra materials right behind the k's own
+        // blocks, in material order.
+        for (std::size_t m = 0; m < num_materials(req); ++m)
           send_lead_blocks(comm, status.source, (*req.contact_leads)[m][k]);
         continue;
       }
@@ -341,9 +305,9 @@ void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
       // empty-lead poison wakes it, its KData build fails on the empty
       // lead, and the leader's stage handler degrades to the drain path.
       // (A stream truncated mid-matrix still surfaces as an unpack error
-      // rather than a hang for the same reason.)  Contact-mode thieves
-      // read 1 + M streams per fetch, so the poison matches that count.
-      for (std::size_t s = 0; s < 1 + num_extra_materials(req); ++s)
+      // rather than a hang for the same reason.)  Thieves read 1 + M
+      // streams per fetch, so the poison matches that count.
+      for (std::size_t s = 0; s < 1 + num_materials(req); ++s)
         comm.send({0.0}, r, kTagBlocks);
     }
   }
@@ -357,7 +321,7 @@ struct KData {
   dft::FoldedLead folded;  ///< leaders only; members never run the OBCs
   std::uint64_t lead_hash = 0;  ///< leaders only: lead_content_hash(lead)
   /// Extra lead materials (SweepContact::material >= 0) and their folds —
-  /// contact-mode leaders only; members and classic runs keep them empty.
+  /// leaders only; members keep them empty.
   std::vector<dft::LeadBlocks> extra_leads;
   std::vector<dft::FoldedLead> extra_folded;
   dft::DeviceMatrices dm;
@@ -366,9 +330,9 @@ struct KData {
   /// `build_worker` = false is the spatial-member variant: members only
   /// need the assembled device matrices to compute SPIKE partitions of A,
   /// so the lead folding, hashing, and the sweep worker are skipped.  The
-  /// worker's ContactSet (build_contact_set over `opts`' shift) points at
-  /// this KData's own members, which are stable for its lifetime (the
-  /// per-rank cache holds KData by unique_ptr).
+  /// worker's ContactSet (build_contact_set) points at this KData's own
+  /// members, which are stable for its lifetime (the per-rank cache holds
+  /// KData by unique_ptr).
   KData(dft::LeadBlocks l, const SweepRequest& req,
         const transport::EnergyPointOptions& opts,
         transport::EnergyPointContext& ctx, parallel::DevicePool* pool,
@@ -388,9 +352,8 @@ struct KData {
       extra_folded.push_back(dft::fold_lead(ex));
     worker = std::make_unique<transport::EnergySweepWorker>(
         ctx, dm,
-        build_contact_set(req, opts.obc_opts.contact_shift, lead, folded,
-                          lead_hash, extra_leads, extra_folded,
-                          lead_hashes(extra_leads)),
+        build_contact_set(req, lead, folded, lead_hash, extra_leads,
+                          extra_folded, lead_hashes(extra_leads)),
         opts, pool);
   }
 };
@@ -444,48 +407,39 @@ void record_sample(RankLocal& local, const Layout& lay,
   }
 }
 
-/// Per-cell charge of one task.  N-terminal requests sum every contact's
-/// injected density times its own Fermi weight; classic requests keep the
-/// source (mu_L) + optional drain (mu_R) pair.  Empty result = this task
-/// carries no charge.
+/// Per-cell charge of one task: every terminal's injected density times
+/// its own weight.  Terminal p's density is contact_density[p] on the
+/// N-terminal route; the pair route solves the contact at block 0 into
+/// orbital_density and the other end into orbital_density_r.  The contact
+/// at block 0 is summed first, then the others in terminal order — the
+/// source-first order of the two-contact charge, so a reversed pair rounds
+/// exactly like the default one.  Empty result = no charge.
 std::vector<double> weighted_task_charge(
     const SweepRequest& req, idx block_dim, idx ik, idx ie,
     const transport::EnergyPointResult& res) {
-  if (!req.density_weight_contacts.empty()) {
-    const auto sk = static_cast<std::size_t>(ik);
-    const auto se = static_cast<std::size_t>(ie);
-    std::vector<double> out;
-    for (std::size_t p = 0; p < req.density_weight_contacts.size() &&
-                            p < res.contact_density.size();
-         ++p) {
-      if (res.contact_density[p].empty()) continue;
-      const auto per_cell = transport::density_per_cell(
-          res.contact_density[p], block_dim, req.cells);
-      const double w = req.density_weight_contacts[p][sk][se];
-      if (out.empty()) out.assign(static_cast<std::size_t>(req.cells), 0.0);
-      for (std::size_t c = 0; c < per_cell.size(); ++c)
-        out[c] += w * per_cell[c];
-    }
-    return out;
-  }
-  if (req.density_weight.empty()) return {};
   const auto sk = static_cast<std::size_t>(ik);
   const auto se = static_cast<std::size_t>(ie);
   std::vector<double> out;
-  if (!res.orbital_density.empty()) {
-    out = transport::density_per_cell(res.orbital_density, block_dim,
-                                      req.cells);
-    const double w = req.density_weight[sk][se];
-    for (auto& v : out) v *= w;
-  }
-  if (!req.density_weight_r.empty() && !res.orbital_density_r.empty()) {
-    const auto per_cell_r = transport::density_per_cell(
-        res.orbital_density_r, block_dim, req.cells);
-    const double wr = req.density_weight_r[sk][se];
+  const auto add = [&](std::size_t p) {
+    const bool at_source = req.contacts[p].block == 0;
+    const std::vector<double>& injected =
+        !res.contact_density.empty()
+            ? res.contact_density.at(p)
+            : (at_source ? res.orbital_density : res.orbital_density_r);
+    if (injected.empty()) return;
+    const auto per_cell =
+        transport::density_per_cell(injected, block_dim, req.cells);
+    const double w = req.density_weight[p][sk][se];
     if (out.empty()) out.assign(static_cast<std::size_t>(req.cells), 0.0);
-    for (std::size_t c = 0; c < per_cell_r.size(); ++c)
-      out[c] += wr * per_cell_r[c];
-  }
+    for (std::size_t c = 0; c < per_cell.size(); ++c)
+      out[c] += w * per_cell[c];
+  };
+  const std::size_t nw = req.density_weight.size();
+  std::size_t first = 0;
+  while (first < nw && req.contacts[first].block != 0) ++first;
+  if (first < nw) add(first);
+  for (std::size_t p = 0; p < nw; ++p)
+    if (p != first) add(p);
   return out;
 }
 
@@ -596,26 +550,6 @@ void validate_request(const SweepRequest& req) {
     throw std::invalid_argument("Engine: fewer lead blocks than k grids");
   if (req.folded != nullptr && req.folded->size() < req.energies.size())
     throw std::invalid_argument("Engine: fewer folded leads than k grids");
-  if (!req.density_weight.empty()) {
-    if (req.density_weight.size() != req.energies.size())
-      throw std::invalid_argument("Engine: density_weight k-shape mismatch");
-    for (std::size_t k = 0; k < req.energies.size(); ++k)
-      if (req.density_weight[k].size() != req.energies[k].size())
-        throw std::invalid_argument(
-            "Engine: density_weight E-shape mismatch");
-  }
-  if (!req.density_weight_r.empty()) {
-    if (req.density_weight.empty())
-      throw std::invalid_argument(
-          "Engine: density_weight_r without density_weight");
-    if (req.density_weight_r.size() != req.energies.size())
-      throw std::invalid_argument(
-          "Engine: density_weight_r k-shape mismatch");
-    for (std::size_t k = 0; k < req.energies.size(); ++k)
-      if (req.density_weight_r[k].size() != req.energies[k].size())
-        throw std::invalid_argument(
-            "Engine: density_weight_r E-shape mismatch");
-  }
   if (!req.gf_nodes.empty()) {
     if (req.gf_nodes.size() != req.energies.size())
       throw std::invalid_argument("Engine: gf_nodes k-shape mismatch");
@@ -641,52 +575,44 @@ void validate_request(const SweepRequest& req) {
         if (!finite(z.real()) || !finite(z.imag()))
           throw std::invalid_argument(
               "Engine: non-finite Green's-function node or weight");
-  if (!finite(req.point.obc_opts.contact_shift))
-    throw std::invalid_argument("Engine: non-finite contact shift");
-  for (const SweepContact& c : req.contacts)
+  if (req.point.obc_opts.contact_shift != 0.0)
+    throw std::invalid_argument(
+        "Engine: point.obc_opts.contact_shift must be 0 — a sweep's shifts "
+        "live on its contacts (SweepContact::shift)");
+  if (req.contacts.size() < 2)
+    throw std::invalid_argument("Engine: a sweep needs >= 2 contacts");
+  const int materials = static_cast<int>(num_materials(req));
+  for (const SweepContact& c : req.contacts) {
     if (!finite(c.shift))
       throw std::invalid_argument("Engine: non-finite contact shift");
-  if (req.contacts.size() == 1)
-    throw std::invalid_argument(
-        "Engine: contacts must be empty (classic) or have >= 2 entries");
-  if (!req.contacts.empty()) {
-    const int materials = static_cast<int>(
-        req.contact_leads != nullptr ? req.contact_leads->size() : 0);
-    for (const SweepContact& c : req.contacts) {
-      if (c.material >= materials)
-        throw std::invalid_argument(
-            "Engine: contact material index out of range");
-      if (c.probe_eta < 0.0)
-        throw std::invalid_argument("Engine: contact probe_eta is negative");
-      if (c.probe_eta > 0.0 && c.material >= 0)
-        throw std::invalid_argument(
-            "Engine: a Buettiker probe carries no lead material "
-            "(probe_eta > 0 requires material == -1)");
-    }
-    if (req.contact_leads != nullptr)
-      for (const auto& row : *req.contact_leads)
-        if (row.size() < req.energies.size())
-          throw std::invalid_argument(
-              "Engine: contact_leads k-shape mismatch");
+    if (c.material >= materials)
+      throw std::invalid_argument(
+          "Engine: contact material index out of range");
+    if (c.probe_eta < 0.0)
+      throw std::invalid_argument("Engine: contact probe_eta is negative");
+    if (c.probe_eta > 0.0 && c.material >= 0)
+      throw std::invalid_argument(
+          "Engine: a Buettiker probe carries no lead material "
+          "(probe_eta > 0 requires material == -1)");
   }
-  if (req.contacts.size() >= 3 && !req.density_weight.empty())
-    throw std::invalid_argument(
-        "Engine: >= 3-terminal charge uses density_weight_contacts");
-  if (!req.density_weight_contacts.empty()) {
-    if (req.contacts.size() < 3)
+  if (req.contact_leads != nullptr)
+    for (const auto& row : *req.contact_leads)
+      if (row.size() < req.energies.size())
+        throw std::invalid_argument("Engine: contact_leads k-shape mismatch");
+  if (!req.density_weight.empty()) {
+    if (req.density_weight.size() != req.contacts.size())
       throw std::invalid_argument(
-          "Engine: density_weight_contacts requires >= 3 contacts");
-    if (req.density_weight_contacts.size() != req.contacts.size())
-      throw std::invalid_argument(
-          "Engine: density_weight_contacts contact-shape mismatch");
-    for (const auto& table : req.density_weight_contacts) {
+          "Engine: density_weight needs one table per contact");
+    for (const auto& table : req.density_weight) {
       if (table.size() != req.energies.size())
-        throw std::invalid_argument(
-            "Engine: density_weight_contacts k-shape mismatch");
-      for (std::size_t k = 0; k < table.size(); ++k)
+        throw std::invalid_argument("Engine: density_weight k-shape mismatch");
+      for (std::size_t k = 0; k < table.size(); ++k) {
         if (table[k].size() != req.energies[k].size())
           throw std::invalid_argument(
-              "Engine: density_weight_contacts E-shape mismatch");
+              "Engine: density_weight E-shape mismatch");
+        if (!std::all_of(table[k].begin(), table[k].end(), finite))
+          throw std::invalid_argument("Engine: non-finite density weight");
+      }
     }
   }
 }
@@ -709,8 +635,7 @@ SweepResult shaped_result(const SweepRequest& req) {
       out.t_matrix[k].assign(req.energies[k].size(),
                              std::vector<double>(nc * nc, 0.0));
   }
-  if (!req.density_weight.empty() || !req.density_weight_contacts.empty() ||
-      request_has_greens(req))
+  if (!req.density_weight.empty() || request_has_greens(req))
     out.charge.assign(static_cast<std::size_t>(req.cells), 0.0);
   return out;
 }
@@ -829,14 +754,14 @@ SweepResult Engine::run(const SweepRequest& request) {
   if (total == 0) return shaped_result(request);
   const std::size_t nc = request.contacts.size();
   // One sweep must always fit: a cap below the task count would evict
-  // entries mid-sweep and forfeit every cross-iteration hit.  Contact mode
-  // fetches up to nc boundaries per task.
+  // entries mid-sweep and forfeit every cross-iteration hit.  A task
+  // fetches up to one boundary per contact.
   const std::size_t per_task = std::max<std::size_t>(2, nc);
   for (auto& c : caches_) c->reserve(per_task * total);
   // Per-contact cache counters are cumulative on the persistent caches;
   // snapshot around the sweep so the stats report this run's deltas.
   std::vector<obc::BoundaryCache::Stats> contact_stats_before;
-  if (!caches_.empty() && nc >= 2)
+  if (!caches_.empty())
     for (std::size_t p = 0; p < nc; ++p)
       contact_stats_before.push_back(
           contact_boundary_cache_stats(static_cast<int>(p)));
@@ -845,7 +770,7 @@ SweepResult Engine::run(const SweepRequest& request) {
                         ? run_flat(request)
                         : run_distributed(request);
   apply_pool_delta(out.stats, pool_, snapshot);
-  if (!caches_.empty() && nc >= 2) {
+  if (!caches_.empty()) {
     out.stats.contact_cache_stats.resize(nc);
     for (std::size_t p = 0; p < nc; ++p) {
       const auto after = contact_boundary_cache_stats(static_cast<int>(p));
@@ -875,15 +800,9 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
   // cache (shared by the pool workers — BoundaryCache is thread-safe), or
   // nothing when caching is disabled.
   popt.boundary_cache = rank_cache(0);
-  // Only pay the drain-injection RHS columns when the request carries a
-  // drain-side weight to fold them into.
-  popt.want_density_r = !request.density_weight_r.empty();
-  // Terminal layout: a symmetric classic pair collapses onto the global
-  // contact shift and the classic pipeline below (batching included);
-  // anything else routes per-task through its per-contact ContactSet.
-  const bool contact_mode = !contacts_are_classic_symmetric(request);
-  if (!request.contacts.empty() && !contact_mode)
-    popt.obc_opts.contact_shift = request.contacts[0].shift;
+  // Only pay the drain-injection RHS columns when the request carries
+  // weights to fold them into.
+  popt.want_density_r = !request.density_weight.empty();
   const std::size_t ncon = request.contacts.size();
 
   // Root-local device assembly, one per k (shared across its energies).
@@ -902,10 +821,10 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
                                   request.potential);
   const std::vector<std::uint64_t> lead_hash = lead_hashes(*request.leads);
 
-  // Per-k copies of the extra lead materials (contact mode only), their
-  // folds, and the ContactSet pointing at them (stable — the vectors are
-  // fully built before any set references them).
-  const std::size_t m_count = num_extra_materials(request);
+  // Per-k copies of the extra lead materials, their folds, and the
+  // ContactSet pointing at them (stable — the vectors are fully built
+  // before any set references them).
+  const std::size_t m_count = num_materials(request);
   std::vector<std::vector<dft::LeadBlocks>> extra_leads_k(nk);
   std::vector<std::vector<dft::FoldedLead>> extra_folded_k(nk);
   std::vector<transport::ContactSet> contact_sets(nk);
@@ -915,15 +834,12 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
       extra_folded_k[k].push_back(dft::fold_lead(extra_leads_k[k].back()));
     }
     contact_sets[k] = build_contact_set(
-        request, popt.obc_opts.contact_shift, (*request.leads)[k],
-        (*folded)[k], lead_hash[k], extra_leads_k[k], extra_folded_k[k],
-        lead_hashes(extra_leads_k[k]));
+        request, (*request.leads)[k], (*folded)[k], lead_hash[k],
+        extra_leads_k[k], extra_folded_k[k], lead_hashes(extra_leads_k[k]));
   }
 
   const bool has_greens = request_has_greens(request);
-  const bool want_charge = !request.density_weight.empty() ||
-                           !request.density_weight_contacts.empty() ||
-                           has_greens;
+  const bool want_charge = !request.density_weight.empty() || has_greens;
   std::vector<std::vector<double>> point_charge;
   if (want_charge) point_charge.resize(n);
   double busy_total = 0.0;
@@ -957,23 +873,22 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
   const BackendArbiter arbiter = make_backend_arbiter(
       config_, device_storage, pool_, rank_residency(0));
 
-  // Classic-mode scattering that attaches probes turns every task into a
-  // multi-terminal solve: the batched classic pipeline no longer applies
-  // (solve_energy_batch would only degrade it back to scalar solves), so
-  // keep the across-task thread-pool parallelism instead.  A model that
-  // attaches nothing (kNone, buttiker at eta <= 0) changes nothing here.
-  const bool scattering_probes =
-      !contact_mode && n > 0 &&
-      popt.scattering.algorithm != scattering::ScatteringAlgorithm::kNone &&
-      !scattering::assemble_probes(popt.scattering, dms[0].h.num_blocks(),
-                                   {0, dms[0].h.num_blocks() - 1})
-           .empty();
-
-  bool use_batches = false;
-  // Contact mode never batches: the batched pipeline is the classic
-  // single-boundary arithmetic, and contact tasks route through the
-  // ContactSet entry points one at a time (still across-task parallel).
-  if (config_.batch_tasks && n > 0 && !contact_mode && !scattering_probes) {
+  // The batched pipeline is the one-boundary pair arithmetic: every k's
+  // terminals must be a symmetric pair.  A scattering model that attaches
+  // probes turns every task into a multi-terminal solve (solve_energy_batch
+  // would only degrade it back to scalar solves), so keep the across-task
+  // thread-pool parallelism instead; a model that attaches nothing (kNone,
+  // buttiker at eta <= 0) changes nothing here.
+  bool use_batches = config_.batch_tasks && n > 0;
+  for (std::size_t k = 0; k < nk && use_batches; ++k)
+    use_batches = contact_sets[k].symmetric_pair(dms[k].h.num_blocks());
+  if (use_batches &&
+      popt.scattering.algorithm != scattering::ScatteringAlgorithm::kNone)
+    use_batches = scattering::assemble_probes(popt.scattering,
+                                              dms[0].h.num_blocks(),
+                                              {0, dms[0].h.num_blocks() - 1})
+                      .empty();
+  if (use_batches) {
     const idx nbb = dms[0].h.num_blocks();
     const idx sbb = dms[0].h.block_size();
     solvers::SolverContext binding;
@@ -1035,9 +950,8 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
               lay.unflatten(static_cast<idx>(flats[base + j]));
           const auto sk = static_cast<std::size_t>(ik);
           const auto se = static_cast<std::size_t>(ie);
-          chunk.push_back({ik, request.energies[sk][se], &dms[sk],
-                           &(*request.leads)[sk], &(*folded)[sk],
-                           lead_hash[sk]});
+          chunk.push_back(
+              {ik, request.energies[sk][se], &dms[sk], &contact_sets[sk]});
         }
         const double t0 = now_seconds();
         const auto res = transport::solve_energy_batch(
@@ -1127,11 +1041,9 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
   const Layout lay(request, config_.num_ranks,
                    config_.ranks_per_energy_group);
   Coordinator co(lay, request, config_.work_stealing);
-  // Terminal layout, computed identically on every rank from the shared
-  // request: symmetric classic pairs normalize onto the pre-refactor
-  // pipeline; contact mode threads ContactSets through the leaders.
-  const bool contact_mode = !contacts_are_classic_symmetric(request);
-  const std::size_t m_count = num_extra_materials(request);
+  // Extra lead materials travel beside each k's own blocks; the count is
+  // read identically on every rank from the shared request.
+  const std::size_t m_count = num_materials(request);
   const std::size_t stride = sample_stride(request);
 
   parallel::CommWorld world(config_.num_ranks);
@@ -1165,9 +1077,9 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
         for (const idx k : lay.owned[static_cast<std::size_t>(c)]) {
           send_lead_blocks(comm, lr,
                            (*request.leads)[static_cast<std::size_t>(k)]);
-          // Contact mode: the extra materials ride right behind the
-          // classic blocks, in material order (the receiver loop below
-          // reads them back symmetrically).
+          // The extra materials ride right behind the k's own blocks, in
+          // material order (the receiver loop below reads them back
+          // symmetrically).
           for (std::size_t m = 0; m < m_count; ++m)
             send_lead_blocks(
                 comm, lr,
@@ -1193,12 +1105,12 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
     // forever.
     std::optional<Comm> spatial_comm;
     bool members_released = true;
-    // Announcement wire format (8 doubles): {flag, ik, ie, fetched, algo,
-    // contact_shift, Re(E), Im(E)}.  Im(E) != 0 marks a contour node; those
-    // are announced with the (non-cooperative) RGF algorithm, so members
-    // handle the fetched-blocks broadcast and then skip the solve.
+    // Announcement wire format (7 doubles): {flag, ik, ie, fetched, algo,
+    // Re(E), Im(E)}.  Im(E) != 0 marks a contour node; those are announced
+    // with the (non-cooperative) RGF algorithm, so members handle the
+    // fetched-blocks broadcast and then skip the solve.
     const std::vector<double> kSpatialDone{-1.0, 0.0, 0.0, 0.0,
-                                           0.0,  0.0, 0.0, 0.0};
+                                           0.0,  0.0, 0.0};
     // The single release point for the members' service loop — every exit
     // path (drain, normal completion, escaped exception) goes through it,
     // so the done marker can never be sent twice or with a stale shape.
@@ -1235,14 +1147,9 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
       // survives across run() calls, so repeated sweeps — the SCF outer
       // loop — reuse this rank's lead eigenproblem solves.
       popt.boundary_cache = rank_cache(wr);
-      // Mirrors run_flat: drain-injection columns only when there is a
-      // drain-side weight to consume them.
-      popt.want_density_r = !request.density_weight_r.empty();
-      // Symmetric classic contacts collapse onto the global shift (the
-      // classic cache keys, batching, and spatial protocol all apply);
-      // contact mode keeps per-contact shifts inside the ContactSet.
-      if (!request.contacts.empty() && !contact_mode)
-        popt.obc_opts.contact_shift = request.contacts[0].shift;
+      // Mirrors run_flat: drain-injection columns only when there are
+      // weights to consume them.
+      popt.want_density_r = !request.density_weight.empty();
       if (leader && spatial_group) {
         spatial_comm = e_comm;
         members_released = false;
@@ -1317,15 +1224,15 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
         // on a block-structure change (a stolen k with different blocks),
         // and at protocol end.  Stolen blocks are still fetched at
         // accumulation time, so the fetch rides ahead of the flush.
-        // Spatial groups solve cooperatively, one point at a time; contact
-        // mode routes every task through the ContactSet entry points
-        // (never the batched classic pipeline).
+        // Spatial groups solve cooperatively, one point at a time, and only
+        // a k whose terminals are a symmetric pair joins a bucket (every
+        // other set solves per task through the ContactSet entry points).
         // An active scattering model disqualifies batching outright (the
         // device shape is unknown until a task's blocks arrive, so this is
         // spec-level, conservative): attached probes would only degrade
         // the batch to serial scalar solves inside solve_energy_batch.
         const bool use_batches =
-            config_.batch_tasks && !spatial_group && !contact_mode &&
+            config_.batch_tasks && !spatial_group &&
             popt.scattering.algorithm ==
                 scattering::ScatteringAlgorithm::kNone;
         const std::size_t batch_cap =
@@ -1357,8 +1264,7 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               bt.push_back({p.ik,
                             request.energies[static_cast<std::size_t>(p.ik)]
                                             [static_cast<std::size_t>(p.ie)],
-                            &p.kd->dm, &p.kd->lead, &p.kd->folded,
-                            p.kd->lead_hash});
+                            &p.kd->dm, &p.kd->worker->contacts()});
             // The flushed bucket's shape is (pending_nb, pending_s) — set
             // when its tasks were queued, before any shape change flushes.
             numeric::Backend& bucket_backend =
@@ -1430,9 +1336,11 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               fetched = true;
             }
             const bool is_gf = lay.is_greens(ik, ie);
-            if (use_batches && !is_gf) {
+            const transport::ContactSet& contacts =
+                it->second->worker->contacts();
+            const idx nbb = it->second->dm.h.num_blocks();
+            if (use_batches && !is_gf && contacts.symmetric_pair(nbb)) {
               const KData& kd = *it->second;
-              const idx nbb = kd.dm.h.num_blocks();
               const idx sbb = kd.dm.h.block_size();
               if (!pending.empty() &&
                   (nbb != pending_nb || sbb != pending_s))
@@ -1456,33 +1364,29 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
             // that lost its inputs could not resolve locally — with the
             // algorithm on the wire it can still honor the protocol by
             // sending placeholder partitions).  The announcement also
-            // carries the boundary-cache key — (global ik, ie, contact
-            // shift) — which members adopt into their task options, so
-            // every rank of the group labels the task by the leader's key
-            // no matter whose queue pull (or steal) produced it.
+            // carries the global (ik, ie), so every rank of the group
+            // labels the task by the leader's k no matter whose queue pull
+            // (or steal) produced it.
             if (spatial_group) {
               solvers::SolverContext binding;
               binding.pool = my_pool;
               binding.partitions = popt.partitions;
               binding.spatial = &e_comm;
-              const idx nbb = it->second->dm.h.num_blocks();
               const idx sbb = it->second->dm.h.block_size();
               // GF nodes announce the (non-cooperative) RGF diagonal: the
               // members run the fetched-blocks broadcast and skip the
               // solve, exactly like a statically requested RGF task.  So
-              // do multi-terminal attachments (>= 3 contacts or interior
-              // blocks): solve_attached never splits spatially, and the
-              // members must not wait to serve a cooperative solve the
-              // leader runs solo.  A dissimilar classic pair still routes
-              // through solve_boundary and may cooperate.
-              // Classic tasks whose scattering model attaches probes also
-              // run solo: the solve delegates to the multi-terminal path,
-              // which never splits spatially.
+              // do multi-terminal attachments (>= 3 contacts, interior
+              // blocks, or probes): solve_attached never splits spatially,
+              // and the members must not wait to serve a cooperative solve
+              // the leader runs solo.  A dissimilar end pair still routes
+              // through solve_boundary and may cooperate — unless the
+              // scattering model attaches probes to it, which delegates
+              // the solve to the multi-terminal path as well.
               const bool solo =
-                  is_gf ||
-                  (contact_mode && !classic_pair_blocks(request, nbb)) ||
-                  (!contact_mode &&
-                   popt.scattering.algorithm !=
+                  is_gf || !contacts.classic_pair(nbb) ||
+                  contacts.has_probes() ||
+                  (popt.scattering.algorithm !=
                        scattering::ScatteringAlgorithm::kNone &&
                    !scattering::assemble_probes(popt.scattering, nbb,
                                                 {0, nbb - 1})
@@ -1494,8 +1398,8 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               std::vector<double> task{
                   1.0, static_cast<double>(ik), static_cast<double>(ie),
                   fetched ? 1.0 : 0.0,
-                  static_cast<double>(static_cast<int>(algo)),
-                  popt.obc_opts.contact_shift, z.real(), z.imag()};
+                  static_cast<double>(static_cast<int>(algo)), z.real(),
+                  z.imag()};
               e_comm.bcast(task, 0);
               // A stolen k's blocks reach the members through the group,
               // mirroring the owned-k broadcast at input distribution.
@@ -1541,16 +1445,11 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
         for (;;) {
           std::vector<double> task;
           e_comm.bcast(task, 0);
-          if (task.size() < 8 || task[0] < 0.0) break;
+          if (task.size() < 7 || task[0] < 0.0) break;
           const auto ik = static_cast<idx>(task[1]);
-          const auto ie = static_cast<idx>(task[2]);
           const bool fetched = task[3] != 0.0;
           const auto algo = static_cast<solvers::SolverAlgorithm>(
               static_cast<int>(task[4]));
-          // Adopt the leader's cache key: today the member's own options
-          // carry the same shift (one request per run), but the announced
-          // value is authoritative for the task.
-          const double task_shift = task[5];
           if (fetched) {
             dft::LeadBlocks lead;
             broadcast_lead_blocks(e_comm, lead);
@@ -1558,7 +1457,6 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               try {
                 transport::EnergyPointOptions kopt = popt;
                 kopt.k_index = ik;
-                kopt.obc_opts.contact_shift = task_shift;
                 cache.emplace(ik, std::make_unique<KData>(
                                       std::move(lead), request, kopt, ctx,
                                       my_pool, nullptr,
@@ -1582,7 +1480,7 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
             // The wire energy is authoritative (bit-identical: the leader
             // read the same request double); GF announcements never reach
             // here — kRgf fails the cooperative check above.
-            const double energy = task[6];
+            const double energy = task[5];
             const double t0 = now_seconds();
             transport::serve_spatial_point(ctx, it->second->dm, energy, algo,
                                            popt.partitions, e_comm);
@@ -1615,9 +1513,8 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
     // --- assembly: rooted collectives ----------------------------------
     const auto gathered = comm.gatherv(local.samples, 0);
     std::vector<double> charge_gathered;
-    const bool want_charge = !request.density_weight.empty() ||
-                             !request.density_weight_contacts.empty() ||
-                             request_has_greens(request);
+    const bool want_charge =
+        !request.density_weight.empty() || request_has_greens(request);
     if (want_charge) charge_gathered = comm.gatherv(local.charge_samples, 0);
     const auto rank_stats = comm.gatherv(
         {local.busy_seconds, static_cast<double>(local.tasks),

@@ -99,16 +99,19 @@ struct EngineConfig {
 /// the lead *matrices* travel through the communicator.
 struct SweepContact {
   /// Chemical potential (eV).  The engine records it into the per-k
-  /// ContactSet; charge weighting itself arrives pre-computed through the
-  /// density-weight tables, and terminal currents are integrated by the
-  /// caller (transport::buttiker_currents) from the returned T matrix.
+  /// ContactSet; charge weighting itself arrives pre-computed through
+  /// SweepRequest::density_weight, and terminal currents are integrated by
+  /// the caller (transport::buttiker_currents) from the returned T matrix.
   double mu = 0.0;
-  double shift = 0.0;  ///< per-contact lead potential shift (eV)
+  /// Lead potential shift (eV): the boundary at E is the pristine lead's
+  /// at E - shift.  The only place a sweep's contact shift lives — part of
+  /// this contact's boundary-cache keys.
+  double shift = 0.0;
   /// Attachment block: 0, transport::kLastBlock, or an interior block
   /// (interior blocks need a kMultiTerminal solver: rgf/block_lu/auto).
   idx block = transport::kLastBlock;
-  /// Lead material: -1 = this k's entry of `leads` (the classic material),
-  /// m >= 0 = row m of `contact_leads`.
+  /// Lead material: -1 = this k's entry of `leads`, m >= 0 = row m of
+  /// `contact_leads`.
   int material = -1;
   /// Büttiker-probe strength (eV).  > 0 marks this terminal as a lead-less
   /// phenomenological probe (transport::Contact::probe_eta): no lead blocks
@@ -130,16 +133,18 @@ struct SweepRequest {
   std::vector<std::vector<double>> energies;            ///< per-k grids
   std::vector<double> potential;                        ///< per physical cell
   idx cells = 0;
+  /// Per-point solve options.  `point.obc_opts.contact_shift` must stay 0
+  /// (run() rejects anything else): shifts live on the contacts.
   transport::EnergyPointOptions point;
-  /// When non-empty (same shape as `energies`), each task also folds
-  /// weight[ik][ie] * density_per_cell into a per-cell charge accumulator
-  /// that is reduce()d to the root.  `density_weight` multiplies the
-  /// source-injected density (states occupied at mu_L); the optional
-  /// `density_weight_r` (same shape) multiplies the drain-injected density
-  /// (occupied at mu_R) — the two-contact ballistic charge.  Empty
-  /// `density_weight_r` means the drain contribution is dropped.
-  std::vector<std::vector<double>> density_weight;
-  std::vector<std::vector<double>> density_weight_r;
+  /// Charge weights, indexed [contact][ik][ie] (contact order of
+  /// `contacts`, grid shapes of `energies`).  When non-empty, each task
+  /// folds sum_p weight[p][ik][ie] * (per-cell density injected by terminal
+  /// p) into a per-cell accumulator reduced to the root.  Terminal p's
+  /// density occupies its states at mu_p, so a two-contact ballistic charge
+  /// carries the source's Fermi weights in the row of the contact at block
+  /// 0 and the drain's in the other; a row of zeros drops that terminal.
+  /// Every weight must be finite.
+  std::vector<std::vector<std::vector<double>>> density_weight;
   /// Complex-plane Green's-function nodes per k (contour charge
   /// quadrature, charge::Quadrature).  When non-empty (same k-shape as
   /// `energies`; per-k grids may be empty), each node z becomes one extra
@@ -150,23 +155,18 @@ struct SweepRequest {
   /// contribute charge only — no transmission entries.
   std::vector<std::vector<numeric::cplx>> gf_nodes;
   std::vector<std::vector<numeric::cplx>> gf_weights;  ///< same shape
-  /// Terminal layout.  Empty = the classic two-identical-contacts sweep
-  /// (exactly the pre-refactor pipeline).  A symmetric classic pair (two
-  /// material -1 contacts with equal shifts at {0, last}) is *normalized
-  /// back onto that pipeline* — batching, spatial cooperation, and cache
-  /// keys included — so the symmetric limit stays bit-identical at every
-  /// world size.  Anything else routes each task through the ContactSet
-  /// entry points; batching is disabled for those requests.
-  std::vector<SweepContact> contacts;
+  /// Terminal layout, >= 2 entries (run() rejects fewer).  The default is
+  /// the two-contact device: the k's own lead at block 0 and at the last
+  /// block, both unshifted.  Every k builds one transport::ContactSet from
+  /// this list; a set whose two end contacts share one boundary (the same
+  /// lead and shift, in either order) takes the batched and spatially
+  /// cooperative pipeline, anything else solves per task through the
+  /// ContactSet entry points.
+  std::vector<SweepContact> contacts{SweepContact{0.0, 0.0, 0, -1, 0.0},
+                                     SweepContact{}};
   /// Extra lead materials, indexed [material][ik] (root only, like
   /// `leads`).  Referenced by SweepContact::material.
   const std::vector<std::vector<dft::LeadBlocks>>* contact_leads = nullptr;
-  /// Per-contact density weights for >= 3-terminal charge:
-  /// [contact][ik][ie] multiplies contact p's injected per-cell density
-  /// (its own Fermi weight at mu_p).  Mutually exclusive with
-  /// `density_weight`; 2-terminal requests keep the classic pair of
-  /// weight tables.
-  std::vector<std::vector<std::vector<double>>> density_weight_contacts;
 };
 
 struct EngineStats {
@@ -201,8 +201,10 @@ struct EngineStats {
   idx probe_iterations = 0;       ///< Newton iterations of the tuning loop
   double probe_residual = 0.0;    ///< final max |I_probe| / max |I_terminal|
   /// Per-contact boundary-cache activity of *this run* (deltas of the
-  /// persistent caches, summed over ranks; index = contact id).  Empty for
-  /// classic requests (no `contacts`) or when caching is disabled.  The
+  /// persistent caches, summed over ranks; index = contact id, one entry
+  /// per request contact).  Empty only when caching is disabled.  Contacts
+  /// sharing a representative fetch under the lowest id, so in the default
+  /// pair contact 0 carries every fetch and contact 1 none.  The
   /// per-contact lead-solve count of a run is `misses` (every miss is one
   /// OBC eigenproblem for that contact).
   std::vector<obc::BoundaryCache::Stats> contact_cache_stats;
@@ -244,7 +246,7 @@ class Engine {
   obc::BoundaryCache::Stats boundary_cache_stats() const;
 
   /// Cumulative counters of one contact id, summed over the per-rank
-  /// caches.  Classic (no-contacts) requests fetch under contact id 0.
+  /// caches.  Contacts sharing a boundary fetch under the lowest id.
   obc::BoundaryCache::Stats contact_boundary_cache_stats(int contact) const;
 
  private:

@@ -3,11 +3,26 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "numeric/types.hpp"
 #include "transport/energy_grid.hpp"
 
 namespace omenx::omen {
+
+namespace {
+
+/// A NaN or infinite chemical potential would turn every Fermi weight into
+/// NaN; reject it up front, naming the terminal.
+void require_finite_mu(const char* what, const std::vector<double>& mu) {
+  for (std::size_t p = 0; p < mu.size(); ++p)
+    if (!std::isfinite(mu[p]))
+      throw std::invalid_argument(std::string(what) +
+                                  ": chemical potential of terminal " +
+                                  std::to_string(p) + " is not finite");
+}
+
+}  // namespace
 
 Simulator::Simulator(SimulationConfig config) : config_(std::move(config)) {
   const dft::BasisLibrary basis(config_.functional);
@@ -36,51 +51,59 @@ Simulator::Simulator(SimulationConfig config) : config_(std::move(config)) {
             static_cast<std::size_t>(config_.structure.num_cells), 0.0));
     device_blocks_ = assembled.h.num_blocks();
   }
-  // N-terminal layout: build the per-material lead tables and validate the
-  // attachment geometry *now* — a bad layout must surface as
-  // std::invalid_argument at construction, before any engine world exists
-  // to drain, not as a failed solve three sweeps later.
-  if (!config_.contacts.empty()) {
-    if (config_.contacts.size() < 2)
+  // An empty layout is the two-contact device: the device's own lead at
+  // block 0 and at the last block, both at the configured uniform shift.
+  // From here on the shift lives only on the contacts.
+  if (config_.contacts.empty()) {
+    const double shift = config_.point.obc_opts.contact_shift;
+    config_.contacts = {ContactConfig{shift, 0, std::nullopt},
+                        ContactConfig{shift, transport::kLastBlock,
+                                      std::nullopt}};
+  }
+  config_.point.obc_opts.contact_shift = 0.0;
+  // Build the per-material lead tables and validate the attachment
+  // geometry *now* — a bad layout must surface as std::invalid_argument at
+  // construction, before any engine world exists to drain, not as a failed
+  // solve three sweeps later.
+  if (config_.contacts.size() < 2)
+    throw std::invalid_argument(
+        "Simulator: contact layout needs >= 2 terminals (leave the list "
+        "empty for the default source/drain pair)");
+  for (const ContactConfig& cc : config_.contacts) {
+    if (!cc.material.has_value()) {
+      contact_material_.push_back(-1);
+      continue;
+    }
+    contact_material_.push_back(static_cast<int>(contact_leads_.size()));
+    std::vector<dft::LeadBlocks> row;
+    std::vector<dft::FoldedLead> frow;
+    for (idx ik = 0; ik < nk; ++ik) {
+      dft::BuildOptions opts = config_.build;
+      opts.k_transverse = k_values_[static_cast<std::size_t>(ik)];
+      row.push_back(dft::build_lead_blocks(*cc.material, basis, opts));
+      frow.push_back(dft::fold_lead(row.back()));
+    }
+    if (row.front().block_dim() != lead_.front().block_dim())
       throw std::invalid_argument(
-          "Simulator: contact layout needs >= 2 terminals (leave the list "
-          "empty for the implicit classic pair)");
-    for (const ContactConfig& cc : config_.contacts) {
-      if (!cc.material.has_value()) {
-        contact_material_.push_back(-1);
-        continue;
-      }
-      contact_material_.push_back(static_cast<int>(contact_leads_.size()));
-      std::vector<dft::LeadBlocks> row;
-      std::vector<dft::FoldedLead> frow;
-      for (idx ik = 0; ik < nk; ++ik) {
-        dft::BuildOptions opts = config_.build;
-        opts.k_transverse = k_values_[static_cast<std::size_t>(ik)];
-        row.push_back(dft::build_lead_blocks(*cc.material, basis, opts));
-        frow.push_back(dft::fold_lead(row.back()));
-      }
-      if (row.front().block_dim() != lead_.front().block_dim())
+          "Simulator: contact lead material must match the device's "
+          "orbitals per cell (the self-energy block must fit the device "
+          "diagonal)");
+    contact_leads_.push_back(std::move(row));
+    contact_folded_.push_back(std::move(frow));
+  }
+  // Resolve the attachment blocks against the actual folded device.
+  for (const ContactConfig& cc : config_.contacts) {
+    const idx b =
+        cc.block == transport::kLastBlock ? device_blocks_ - 1 : cc.block;
+    if (b < 0 || b >= device_blocks_)
+      throw std::invalid_argument(
+          "Simulator: contact attachment block out of range");
+    for (const idx other : contact_blocks_)
+      if (other == b)
         throw std::invalid_argument(
-            "Simulator: contact lead material must match the device's "
-            "orbitals per cell (the self-energy block must fit the device "
-            "diagonal)");
-      contact_leads_.push_back(std::move(row));
-      contact_folded_.push_back(std::move(frow));
-    }
-    // Resolve the attachment blocks against the actual folded device.
-    for (const ContactConfig& cc : config_.contacts) {
-      const idx b =
-          cc.block == transport::kLastBlock ? device_blocks_ - 1 : cc.block;
-      if (b < 0 || b >= device_blocks_)
-        throw std::invalid_argument(
-            "Simulator: contact attachment block out of range");
-      for (const idx other : contact_blocks_)
-        if (other == b)
-          throw std::invalid_argument(
-              "Simulator: contacts must attach to pairwise-distinct device "
-              "blocks");
-      contact_blocks_.push_back(b);
-    }
+            "Simulator: contacts must attach to pairwise-distinct device "
+            "blocks");
+    contact_blocks_.push_back(b);
   }
   pool_ = std::make_unique<parallel::DevicePool>(
       std::max(1, config_.num_devices));
@@ -98,7 +121,7 @@ Simulator::Simulator(SimulationConfig config) : config_(std::move(config)) {
   // Contour anchor ingredient: the lead's spectral minimum (zero-potential,
   // first k).  The coarse band sampler is exact at the zone endpoints,
   // where cosine-like bands take their extrema; charge_density folds in the
-  // device potential, the contact shift, and a safety margin per call.
+  // device potential, the contact shifts, and a safety margin per call.
   lead_band_min_ =
       transport::band_window(transport::lead_band_structure(folded_.front()))
           .emin;
@@ -110,10 +133,8 @@ void Simulator::rebuild_probe_sites() {
   if (config_.point.scattering.algorithm ==
       scattering::ScatteringAlgorithm::kNone)
     return;
-  std::vector<idx> occupied = contact_blocks_;
-  if (occupied.empty()) occupied = {0, device_blocks_ - 1};
   probe_sites_ = scattering::assemble_probes(config_.point.scattering,
-                                             device_blocks_, occupied);
+                                             device_blocks_, contact_blocks_);
 }
 
 void Simulator::set_scattering(const scattering::Spec& spec) {
@@ -129,7 +150,6 @@ void Simulator::set_scattering(const scattering::Spec& spec) {
 void Simulator::set_contact_shift(double shift) {
   // Deprecated uniform-shift wrapper: one value for every terminal.  The
   // shift is part of every boundary-cache key, so nothing is invalidated.
-  config_.point.obc_opts.contact_shift = shift;
   for (ContactConfig& cc : config_.contacts) cc.shift = shift;
 }
 
@@ -158,33 +178,15 @@ obc::BoundaryCache::Stats Simulator::contact_boundary_cache_stats(
 
 void Simulator::attach_contacts(SweepRequest& req,
                                 const std::vector<double>* mu) const {
-  if (config_.contacts.empty() && probe_sites_.empty()) return;
-  const std::size_t nreal = std::max<std::size_t>(config_.contacts.size(), 2);
-  req.contacts.reserve(nreal + probe_sites_.size());
-  if (config_.contacts.empty()) {
-    // Probe materialization on the implicit classic pair: the engine grows
-    // the terminal set only through explicit contacts, so the pair is
-    // spelled out the way the simulator always resolves it — source at
-    // block 0, drain at the last block, the device's own lead material,
-    // the uniform contact shift.
-    for (int i = 0; i < 2; ++i) {
-      SweepContact sc;
-      sc.mu = mu != nullptr && static_cast<std::size_t>(i) < mu->size()
-                  ? (*mu)[static_cast<std::size_t>(i)]
-                  : 0.0;
-      sc.shift = config_.point.obc_opts.contact_shift;
-      sc.block = i == 0 ? 0 : transport::kLastBlock;
-      req.contacts.push_back(sc);
-    }
-  } else {
-    for (std::size_t i = 0; i < config_.contacts.size(); ++i) {
-      SweepContact sc;
-      sc.mu = mu != nullptr && i < mu->size() ? (*mu)[i] : 0.0;
-      sc.shift = config_.contacts[i].shift;
-      sc.block = config_.contacts[i].block;
-      sc.material = contact_material_[i];
-      req.contacts.push_back(sc);
-    }
+  req.contacts.clear();
+  req.contacts.reserve(config_.contacts.size() + probe_sites_.size());
+  for (std::size_t i = 0; i < config_.contacts.size(); ++i) {
+    SweepContact sc;
+    sc.mu = mu != nullptr && i < mu->size() ? (*mu)[i] : 0.0;
+    sc.shift = config_.contacts[i].shift;
+    sc.block = config_.contacts[i].block;
+    sc.material = contact_material_[i];
+    req.contacts.push_back(sc);
   }
   for (std::size_t p = 0; p < probe_sites_.size(); ++p) {
     SweepContact sc;
@@ -202,11 +204,18 @@ void Simulator::attach_contacts(SweepRequest& req,
   if (!contact_leads_.empty()) req.contact_leads = &contact_leads_;
 }
 
-std::pair<idx, idx> Simulator::classic_pair_indices() const {
+std::size_t Simulator::source_terminal() const noexcept {
   // Construction guarantees distinct resolved blocks, so for a two-contact
   // layout exactly one of them can sit at block 0.
-  if (config_.contacts.size() == 2 && contact_blocks_[1] == 0) return {1, 0};
-  return {0, 1};
+  return contact_blocks_[1] == 0 ? 1 : 0;
+}
+
+std::vector<double> Simulator::pair_mu(const char* what, double mu_l,
+                                       double mu_r) const {
+  std::vector<double> mu(2, mu_r);
+  mu[source_terminal()] = mu_l;
+  require_finite_mu(what, mu);
+  return mu;
 }
 
 const dft::LeadBlocks& Simulator::lead_blocks(idx ik) const {
@@ -321,27 +330,21 @@ transport::EnergyPointResult Simulator::solve_point(
   const idx cells = config_.structure.num_cells;
   const std::vector<double> pot = flat_or(cell_potential, cells);
   const auto dm = dft::assemble_device(lead_.front(), cells, pot);
-  if (!config_.contacts.empty()) {
-    // Direct N-terminal solve at the first k point: the ContactSet points
-    // at the simulator-owned lead tables, so the set is cheap to rebuild
-    // per call.
-    std::vector<transport::Contact> cs(config_.contacts.size());
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-      const int m = contact_material_[i];
-      cs[i].lead = m < 0 ? &lead_.front()
-                         : &contact_leads_[static_cast<std::size_t>(m)].front();
-      cs[i].folded =
-          m < 0 ? &folded_.front()
-                : &contact_folded_[static_cast<std::size_t>(m)].front();
-      cs[i].shift = config_.contacts[i].shift;
-      cs[i].block = config_.contacts[i].block;
-      cs[i].lead_hash = transport::lead_content_hash(*cs[i].lead);
-    }
-    return transport::solve_energy_point(dm,
-                                         transport::ContactSet(std::move(cs)),
-                                         energy, config_.point, pool_.get());
+  // Direct solve at the first k point: the ContactSet points at the
+  // simulator-owned lead tables, so the set is cheap to rebuild per call.
+  std::vector<transport::Contact> cs(config_.contacts.size());
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    const int m = contact_material_[i];
+    cs[i].lead = m < 0 ? &lead_.front()
+                       : &contact_leads_[static_cast<std::size_t>(m)].front();
+    cs[i].folded = m < 0
+                       ? &folded_.front()
+                       : &contact_folded_[static_cast<std::size_t>(m)].front();
+    cs[i].shift = config_.contacts[i].shift;
+    cs[i].block = config_.contacts[i].block;
+    cs[i].lead_hash = transport::lead_content_hash(*cs[i].lead);
   }
-  return transport::solve_energy_point(dm, lead_.front(), folded_.front(),
+  return transport::solve_energy_point(dm, transport::ContactSet(std::move(cs)),
                                        energy, config_.point, pool_.get());
 }
 
@@ -351,13 +354,11 @@ std::vector<double> Simulator::charge_density(
     charge::QuadratureAlgorithm quadrature,
     const charge::QuadratureOptions& quadrature_options) {
   const idx cells = config_.structure.num_cells;
-  const std::size_t ncon = config_.contacts.size();
-  if (ncon >= 3)
+  if (config_.contacts.size() >= 3)
     throw std::invalid_argument(
         "charge_density(mu_l, mu_r): >= 3 contacts configured — use the "
         "per-terminal mu overload");
-  if (ncon == 2 &&
-      !((contact_blocks_[0] == 0 && contact_blocks_[1] == device_blocks_ - 1) ||
+  if (!((contact_blocks_[0] == 0 && contact_blocks_[1] == device_blocks_ - 1) ||
         (contact_blocks_[1] == 0 && contact_blocks_[0] == device_blocks_ - 1)))
     throw std::invalid_argument(
         "charge_density(mu_l, mu_r): the two-reservoir weights assume "
@@ -373,6 +374,7 @@ std::vector<double> Simulator::charge_density(
     if (!(energies[ie] > energies[ie - 1]))
       throw std::invalid_argument(
           "charge_density: energies must be strictly increasing");
+  const std::vector<double> mu = pair_mu("charge_density", mu_l, mu_r);
 
   if (!probe_sites_.empty()) {
     // Dissipative charge: two-pass (tune the probe potentials, then occupy
@@ -383,11 +385,6 @@ std::vector<double> Simulator::charge_density(
       throw std::invalid_argument(
           "charge_density: dissipative (Buettiker-probe) charge supports "
           "the real_grid quadrature only");
-    const auto [src, drn] =
-        ncon == 2 ? classic_pair_indices() : std::pair<idx, idx>{0, 1};
-    std::vector<double> mu(2, 0.0);
-    mu[static_cast<std::size_t>(src)] = mu_l;
-    mu[static_cast<std::size_t>(drn)] = mu_r;
     return dissipative_charge(energies, mu, potential);
   }
 
@@ -411,10 +408,9 @@ std::vector<double> Simulator::charge_density(
   // the contour nodes literally identical across iterations, so the
   // boundary cache serves every node from iteration 2 onward instead of
   // missing on each micro-shifted anchor.
-  // With per-contact shifts, the most negative one bounds how far any lead
-  // spectrum is pushed down; the classic layout reduces to the scalar
-  // ObcOptions shift.
-  double shift_min = std::min(0.0, config_.point.obc_opts.contact_shift);
+  // The most negative contact shift bounds how far any lead spectrum is
+  // pushed down.
+  double shift_min = 0.0;
   for (const ContactConfig& cc : config_.contacts)
     shift_min = std::min(shift_min, cc.shift);
   const double depth = std::min(0.0, pot_min) + shift_min;
@@ -438,24 +434,18 @@ std::vector<double> Simulator::charge_density(
   req.point.want_current = false;
   req.point.want_caroli = false;
   if (!nodes.energies.empty()) {
-    req.density_weight = {nodes.weight_l};
-    req.density_weight_r = {nodes.weight_r};
+    // weight_l occupies the source (the contact at block 0), weight_r the
+    // drain.
+    const std::size_t src = source_terminal();
+    req.density_weight.resize(2);
+    req.density_weight[src] = {nodes.weight_l};
+    req.density_weight[1 - src] = {nodes.weight_r};
   }
   if (!nodes.gf_nodes.empty()) {
     req.gf_nodes = {nodes.gf_nodes};
     req.gf_weights = {nodes.gf_weights};
   }
-  if (ncon == 2) {
-    // weight_l occupies the contact at block 0, weight_r the one at the
-    // last block — record mu on the matching terminals.
-    const auto [src, drn] = classic_pair_indices();
-    std::vector<double> mu(2, 0.0);
-    mu[static_cast<std::size_t>(src)] = mu_l;
-    mu[static_cast<std::size_t>(drn)] = mu_r;
-    attach_contacts(req, &mu);
-  } else {
-    attach_contacts(req, nullptr);
-  }
+  attach_contacts(req, &mu);
   const SweepResult res = engine_->run(req);
   stats_ = res.stats;
   total_tasks_ += res.stats.tasks_total;
@@ -472,17 +462,16 @@ std::vector<double> Simulator::charge_density(
     charge::QuadratureAlgorithm quadrature,
     const charge::QuadratureOptions& quadrature_options) {
   const std::size_t ncon = config_.contacts.size();
-  if (mu.size() != std::max<std::size_t>(ncon, 2))
+  if (mu.size() != ncon)
     throw std::invalid_argument(
         "charge_density: one chemical potential per terminal");
-  if (ncon < 3) {
-    // Two terminals (configured or implicit): the classic pair path, with
-    // mu routed onto the source/drain roles by attachment block — the
-    // weights are bit-identical to the scalar-mu entry point.
-    const auto [src, drn] =
-        ncon == 2 ? classic_pair_indices() : std::pair<idx, idx>{0, 1};
-    return charge_density(energies, mu[static_cast<std::size_t>(src)],
-                          mu[static_cast<std::size_t>(drn)], potential,
+  require_finite_mu("charge_density", mu);
+  if (ncon == 2) {
+    // Two terminals: the source/drain path, with mu routed onto the roles
+    // by attachment block — the weights are bit-identical to the scalar-mu
+    // entry point.
+    const std::size_t src = source_terminal();
+    return charge_density(energies, mu[src], mu[1 - src], potential,
                           quadrature, quadrature_options);
   }
   // >= 3 terminals: per-contact trapezoid-times-Fermi weights on the real
@@ -513,12 +502,12 @@ std::vector<double> Simulator::charge_density(
   req.point.want_density = true;
   req.point.want_current = false;
   req.point.want_caroli = false;
-  req.density_weight_contacts.resize(ncon);
+  req.density_weight.resize(ncon);
   for (std::size_t p = 0; p < ncon; ++p) {
     std::vector<double> wp(w.size());
     for (std::size_t ie = 0; ie < w.size(); ++ie)
       wp[ie] = w[ie] * transport::fermi(energies[ie], mu[p], kt_);
-    req.density_weight_contacts[p] = {std::move(wp)};
+    req.density_weight[p] = {std::move(wp)};
   }
   attach_contacts(req, &mu);
   const SweepResult res = engine_->run(req);
@@ -582,12 +571,12 @@ std::vector<double> Simulator::dissipative_charge(
   req.point.want_density = true;
   req.point.want_current = false;
   req.point.want_caroli = false;
-  req.density_weight_contacts.resize(mu_full.size());
+  req.density_weight.resize(mu_full.size());
   for (std::size_t p = 0; p < mu_full.size(); ++p) {
     std::vector<double> wp(w.size());
     for (std::size_t ie = 0; ie < w.size(); ++ie)
       wp[ie] = w[ie] * transport::fermi(energies[ie], mu_full[p], kt_);
-    req.density_weight_contacts[p] = {std::move(wp)};
+    req.density_weight[p] = {std::move(wp)};
   }
   attach_contacts(req, &mu_full);
   const SweepResult res = engine_->run(req);
@@ -606,9 +595,10 @@ std::vector<double> Simulator::terminal_currents(
     const std::vector<double>& energies, const std::vector<double>& mu,
     const std::vector<double>* potential) {
   const std::size_t ncon = config_.contacts.size();
-  if (mu.size() != std::max<std::size_t>(ncon, 2))
+  if (mu.size() != ncon)
     throw std::invalid_argument(
         "terminal_currents: one chemical potential per terminal");
+  require_finite_mu("terminal_currents", mu);
   if (!probe_sites_.empty()) {
     // Dissipative currents: sweep the pairwise T over real + probe
     // terminals, tune the probe potentials to zero net probe current, and
@@ -623,17 +613,13 @@ std::vector<double> Simulator::terminal_currents(
     currents.resize(mu.size());
     return currents;
   }
-  if (ncon < 3) {
-    // Two terminals: I = {+I_landauer, -I_landauer}, source first in
-    // terminal order.
-    const auto [src, drn] =
-        ncon == 2 ? classic_pair_indices() : std::pair<idx, idx>{0, 1};
-    const double i =
-        current(energies, mu[static_cast<std::size_t>(src)],
-                mu[static_cast<std::size_t>(drn)], potential);
-    std::vector<double> out(2, 0.0);
-    out[static_cast<std::size_t>(src)] = i;
-    out[static_cast<std::size_t>(drn)] = -i;
+  if (ncon == 2) {
+    // Two terminals: +I_landauer into the source (the contact at block 0),
+    // -I_landauer into the drain.
+    const std::size_t src = source_terminal();
+    const double i = current(energies, mu[src], mu[1 - src], potential);
+    std::vector<double> out(2, -i);
+    out[src] = i;
     return out;
   }
   const Spectrum sp = transmission_spectrum(energies, potential);
@@ -687,18 +673,16 @@ std::vector<double> Simulator::adaptive_energy_grid(
 
 double Simulator::current(const std::vector<double>& energies, double mu_l,
                           double mu_r, const std::vector<double>* potential) {
-  if (!probe_sites_.empty() && config_.contacts.size() < 3) {
-    // Dissipative drain current: the Landauer integral over the coherent
-    // T_01 misses the probe-mediated (phase-broken) share, so route
-    // through the tuned Buettiker sum and report the source terminal.
-    const auto [src, drn] = config_.contacts.size() == 2
-                                ? classic_pair_indices()
-                                : std::pair<idx, idx>{0, 1};
-    std::vector<double> mu(2, 0.0);
-    mu[static_cast<std::size_t>(src)] = mu_l;
-    mu[static_cast<std::size_t>(drn)] = mu_r;
-    return terminal_currents(energies, mu,
-                             potential)[static_cast<std::size_t>(src)];
+  if (config_.contacts.size() == 2) {
+    const std::vector<double> mu = pair_mu("current", mu_l, mu_r);
+    if (!probe_sites_.empty()) {
+      // Dissipative drain current: the Landauer integral over the coherent
+      // T_01 misses the probe-mediated (phase-broken) share, so route
+      // through the tuned Buettiker sum and report the source terminal.
+      return terminal_currents(energies, mu, potential)[source_terminal()];
+    }
+  } else {
+    require_finite_mu("current", {mu_l, mu_r});
   }
   const Spectrum sp = transmission_spectrum(energies, potential);
   return transport::landauer_current(sp.energies, sp.transmission, mu_l, mu_r,
@@ -726,11 +710,8 @@ std::vector<Simulator::IvPoint> Simulator::transfer_characteristics(
   // lead eigenproblems.
   const std::vector<double> shifts =
       scf.resolved_contact_shifts(config_.contacts.size());
-  if (config_.contacts.empty())
-    set_contact_shift(shifts.front());
-  else
-    for (std::size_t i = 0; i < shifts.size(); ++i)
-      set_contact_shift(static_cast<idx>(i), shifts[i]);
+  for (std::size_t i = 0; i < shifts.size(); ++i)
+    set_contact_shift(static_cast<idx>(i), shifts[i]);
   const double mu_drain = mu_source - vds;
   std::vector<IvPoint> out;
   out.reserve(vgs_values.size());

@@ -36,9 +36,9 @@ using numeric::idx;
 /// builds the lead blocks, resolves the attachment block, and threads the
 /// result through every engine sweep as a transport::ContactSet.
 struct ContactConfig {
-  /// Uniform lead potential shift (eV), the per-contact generalization of
-  /// ObcOptions::contact_shift.  Mutable after construction through
-  /// Simulator::set_contact_shift(contact, shift).
+  /// Lead potential shift (eV): the boundary at E is the pristine lead's at
+  /// E - shift.  Part of this contact's boundary-cache keys.  Mutable after
+  /// construction through Simulator::set_contact_shift(contact, shift).
   double shift = 0.0;
   /// Device block the contact attaches to: 0, transport::kLastBlock, or an
   /// interior block (interior attachments need a kMultiTerminal solver:
@@ -64,13 +64,13 @@ struct SimulationConfig {
   transport::EnergyPointOptions point;
   /// Inner Newton loop of the probe chemical-potential tuning.
   scattering::ProbeTuneOptions probe_tune;
-  /// Terminal layout.  Empty = the classic two-identical-contacts device
-  /// (source at block 0, drain at the last block, both the device's lead
-  /// material) — the seed behavior, bit-identical.  Non-empty layouts are
-  /// validated at construction (>= 2 contacts, in-range pairwise-distinct
-  /// attachment blocks); a symmetric pair configured explicitly is
-  /// normalized by the engine back onto the classic pipeline and stays
-  /// bit-identical to the empty layout.
+  /// Terminal layout, validated at construction (>= 2 contacts, in-range
+  /// pairwise-distinct attachment blocks).  Empty = the two-contact device:
+  /// construction fills in source (block 0) and drain (last block), both
+  /// the device's lead material at `point.obc_opts.contact_shift`, and then
+  /// zeroes that option — every sweep carries its shifts on the contacts.
+  /// The two identical end contacts, in either order, share one boundary
+  /// per (k, E) and run the batched pipeline.
   std::vector<ContactConfig> contacts;
   idx num_k = 1;          ///< transverse momentum points (z-periodic only)
   int num_devices = 2;    ///< emulated accelerators
@@ -156,7 +156,8 @@ class Simulator {
   /// classic two-contact entry point, kept as a thin forwarding wrapper so
   /// existing examples and tests compile unchanged.  mu_l occupies the
   /// contact attached at block 0, mu_r the one at the last block.  Throws
-  /// std::invalid_argument when >= 3 contacts are configured.
+  /// std::invalid_argument when >= 3 contacts are configured or a chemical
+  /// potential is not finite.
   std::vector<double> charge_density(
       const std::vector<double>& energies, double mu_l, double mu_r,
       const std::vector<double>* potential,
@@ -166,10 +167,12 @@ class Simulator {
 
   /// N-terminal charge per physical cell: contact p's injected density is
   /// occupied at mu[p] (one entry per configured contact, terminal order).
-  /// Two-terminal layouts forward to the classic pair path above
+  /// Two-terminal layouts forward to the source/drain path above
   /// (bit-identical weights); >= 3 terminals integrate per-contact
   /// trapezoid-times-Fermi weights on `energies` (real-grid only — the
   /// contour's equilibrium/bias split is a two-reservoir construction).
+  /// Throws std::invalid_argument, naming the terminal, for a non-finite
+  /// mu.
   std::vector<double> charge_density(
       const std::vector<double>& energies, const std::vector<double>& mu,
       const std::vector<double>* potential,
@@ -182,7 +185,8 @@ class Simulator {
   /// the Buettiker sum over the k-averaged T_pq spectrum.  sum_p I_p
   /// vanishes to rounding (transport::buttiker_currents's antisymmetric
   /// accumulation).  Two-terminal layouts reduce to {+I, -I} of the
-  /// Landauer current.
+  /// Landauer current.  Throws std::invalid_argument, naming the terminal,
+  /// for a non-finite mu.
   std::vector<double> terminal_currents(const std::vector<double>& energies,
                                         const std::vector<double>& mu,
                                         const std::vector<double>* potential);
@@ -199,7 +203,8 @@ class Simulator {
       double tol = 0.5, double min_spacing = 1e-3);
 
   /// Ballistic drain current (2e/h * eV units) through the device with the
-  /// given potential profile.
+  /// given potential profile.  Throws std::invalid_argument, naming the
+  /// terminal, for a non-finite mu_l or mu_r.
   double current(const std::vector<double>& energies, double mu_l, double mu_r,
                  const std::vector<double>* potential);
 
@@ -243,8 +248,7 @@ class Simulator {
   /// solves new lead eigenproblems, a value seen before hits the cache.
   ///
   /// Deprecated in favor of set_contact_shift(contact, shift): this is the
-  /// uniform-shift wrapper, forwarding the one value to every configured
-  /// contact (and to the classic ObcOptions::contact_shift).
+  /// uniform-shift wrapper, forwarding the one value to every contact.
   void set_contact_shift(double shift);
 
   /// Per-contact lead potential shift, part of that contact's cache keys
@@ -252,7 +256,7 @@ class Simulator {
   /// Throws std::invalid_argument for an out-of-range index.
   void set_contact_shift(idx contact, double shift);
 
-  /// Number of configured contacts (0 = the implicit classic pair).
+  /// Number of contacts (2 for a device configured with an empty layout).
   idx num_contacts() const noexcept {
     return static_cast<idx>(config_.contacts.size());
   }
@@ -287,19 +291,26 @@ class Simulator {
   /// Cumulative boundary-cache counters of the engine's per-rank caches.
   obc::BoundaryCache::Stats boundary_cache_stats() const;
 
-  /// Cumulative counters of one contact's cache entries (classic requests
-  /// fetch under contact id 0).
+  /// Cumulative counters of one contact's cache entries.  Contacts sharing
+  /// a boundary fetch under the lowest index: in the default pair contact
+  /// 0 carries every fetch and contact 1 none.
   obc::BoundaryCache::Stats contact_boundary_cache_stats(idx contact) const;
 
  private:
-  /// Builds the SweepContact list (+ lead-table pointer) for one request;
-  /// no-op for the empty classic layout.  `mu` (terminal order, optional)
-  /// fills the per-contact chemical potentials.
+  /// Builds the SweepContact list (contacts, then probes) and the lead-table
+  /// pointer for one request.  `mu` (terminal order, optional) fills the
+  /// per-contact chemical potentials.
   void attach_contacts(SweepRequest& req, const std::vector<double>* mu) const;
 
-  /// Terminal indices of the classic pair: .first attaches at block 0,
-  /// .second at the last block.  Only valid for two-contact layouts.
-  std::pair<idx, idx> classic_pair_indices() const;
+  /// Terminal index of the source — the contact attached at block 0 — of a
+  /// two-contact layout; the drain is 1 - source_terminal().
+  std::size_t source_terminal() const noexcept;
+
+  /// {mu_l, mu_r} in terminal order (mu_l on the source), each checked
+  /// finite (std::invalid_argument naming the terminal, prefixed `what`).
+  /// Only valid for two-contact layouts.
+  std::vector<double> pair_mu(const char* what, double mu_l,
+                              double mu_r) const;
 
   /// Recompute probe_sites_ from the configured scattering model against
   /// the device's block layout and contact attachment blocks.
@@ -348,7 +359,7 @@ class Simulator {
   double kt_ = 0.0259;
   /// Lead spectral minimum at k = 0 (eV, zero potential), computed once at
   /// construction: the contour quadrature anchors below
-  /// band_min + min(0, potential) + min(0, contact_shift) - margin.
+  /// band_min + min(0, potential) + min(0, contact shifts) - margin.
   double lead_band_min_ = 0.0;
 };
 

@@ -65,8 +65,7 @@ struct ScfOptions {
   /// solves — one path for both spellings.
   std::vector<double> contact_shifts;
   /// Unify the two spellings: one shift per contact, max(num_contacts, 1)
-  /// entries (classic no-contact layouts read entry 0 as the uniform
-  /// ObcOptions shift).  Throws std::invalid_argument when `contact_shifts`
+  /// entries.  Throws std::invalid_argument when `contact_shifts`
   /// is non-empty and its size disagrees with `num_contacts`, or when both
   /// spellings are set at once.
   std::vector<double> resolved_contact_shifts(std::size_t num_contacts) const;

@@ -17,17 +17,6 @@ using solvers::BoundaryProblem;
 
 namespace {
 
-/// The classic pair of one task: its lead at both ends, at the uniform
-/// contact shift, keyed under contact id 0 with the task's lead hash.
-Contact task_contact(const BatchTask& task, const EnergyPointOptions& options) {
-  Contact c;
-  c.lead = task.lead;
-  c.folded = task.folded;
-  c.shift = options.obc_opts.contact_shift;
-  c.lead_hash = task.lead_hash;
-  return c;
-}
-
 std::uint64_t operand_bytes(const CMatrix& m) {
   return std::uint64_t(m.rows()) * std::uint64_t(m.cols()) * sizeof(cplx);
 }
@@ -55,13 +44,20 @@ std::vector<EnergyPointResult> solve_energy_batch(
   // Each job uses its own strategy instance and workspace arena; the
   // BoundaryCache's first-insert-wins discipline makes concurrent misses on
   // one key converge on a single canonical Boundary.
-  for (const BatchTask& task : tasks)
-    if (task.dm == nullptr || task.lead == nullptr || task.folded == nullptr)
+  for (const BatchTask& task : tasks) {
+    if (task.dm == nullptr || task.contacts == nullptr)
       throw std::invalid_argument("solve_energy_batch: null task operand");
+    const idx task_nb = task.dm->h.num_blocks();
+    task.contacts->validate(task_nb);
+    if (!task.contacts->symmetric_pair(task_nb))
+      throw std::invalid_argument(
+          "solve_energy_batch: a task's contacts are not a symmetric pair "
+          "(two end contacts sharing one boundary)");
+  }
 
   if (options.scattering.algorithm != scattering::ScatteringAlgorithm::kNone) {
-    // Provider assembly can grow the terminal set beyond the classic pair,
-    // and the batched two-contact arithmetic then no longer applies.
+    // Provider assembly can grow the terminal set beyond the pair, and the
+    // batched two-contact arithmetic then no longer applies.
     // Degrade to per-task scalar solves — each routes through the
     // ContactSet multi-terminal path with the probes attached.  A model
     // that attaches nothing (buttiker_probe at eta <= 0) falls through to
@@ -73,12 +69,9 @@ std::vector<EnergyPointResult> solve_energy_batch(
       for (std::size_t i = 0; i < n; ++i) {
         EnergyPointOptions task_options = options;
         task_options.k_index = tasks[i].k_index;
-        const Contact c = task_contact(tasks[i], options);
-        results[i] = solve_energy_point(
-            ctx.point, *tasks[i].dm,
-            ContactSet::pair(*c.lead, *c.folded, 0.0, 0.0, c.shift,
-                             c.lead_hash),
-            tasks[i].energy, task_options, pool);
+        results[i] = solve_energy_point(ctx.point, *tasks[i].dm,
+                                        *tasks[i].contacts, tasks[i].energy,
+                                        task_options, pool);
       }
       if (stats != nullptr) {
         BatchStats local;
@@ -115,7 +108,7 @@ std::vector<EnergyPointResult> solve_energy_batch(
       EnergyPointOptions task_options = options;
       task_options.k_index = task.k_index;
       auto strategy = obc::make_obc_strategy(task_options.obc);
-      return detail::fetch_boundary(*strategy, task_contact(task, options), 0,
+      return detail::fetch_boundary(*strategy, (*task.contacts)[0], 0,
                                     cplx{task.energy, 0.0}, task_options);
     }));
   }
@@ -224,9 +217,9 @@ std::vector<EnergyPointResult> solve_energy_batch(
   if (batched && backend.offloads()) {
     for (const std::size_t i : solvable) {
       const obc::Boundary& bnd = boundaries[i].get();
-      obc::BoundaryKey key = detail::boundary_key(
-          task_contact(tasks[i], options), 0, cplx{tasks[i].energy, 0.0},
-          options);
+      obc::BoundaryKey key =
+          detail::boundary_key((*tasks[i].contacts)[0], 0,
+                               cplx{tasks[i].energy, 0.0}, options);
       key.k = tasks[i].k_index;
       const std::uint64_t key_digest = key.digest();
       const CMatrix* operands[4] = {&bnd.sigma_l, &bnd.sigma_r, &ctx.b_top[i],

@@ -16,7 +16,6 @@
 // bit-identical to the unbatched path, task by task.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "transport/transmission.hpp"
@@ -33,11 +32,9 @@ struct BatchTask {
   idx k_index = 0;     ///< global momentum index (boundary-cache key)
   double energy = 0.0;
   const dft::DeviceMatrices* dm = nullptr;
-  const dft::LeadBlocks* lead = nullptr;
-  const dft::FoldedLead* folded = nullptr;
-  /// lead_content_hash(*lead), computed once per lead by the caller (0 =
-  /// hash per fetch) — the lead component of the task's BoundaryKey.
-  std::uint64_t lead_hash = 0;
+  /// The k's terminals: must be a ContactSet::symmetric_pair, whose
+  /// contact 0 (lead, shift, lead hash) is the one boundary both ends read.
+  const ContactSet* contacts = nullptr;
 };
 
 /// Per-call accounting, accumulated into the engine's sweep counters.
@@ -79,7 +76,8 @@ struct BatchContext {
 /// actual bucket fill, so every rank resolves the same backend.  When the
 /// resolved solver lacks kBatchable the call degrades to the scalar loop
 /// (still with asynchronous OBC prefetch when a cache is bound).  Results
-/// are in task order.
+/// are in task order.  Throws std::invalid_argument when a task's set is
+/// not a symmetric pair.
 std::vector<EnergyPointResult> solve_energy_batch(
     BatchContext& ctx, const std::vector<BatchTask>& tasks,
     const EnergyPointOptions& options, parallel::DevicePool* pool,

@@ -55,6 +55,10 @@ bool ContactSet::classic_pair(idx nb) const {
   return (b0 == 0 && b1 == nb - 1) || (b1 == 0 && b0 == nb - 1);
 }
 
+bool ContactSet::symmetric_pair(idx nb) const {
+  return classic_pair(nb) && representative(1) == 0;
+}
+
 idx ContactSet::left(idx nb) const { return resolve_block(0, nb) == 0 ? 0 : 1; }
 
 idx ContactSet::right(idx nb) const {
@@ -94,11 +98,10 @@ idx ContactSet::representative(idx i) const {
 
 ContactSet ContactSet::pair(const dft::LeadBlocks& lead,
                             const dft::FoldedLead& folded, double mu_l,
-                            double mu_r, double shift,
-                            std::uint64_t lead_hash) {
+                            double mu_r, double shift) {
   std::vector<Contact> c(2);
-  c[0] = Contact{&lead, &folded, mu_l, shift, 0, lead_hash};
-  c[1] = Contact{&lead, &folded, mu_r, shift, kLastBlock, lead_hash};
+  c[0] = Contact{&lead, &folded, mu_l, shift, 0};
+  c[1] = Contact{&lead, &folded, mu_r, shift, kLastBlock};
   return ContactSet(std::move(c));
 }
 

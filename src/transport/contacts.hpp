@@ -107,6 +107,12 @@ class ContactSet {
   idx left(idx nb) const;
   idx right(idx nb) const;
 
+  /// True when the set is a classic_pair() whose two contacts share one
+  /// representative (same lead content and shift, hence no probes): one
+  /// Boundary, fetched under contact id 0, serves both ends — the shape
+  /// the batched pipeline (transport::solve_energy_batch) runs.
+  bool symmetric_pair(idx nb) const;
+
   /// True when contacts i and j share boundary data: same lead content
   /// (identical pointer, or equal nonzero hashes) and the same shift.
   /// mu may differ — it weights observables, not the boundary itself.
@@ -121,8 +127,7 @@ class ContactSet {
   /// The classic symmetric pair: one lead serves both ends.
   static ContactSet pair(const dft::LeadBlocks& lead,
                          const dft::FoldedLead& folded, double mu_l,
-                         double mu_r, double shift = 0.0,
-                         std::uint64_t lead_hash = 0);
+                         double mu_r, double shift = 0.0);
 
  private:
   std::vector<Contact> contacts_;

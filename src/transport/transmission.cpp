@@ -666,10 +666,10 @@ EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
     if (assemble_providers(contacts, nb, options.scattering, assembled)) {
       EnergyPointResult r =
           solve_energy_point(ctx, dm, assembled, energy, options, pool);
-      // A classic pair maps its per-contact densities back onto the
-      // source/drain slots.  Probe-injected charge has no slot in the
-      // two-table classic weighting — N-terminal charge consumers use
-      // contact_density with density_weight_contacts instead.
+      // An end pair maps its per-contact densities back onto the
+      // source/drain slots as well.  Probe-injected charge has no slot
+      // there — charge consumers weighting every terminal read
+      // contact_density.
       if (contacts.classic_pair(nb) && !r.contact_density.empty()) {
         const auto src = static_cast<std::size_t>(contacts.left(nb));
         const auto drn = static_cast<std::size_t>(contacts.right(nb));

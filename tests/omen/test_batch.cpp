@@ -7,13 +7,16 @@
 // prefetch running against the batched device phase.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "dft/hamiltonian.hpp"
+#include "numeric/backend.hpp"
 #include "numeric/blas.hpp"
 #include "omen/engine.hpp"
 #include "omen/simulator.hpp"
 #include "transport/bands.hpp"
+#include "transport/batch.hpp"
 
 namespace df = omenx::dft;
 namespace lt = omenx::lattice;
@@ -250,4 +253,36 @@ TEST(EngineBatch, ChargeBitIdenticalBatchedVsUnbatchedAcrossWorlds) {
     for (std::size_t c = 0; c < charge.size(); ++c)
       EXPECT_EQ(charge[c], ref[c]) << "ranks=" << ranks << " cell " << c;
   }
+}
+
+TEST(EngineBatch, BatchRefusesTasksWhoseContactsAreNotASymmetricPair) {
+  // The batched pipeline is the one-boundary pair arithmetic: a task whose
+  // end contacts do not share a boundary must be refused, never solved
+  // with contact 0's boundary at both ends.
+  const df::LeadBlocks lead = synthetic_lead(4, 61);
+  const df::LeadBlocks other = synthetic_lead(4, 62);
+  const df::FoldedLead folded = df::fold_lead(lead);
+  const df::FoldedLead other_folded = df::fold_lead(other);
+  const df::DeviceMatrices dm =
+      df::assemble_device(lead, 8, std::vector<double>(8, 0.0));
+  tr::BatchContext ctx;
+  const auto run = [&](const tr::ContactSet& contacts) {
+    return tr::solve_energy_batch(ctx, {{0, 0.3, &dm, &contacts}},
+                                  cheap_options(), nullptr,
+                                  nm::host_backend(), 4);
+  };
+  const tr::ContactSet pair = tr::ContactSet::pair(lead, folded, 0.0, 0.0);
+  EXPECT_NO_THROW(run(pair));
+  EXPECT_NO_THROW(run(tr::ContactSet({pair[1], pair[0]})));  // drain first
+
+  tr::ContactSet shifted = pair;
+  shifted.at(1).shift = 0.1;
+  EXPECT_THROW(run(shifted), std::invalid_argument);
+  tr::ContactSet dissimilar = pair;
+  dissimilar.at(1).lead = &other;
+  dissimilar.at(1).folded = &other_folded;
+  EXPECT_THROW(run(dissimilar), std::invalid_argument);
+  tr::ContactSet interior = pair;
+  interior.at(1).block = 1;
+  EXPECT_THROW(run(interior), std::invalid_argument);
 }

@@ -365,6 +365,21 @@ TEST(Engine, BoundaryCacheReusedAcrossSweeps) {
   for (std::size_t i = 0; i < grid.size(); ++i)
     EXPECT_DOUBLE_EQ(second.transmission[i], first.transmission[i]);
 
+  // The default pair shares one boundary: contact 0 carries every fetch
+  // and contact 1 none, cumulatively and in the run's own stats.
+  const auto total = sim.boundary_cache_stats();
+  const auto c0 = sim.contact_boundary_cache_stats(0);
+  const auto c1 = sim.contact_boundary_cache_stats(1);
+  EXPECT_EQ(c0.hits, total.hits);
+  EXPECT_EQ(c0.misses, total.misses);
+  EXPECT_EQ(c0.insertions, total.insertions);
+  EXPECT_EQ(c1.hits + c1.misses + c1.insertions, 0u);
+  const auto& per_run = sim.last_sweep_stats().contact_cache_stats;
+  ASSERT_EQ(per_run.size(), 2u);
+  EXPECT_EQ(per_run[0].hits, grid.size());
+  EXPECT_EQ(per_run[0].misses, 0u);
+  EXPECT_EQ(per_run[1].hits + per_run[1].misses, 0u);
+
   // The charge sweep revisits the same keys: still no new lead solves.
   const double mu = 0.5 * (window.emin + window.emax);
   sim.charge_density(grid, mu, mu - 0.1, nullptr);
@@ -593,6 +608,63 @@ TEST(Engine, NonFiniteInputsAreRejectedAndNeverPoisonTheCache) {
   bad.contacts[0].block = 0;
   bad.contacts[1].shift = nan;
   EXPECT_THROW(engine.run(bad), std::invalid_argument);
+  // A non-finite density weight would return NaN charge.
+  bad = req;
+  bad.density_weight = {{{nan}}, {{0.0}}};
+  EXPECT_THROW(engine.run(bad), std::invalid_argument);
+  bad.density_weight = {{{0.0}}, {{std::numeric_limits<double>::infinity()}}};
+  EXPECT_THROW(engine.run(bad), std::invalid_argument);
+}
+
+TEST(Engine, NonFiniteChemicalPotentialsAreRejected) {
+  // Every Fermi weight of a NaN terminal is NaN: the simulator must refuse
+  // the call and name the terminal instead of returning NaN observables.
+  om::Simulator sim(chain_config(8, 1));
+  const auto window = tr::band_window(sim.bands(9));
+  const double mu = 0.5 * (window.emin + window.emax);
+  std::vector<double> grid;
+  for (double e = window.emin + 0.05; e < window.emax; e += 0.2)
+    grid.push_back(e);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto message_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no std::invalid_argument";
+  };
+  const auto names = [](const std::string& what, const char* terminal) {
+    return what.find(terminal) != std::string::npos;
+  };
+  EXPECT_TRUE(names(
+      message_of([&] { sim.charge_density(grid, nan, mu - 0.1, nullptr); }),
+      "terminal 0"));
+  EXPECT_TRUE(names(message_of([&] {
+                      sim.charge_density(grid, mu, nan, nullptr,
+                                         omenx::charge::QuadratureAlgorithm::
+                                             kContour);
+                    }),
+                    "terminal 1"));
+  EXPECT_TRUE(names(message_of([&] {
+                      sim.charge_density(grid, std::vector<double>{mu, nan},
+                                         nullptr);
+                    }),
+                    "terminal 1"));
+  EXPECT_TRUE(names(
+      message_of([&] { sim.current(grid, nan, mu - 0.1, nullptr); }),
+      "terminal 0"));
+  EXPECT_TRUE(names(message_of([&] {
+                      sim.terminal_currents(
+                          grid, {nan, 0.1}, nullptr);
+                    }),
+                    "terminal 0"));
+  EXPECT_TRUE(names(message_of([&] {
+                      sim.terminal_currents(
+                          grid, {0.1, std::numeric_limits<double>::infinity()},
+                          nullptr);
+                    }),
+                    "terminal 1"));
 }
 
 TEST(Engine, RandomizedCacheFreshnessMatchesUncachedSweeps) {
@@ -629,7 +701,8 @@ TEST(Engine, RandomizedCacheFreshnessMatchesUncachedSweeps) {
     req.point.obc_opts.feast.annulus_r = c[2] != 0 ? 8.0 : 20.0;
     req.point.obc_opts.boundary.pinv_ridge = c[3] != 0 ? 1e-10 : 1e-12;
     if (c[5] == 0) {
-      req.point.obc_opts.contact_shift = shifts[c[6]];
+      req.contacts[0].shift = shifts[c[6]];
+      req.contacts[1].shift = shifts[c[6]];
     } else {
       req.contacts.resize(2);
       req.contacts[0].block = 0;
@@ -701,6 +774,9 @@ TEST(Engine, RandomizedCacheFreshnessMatchesUncachedSweeps) {
 TEST(Engine, RejectsBadRequests) {
   om::Engine engine(om::EngineConfig{});
   om::SweepRequest req;
+  req.point = cheap_options();
+  req.cells = 8;
+  req.potential.assign(8, 0.0);
   EXPECT_THROW(engine.run(req), std::invalid_argument);  // null leads
   std::vector<df::LeadBlocks> leads{synthetic_lead(4, 3)};
   req.leads = &leads;
@@ -708,8 +784,39 @@ TEST(Engine, RejectsBadRequests) {
   req.energies = {{0.0}, {0.0}};
   EXPECT_THROW(engine.run(req), std::invalid_argument);  // fewer leads
   req.energies = {{0.0, 1.0}};
-  req.density_weight = {{1.0}};
-  EXPECT_THROW(engine.run(req), std::invalid_argument);  // weight shape
+  const auto rejects = [&](const om::SweepRequest& bad) {
+    EXPECT_THROW(engine.run(bad), std::invalid_argument);
+  };
+
+  // Contact lists: a sweep names at least two terminals.
+  om::SweepRequest bad = req;
+  bad.contacts.resize(1);
+  rejects(bad);
+  bad.contacts.clear();
+  rejects(bad);
+
+  // The weight table is [contact][ik][ie].
+  bad = req;
+  bad.density_weight = {{{1.0, 1.0}}};  // one table for two contacts
+  rejects(bad);
+  bad.density_weight = {{{1.0, 1.0}}, {{1.0, 1.0}}, {{1.0, 1.0}}};
+  rejects(bad);
+  bad.density_weight = {{{1.0, 1.0}, {1.0, 1.0}}, {{1.0, 1.0}, {1.0, 1.0}}};
+  rejects(bad);  // k shape
+  bad.density_weight = {{{1.0}}, {{1.0, 1.0}}};
+  rejects(bad);  // E shape
+  bad.density_weight = {{{1.0, 1.0}}, {{1.0}}};
+  rejects(bad);  // E shape
+
+  // The options' uniform shift is not a side channel: shifts live on the
+  // contacts.
+  bad = req;
+  bad.point.obc_opts.contact_shift = 0.1;
+  rejects(bad);
+
+  // The well-formed request runs.
+  req.density_weight = {{{1.0, 1.0}}, {{0.5, 0.5}}};
+  EXPECT_NO_THROW(engine.run(req));
   EXPECT_THROW(om::Engine(om::EngineConfig{0, 1, true, true}),
                std::invalid_argument);
 }

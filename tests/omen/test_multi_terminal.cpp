@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "omen/simulator.hpp"
@@ -167,6 +168,63 @@ TEST(MultiTerminal, ExplicitSymmetricPairScfParity) {
     for (std::size_t c = 0; c < base[p].potential.size(); ++c)
       EXPECT_EQ(iv[p].potential[c], base[p].potential[c])
           << "bias point " << p << " cell " << c;
+  }
+}
+
+TEST(MultiTerminal, ReversedPairBitIdenticalToDefault) {
+  // The pair listed drain first ({last, 0}) is the same device: mu and the
+  // charge weights are routed by attachment block, not list position, so
+  // T(E), both charge quadratures and the terminal currents must match the
+  // default pair to the last bit.
+  std::vector<double> barrier(12, 0.0);
+  barrier[5] = barrier[6] = 0.6;
+  omenx::charge::QuadratureOptions qopt;
+  qopt.contour_points = 24;  // accuracy is not under test here
+  for (const int ranks : {1, 2}) {
+    om::SimulationConfig cfg = chain_config(12);
+    cfg.num_ranks = ranks;
+    om::Simulator pair(cfg);
+    cfg.contacts = explicit_pair();
+    std::swap(cfg.contacts[0], cfg.contacts[1]);
+    om::Simulator reversed(cfg);
+    const auto win = tr::band_window(pair.bands(9));
+    const double mu = 0.5 * (win.emin + win.emax);
+    std::vector<double> grid;
+    for (double e = win.emin - 0.2; e <= mu + 0.5; e += 0.05)
+      grid.push_back(e);
+
+    const auto t_pair = pair.transmission_spectrum(grid, &barrier);
+    const auto t_rev = reversed.transmission_spectrum(grid, &barrier);
+    for (std::size_t i = 0; i < grid.size(); ++i)
+      EXPECT_EQ(t_rev.transmission[i], t_pair.transmission[i])
+          << "ranks=" << ranks << " point " << i;
+
+    for (const auto quadrature : {omenx::charge::QuadratureAlgorithm::kRealGrid,
+                                  omenx::charge::QuadratureAlgorithm::kContour}) {
+      const auto q_pair =
+          pair.charge_density(grid, mu, mu - 0.3, &barrier, quadrature, qopt);
+      const auto q_rev = reversed.charge_density(grid, mu, mu - 0.3, &barrier,
+                                                 quadrature, qopt);
+      // Per-terminal spelling: the reversed list's terminal 0 is the drain.
+      const auto q_terms = reversed.charge_density(
+          grid, std::vector<double>{mu - 0.3, mu}, &barrier, quadrature,
+          qopt);
+      ASSERT_EQ(q_rev.size(), q_pair.size());
+      ASSERT_EQ(q_terms.size(), q_pair.size());
+      for (std::size_t c = 0; c < q_pair.size(); ++c) {
+        EXPECT_EQ(q_rev[c], q_pair[c]) << "ranks=" << ranks << " cell " << c;
+        EXPECT_EQ(q_terms[c], q_pair[c]) << "ranks=" << ranks << " cell " << c;
+      }
+    }
+
+    const auto i_pair =
+        pair.terminal_currents(grid, {mu, mu - 0.3}, &barrier);
+    const auto i_rev =
+        reversed.terminal_currents(grid, {mu - 0.3, mu}, &barrier);
+    ASSERT_EQ(i_rev.size(), 2u);
+    EXPECT_NE(i_pair[0], 0.0);
+    EXPECT_EQ(i_rev[1], i_pair[0]) << "ranks=" << ranks;
+    EXPECT_EQ(i_rev[0], i_pair[1]) << "ranks=" << ranks;
   }
 }
 

@@ -70,7 +70,8 @@ WidthRun run_width(tr::SolverAlgorithm solver, int partitions, int ranks,
   req.point.solver = solver;
   req.point.partitions = partitions;
   req.point.want_current = false;
-  req.density_weight = {{0.2, 0.2, 0.2, 0.2, 0.2, 0.2}};
+  req.density_weight = {{{0.2, 0.2, 0.2, 0.2, 0.2, 0.2}},
+                        {{0.0, 0.0, 0.0, 0.0, 0.0, 0.0}}};
 
   om::EngineConfig cfg;
   cfg.num_ranks = ranks;
@@ -229,7 +230,8 @@ TEST(SolverParity, SkippedPointsKeepSpatialProtocolAligned) {
     req.point.partitions = 2;
     req.point.want_caroli = false;
     req.point.want_current = false;
-    req.density_weight = {{0.3, 0.3, 0.3, 0.3, 0.3}};
+    req.density_weight = {{{0.3, 0.3, 0.3, 0.3, 0.3}},
+                          {{0.0, 0.0, 0.0, 0.0, 0.0}}};
     pp::DevicePool pool(2);
 
     om::EngineConfig narrow;
