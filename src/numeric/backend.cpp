@@ -16,11 +16,6 @@ namespace omenx::numeric {
 
 namespace {
 
-// Set while a host-backend lane is executing a batch item.  A nested
-// dispatch from inside a lane must not wait on pool futures (the pool may
-// be fully occupied by its siblings), so it degrades to a serial loop.
-thread_local bool g_in_backend_lane = false;
-
 // Lane discipline shared by every host-backend item: an arena of its own so
 // concurrent lanes never contend on one pool, and nested kernel parallelism
 // off so lanes do not oversubscribe the machine (same rule as the emulated
@@ -32,16 +27,12 @@ void run_lane_item(const std::function<void(std::size_t)>& fn, std::size_t i) {
   const WorkspaceScope scope(lane_workspace);
   const bool saved_parallelism = thread_parallelism();
   set_thread_parallelism(false);
-  const bool saved_lane = g_in_backend_lane;
-  g_in_backend_lane = true;
   try {
     fn(i);
   } catch (...) {
-    g_in_backend_lane = saved_lane;
     set_thread_parallelism(saved_parallelism);
     throw;
   }
-  g_in_backend_lane = saved_lane;
   set_thread_parallelism(saved_parallelism);
 }
 
@@ -57,7 +48,10 @@ class HostBackend final : public Backend {
                 const std::function<void(std::size_t)>& fn) override {
     if (n == 0) return;
     const parallel::TraceScope trace(label, -1);
-    if (n == 1 || g_in_backend_lane) {
+    // A dispatch from a pool worker (a lane's nested batch included) must
+    // not wait on pool futures: the pool may be fully occupied by the
+    // caller's siblings.  It degrades to a serial loop, as parallel_for does.
+    if (n == 1 || parallel::ThreadPool::in_worker()) {
       for (std::size_t i = 0; i < n; ++i) run_lane_item(fn, i);
       return;
     }

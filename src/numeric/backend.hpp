@@ -18,9 +18,13 @@
 // The built-in "host" backend spreads a batch over the process thread pool
 // — one lane per worker, each with its own Workspace arena and with nested
 // kernel parallelism disabled (the emulated-accelerator discipline of
-// parallel/device.hpp).  A device/offload backend slots in by overriding
-// the batched virtuals with genuinely fused kernels and registering itself
-// under a name.
+// parallel/device.hpp).  A dispatch issued from a lane or any other pool
+// worker runs serially on the caller.  Host lanes batch by problem: a
+// solver hands each lane whole (k, E) problems through one dispatch, since
+// the lanes run the same scalar kernels either way.  The stage-wise
+// batched calls below (one GEMM / LU / solve across the batch per stage)
+// are the shape for offload; a device backend slots in by overriding them
+// with genuinely fused kernels and registering itself under a name.
 #pragma once
 
 #include <cstddef>

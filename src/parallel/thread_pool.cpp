@@ -47,7 +47,7 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (g_in_pool_worker) {
+  if (in_worker()) {
     // Nested parallelism would deadlock on a bounded pool; run inline.
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -77,6 +77,8 @@ void ThreadPool::parallel_for(std::size_t n,
   }
   if (first != nullptr) std::rethrow_exception(first);
 }
+
+bool ThreadPool::in_worker() noexcept { return g_in_pool_worker; }
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;

@@ -45,6 +45,11 @@ class ThreadPool {
   /// chunked to roughly 4 chunks per worker.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  /// True on a worker thread of any ThreadPool.  Work issued from there
+  /// must not block on futures of a pool (its own may be fully occupied by
+  /// the caller's siblings), so nested parallelism runs inline instead.
+  static bool in_worker() noexcept;
+
   /// Global pool shared by the whole process (lazily constructed).
   static ThreadPool& global();
 

@@ -51,6 +51,11 @@ class BlockTridiagLU {
   /// bit-identical to BlockTridiagLU(*as[p]): the batched stages run the
   /// same scalar kernels on the same operands, only grouped across
   /// problems instead of across rows.  Throws if shapes differ.
+  ///
+  /// This is the shape for offloading backends, where each stage maps to
+  /// one fused kernel.  Host lanes gain nothing from it (three barriers per
+  /// row); they batch by problem instead, each lane running factor() on
+  /// whole systems (see the block_lu solver's solve_boundary_batched).
   static void factor_batched(std::vector<BlockTridiagLU>& out,
                              const std::vector<const BlockTridiag*>& as,
                              numeric::Backend& backend);

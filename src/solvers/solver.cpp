@@ -199,8 +199,24 @@ class BlockLUSolver final : public Solver {
     if (problems.empty()) return {};
     check_batch_shapes(problems);
     const std::size_t n = problems.size();
-    // Boundary application is cheap copies; run it as one dispatch so every
-    // lane assembles its own T = A - diag-corner(Sigma_L, Sigma_R).
+    std::vector<CMatrix> xs(n);
+    if (!backend.offloads()) {
+      // Host lanes run the same scalar kernels whether rows or problems are
+      // grouped, so they batch by problem: one dispatch, each lane applying,
+      // factoring and solving whole problems on lane-local scratch.  The
+      // row lockstep below would only add three barriers per block row.
+      backend.dispatch("block_lu_batched", n, [&](std::size_t p) {
+        const BoundaryProblem& pr = problems[p];
+        BlockTridiag t;
+        apply_boundary_into(t, *pr.a, *pr.sigma_l, *pr.sigma_r);
+        const BlockTridiagLU lu(t);
+        xs[p] = lu.solve(
+            expand_boundary_rhs(pr.a->dim(), *pr.b_top, *pr.b_bot));
+      });
+      return xs;
+    }
+    // Offload: boundary application is cheap copies; run it as one dispatch
+    // so every stream assembles its own T = A - diag-corner(Sigma_L, Sigma_R).
     ts_.resize(n);
     backend.dispatch("block_lu_apply_boundary", n, [&](std::size_t p) {
       apply_boundary_into(ts_[p], *problems[p].a, *problems[p].sigma_l,
@@ -209,9 +225,9 @@ class BlockLUSolver final : public Solver {
     std::vector<const BlockTridiag*> systems(n);
     for (std::size_t p = 0; p < n; ++p) systems[p] = &ts_[p];
     // The whole batch factors in stage lockstep: each elimination row issues
-    // one batched left-solve, one batched GEMM, one batched LU.
+    // one batched left-solve, one batched GEMM, one batched LU — the fused
+    // device-kernel shape.
     BlockTridiagLU::factor_batched(lus_, systems, backend);
-    std::vector<CMatrix> xs(n);
     backend.dispatch("block_lu_solve_batched", n, [&](std::size_t p) {
       const CMatrix b = expand_boundary_rhs(problems[p].a->dim(),
                                             *problems[p].b_top,
@@ -223,8 +239,8 @@ class BlockLUSolver final : public Solver {
 
  private:
   BlockTridiagLU lu_;
-  std::vector<BlockTridiag> ts_;    ///< per-problem boundary-applied systems
-  std::vector<BlockTridiagLU> lus_; ///< per-problem factors (batch scratch)
+  std::vector<BlockTridiag> ts_;    ///< offload path: boundary-applied systems
+  std::vector<BlockTridiagLU> lus_; ///< offload path: per-problem factors
 };
 
 /// Block cyclic reduction (OMEN's tight-binding solver).  BCR has no

@@ -7,9 +7,12 @@
 //      submitted to the process thread pool up front ("obc_prefetch" trace
 //      spans), so the lead stage runs asynchronously ahead of —
 //   2. the device phase: SplitSolve Step 1 / block-LU factorization of the
-//      whole bucket issued as single batched numeric::Backend calls
-//      ("batch_device_phase" trace span), then the per-task boundary
-//      solves, fused through Solver::solve_boundary_batched.
+//      whole bucket and the per-task boundary solves, fused through
+//      Solver::solve_boundary_batched ("batch_device_phase" trace span).
+//      On host lanes a bucket is batched by problem (one dispatch, each
+//      lane factoring and solving whole problems); an offloading backend
+//      gets the block-LU row lockstep, one batched left-solve, GEMM and LU
+//      per elimination row, the fused device-kernel shape.
 //   3. Observables finalize on backend lanes, one task per lane.
 // Every stage runs the same scalar arithmetic as transport::
 // solve_energy_point (the shared detail:: helpers), so results are

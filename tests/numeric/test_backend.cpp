@@ -10,13 +10,16 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "blockmat/block_tridiag.hpp"
 #include "numeric/blas.hpp"
+#include "numeric/device_backend.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/matrix.hpp"
 #include "parallel/device.hpp"
+#include "parallel/thread_pool.hpp"
 #include "solvers/block_lu.hpp"
 #include "solvers/solver.hpp"
 
@@ -96,6 +99,26 @@ TEST(Backend, NestedDispatchFromALaneDegradesToSerial) {
                                 [&](std::size_t) { total++; });
   });
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(Backend, DispatchFromAPoolWorkerRunsInline) {
+  // A caller already on a pool worker (a sweep run inside the global pool)
+  // must not block on futures of the pool it occupies: with every worker
+  // inside an outer item, a submitting dispatch could wait forever.  The
+  // inner batch runs serially on the calling worker instead.
+  EXPECT_FALSE(omenx::parallel::ThreadPool::in_worker());
+  std::atomic<int> total{0};
+  std::atomic<int> off_thread{0};
+  omenx::parallel::ThreadPool::global().parallel_for(16, [&](std::size_t) {
+    EXPECT_TRUE(omenx::parallel::ThreadPool::in_worker());
+    const std::thread::id caller = std::this_thread::get_id();
+    nm::host_backend().dispatch("inner", 8, [&](std::size_t) {
+      total++;
+      if (std::this_thread::get_id() != caller) off_thread++;
+    });
+  });
+  EXPECT_EQ(total.load(), 128);
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 TEST(Backend, GemmBatchedBitIdenticalToScalarLoop) {
@@ -200,7 +223,8 @@ namespace {
 /// Run one solver's batched boundary path against the scalar path of a
 /// *fresh* instance on identical operands; every item must match to the bit.
 void solver_batched_parity(const std::string& solver_name,
-                           const sv::SolverContext& ctx = {}) {
+                           const sv::SolverContext& ctx = {},
+                           nm::Backend& backend = nm::host_backend()) {
   const idx nb = 5, s = 4, cols = 3;
   const std::size_t batch = 6;
   std::vector<bm::BlockTridiag> systems;
@@ -222,9 +246,8 @@ void solver_batched_parity(const std::string& solver_name,
     problems.push_back(
         {&systems[p], &sig_l[p], &sig_r[p], &b_top[p], &b_bot[p]});
   }
-  batched_solver->prepare_batched(ptrs, nm::host_backend());
-  const auto xs =
-      batched_solver->solve_boundary_batched(problems, nm::host_backend());
+  batched_solver->prepare_batched(ptrs, backend);
+  const auto xs = batched_solver->solve_boundary_batched(problems, backend);
   ASSERT_EQ(xs.size(), batch);
 
   for (std::size_t p = 0; p < batch; ++p) {
@@ -239,6 +262,67 @@ void solver_batched_parity(const std::string& solver_name,
 }  // namespace
 
 TEST(Backend, BlockLuSolverBatchedParity) { solver_batched_parity("block_lu"); }
+
+TEST(Backend, BlockLuSolverBatchedParityOnDevice) {
+  // An offloading backend takes the row-lockstep factor_batched path (the
+  // fused device-kernel shape) that host lanes no longer reach; it must
+  // still match the scalar solver to the bit.
+  omenx::parallel::DevicePool pool(2);
+  nm::DeviceBackend device(pool);
+  ASSERT_TRUE(device.offloads());
+  solver_batched_parity("block_lu", {}, device);
+}
+
+namespace {
+
+/// Non-offloading backend that counts every batched entry point it serves
+/// and runs items serially on the caller.
+class CountingBackend final : public nm::Backend {
+ public:
+  const char* name() const noexcept override { return "counting"; }
+  int lanes() const noexcept override { return 4; }
+  void dispatch(const char*, std::size_t n,
+                const std::function<void(std::size_t)>& fn) override {
+    ++dispatches;
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+  void gemm_batched(char op_a, char op_b, idx m, idx n, idx k, cplx alpha,
+                    cplx beta,
+                    const std::vector<nm::GemmBatchItem>& items) override {
+    ++gemms;
+    Backend::gemm_batched(op_a, op_b, m, n, k, alpha, beta, items);
+  }
+  std::vector<nm::LUFactor> lu_factor_batched(
+      const std::vector<const CMatrix*>& as, nm::Pivoting pivoting) override {
+    ++lu_factors;
+    return Backend::lu_factor_batched(as, pivoting);
+  }
+  void lu_solve_left_batched(const std::vector<const nm::LUFactor*>& factors,
+                             const std::vector<const CMatrix*>& bs,
+                             std::vector<CMatrix>& xs) override {
+    ++lu_solve_lefts;
+    Backend::lu_solve_left_batched(factors, bs, xs);
+  }
+
+  int dispatches = 0;
+  int gemms = 0;
+  int lu_factors = 0;
+  int lu_solve_lefts = 0;
+};
+
+}  // namespace
+
+TEST(Backend, BlockLuSolverBatchesHostLanesByProblem) {
+  // On a backend that does not offload, block_lu hands each lane whole
+  // problems: one dispatch per batch, none of the row-lockstep calls.
+  CountingBackend counting;
+  ASSERT_FALSE(counting.offloads());
+  solver_batched_parity("block_lu", {}, counting);
+  EXPECT_EQ(counting.dispatches, 1);
+  EXPECT_EQ(counting.gemms, 0);
+  EXPECT_EQ(counting.lu_factors, 0);
+  EXPECT_EQ(counting.lu_solve_lefts, 0);
+}
 
 TEST(Backend, RgfSolverBatchedParity) { solver_batched_parity("rgf"); }
 
