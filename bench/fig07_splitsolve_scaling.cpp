@@ -63,30 +63,34 @@ dft::LeadBlocks synthetic_lead(idx s, unsigned seed) {
   return lead;
 }
 
-/// Wall-clock length of the union of [start, end) intervals.
-double union_seconds(std::vector<std::pair<double, double>> iv) {
+using Intervals = std::vector<std::pair<double, double>>;
+
+/// The union of [start, end) intervals as sorted, disjoint intervals.
+Intervals merged(Intervals iv) {
   std::sort(iv.begin(), iv.end());
-  double total = 0.0, hi = -1.0, lo = 0.0;
-  bool open = false;
+  Intervals out;
   for (const auto& [a, b] : iv) {
-    if (!open || a > hi) {
-      if (open) total += hi - lo;
-      lo = a;
-      hi = b;
-      open = true;
-    } else {
-      hi = std::max(hi, b);
-    }
+    if (out.empty() || a > out.back().second)
+      out.push_back({a, b});
+    else
+      out.back().second = std::max(out.back().second, b);
   }
-  if (open) total += hi - lo;
+  return out;
+}
+
+/// Wall-clock length of the union of [start, end) intervals.
+double union_seconds(const Intervals& iv) {
+  double total = 0.0;
+  for (const auto& [a, b] : merged(iv)) total += b - a;
   return total;
 }
 
-/// Wall-clock length of the intersection of two interval unions.
-double overlap_seconds(std::vector<std::pair<double, double>> a,
-                       std::vector<std::pair<double, double>> b) {
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
+/// Wall-clock length of the intersection of two interval unions.  Each
+/// side is merged first: spans of one phase overlap one another when
+/// several lanes run it at once, and must count once.
+double overlap_seconds(const Intervals& a_in, const Intervals& b_in) {
+  const Intervals a = merged(a_in);
+  const Intervals b = merged(b_in);
   double total = 0.0;
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -178,7 +182,7 @@ int main() {
     t_wall = timer.seconds();
     batches = res.stats.batches_issued;
 
-    std::vector<std::pair<double, double>> obc_iv, dev_iv;
+    Intervals obc_iv, dev_iv;
     for (const auto& ev : parallel::Tracer::global().events()) {
       if (ev.name == "obc_prefetch") obc_iv.push_back({ev.start_s, ev.end_s});
       if (ev.name == "batch_device_phase")

@@ -5,6 +5,8 @@
 // current packed/blocked kernels and prints GFLOP/s (or points/s) for both,
 // so the performance trajectory of the repository is recorded run over run.
 // Results are also written as BENCH_kernels.json in the working directory.
+// Exits nonzero when the small-shape GEMM's direct and packed routes differ
+// in any bit.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -122,6 +124,78 @@ int main() {
     json += std::string(first ? "" : ",\n") + "    {" + w.body + "}";
     first = false;
   }
+  json += "\n  ],\n  \"gemm_small\": [\n";
+
+  // The tiny shapes a small-block device issues per task: the s x s block
+  // update, the s x 2s RHS update, and the (nb*s) x s times s x 2s
+  // block-column product of RGF and finalize.  Both routes run each shape
+  // (gemm_view's rule picks one); they must agree to the bit.
+  benchutil::header("small-shape zgemm: direct vs packed route (ns/call)");
+  std::printf("%4s %5s %5s %5s %12s %12s %8s %7s\n", "s", "m", "n", "k",
+              "direct ns", "packed ns", "speedup", "route");
+  bool routes_agree = true;
+  first = true;
+  for (idx s : {2, 4, 8}) {
+    const idx nb = 16;
+    const idx shapes[3][3] = {{s, s, s}, {s, 2 * s, s}, {nb * s, 2 * s, s}};
+    for (const auto& shape : shapes) {
+      const idx m = shape[0], n = shape[1], k = shape[2];
+      const CMatrix a = numeric::random_cmatrix(m, k, 11);
+      const CMatrix b = numeric::random_cmatrix(k, n, 12);
+      const CMatrix c0 = numeric::random_cmatrix(m, n, 13);
+      using numeric::detail::GemmRoute;
+      const auto run = [&](GemmRoute route, CMatrix& c, char op_a, char op_b,
+                           cplx alpha) {
+        const bool ta = op_a != 'N', tb = op_b != 'N';
+        // 'T'/'C' read the same buffer as its transposed shape.
+        numeric::detail::gemm_view_via(route, op_a, a.data(), ta ? m : k,
+                                       op_b, b.data(), tb ? k : n, m, n, k,
+                                       alpha, cplx{1.0}, c.data(), n);
+      };
+      for (const char op_a : {'N', 'T', 'C'})
+        for (const char op_b : {'N', 'T', 'C'}) {
+          CMatrix cd = c0, cp = c0;
+          run(GemmRoute::kDirect, cd, op_a, op_b, cplx{0.75, -0.5});
+          run(GemmRoute::kPacked, cp, op_a, op_b, cplx{0.75, -0.5});
+          for (idx i = 0; i < cd.size(); ++i)
+            if (cd.data()[i].real() != cp.data()[i].real() ||
+                cd.data()[i].imag() != cp.data()[i].imag())
+              routes_agree = false;
+        }
+      CMatrix c = c0;
+      const int reps = static_cast<int>(
+          std::max<double>(2000.0, 2e7 / double(m * n * k)));
+      const double t_direct = time_seconds(
+          [&] {
+            run(GemmRoute::kDirect, c, 'N', 'N', cplx{-1.0});
+            benchutil::consume(c.data());
+          },
+          reps);
+      const double t_packed = time_seconds(
+          [&] {
+            run(GemmRoute::kPacked, c, 'N', 'N', cplx{-1.0});
+            benchutil::consume(c.data());
+          },
+          reps);
+      const bool direct = numeric::detail::gemm_direct_shape(m, n, k);
+      std::printf("%4lld %5lld %5lld %5lld %12.1f %12.1f %7.2fx %7s\n",
+                  (long long)s, (long long)m, (long long)n, (long long)k,
+                  t_direct * 1e9, t_packed * 1e9, t_packed / t_direct,
+                  direct ? "direct" : "packed");
+      benchutil::JsonWriter w("%.4f");
+      w.field("s", double(s));
+      w.field("m", double(m));
+      w.field("n", double(n));
+      w.field("k", double(k));
+      w.field("ns_direct", t_direct * 1e9);
+      w.field("ns_packed", t_packed * 1e9);
+      w.field("direct_route", direct ? 1.0 : 0.0, true);
+      json += std::string(first ? "" : ",\n") + "    {" + w.body + "}";
+      first = false;
+    }
+  }
+  std::printf("direct vs packed route: %s\n",
+              routes_agree ? "bit-identical" : "BITS DIFFER");
   json += "\n  ],\n  \"lu\": [\n";
 
   // n = 48 and 96 are the block sizes the pipeline factors.  Per size: the
@@ -250,5 +324,5 @@ int main() {
     std::fclose(f);
     std::printf("\nwrote BENCH_kernels.json\n");
   }
-  return 0;
+  return routes_agree ? 0 : 1;
 }

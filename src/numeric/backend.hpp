@@ -19,12 +19,13 @@
 // — one lane per worker, each with its own Workspace arena and with nested
 // kernel parallelism disabled (the emulated-accelerator discipline of
 // parallel/device.hpp).  A dispatch issued from a lane or any other pool
-// worker runs serially on the caller.  Host lanes batch by problem: a
-// solver hands each lane whole (k, E) problems through one dispatch, since
-// the lanes run the same scalar kernels either way.  The stage-wise
-// batched calls below (one GEMM / LU / solve across the batch per stage)
-// are the shape for offload; a device backend slots in by overriding them
-// with genuinely fused kernels and registering itself under a name.
+// worker runs serially on the caller.  Host lanes batch by problem: the
+// batched energy pipeline hands each lane whole (k, E) tasks through one
+// dispatch, since the lanes run the same scalar kernels either way.  The
+// stage-wise batched calls below (one GEMM / LU / solve across the batch
+// per stage) are the shape for offload; a device backend slots in by
+// overriding them with genuinely fused kernels and registering itself
+// under a name.
 #pragma once
 
 #include <cstddef>

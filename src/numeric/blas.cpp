@@ -1,5 +1,6 @@
 #include "numeric/blas.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -81,39 +82,47 @@ void pack_a(char op, const cplx* a, idx lda, idx i0, idx mc, idx p0, idx kc,
 }
 
 // Pack depth [p0, p0+kc) x cols [j0, j0+nc) of op(B) into split re/im
-// panels laid out as [nc/kNR micro-panels][kc][kNR], zero-padded to kNR.
+// panels laid out as [nc/NR micro-panels][kc][NR], zero-padded to NR.
+template <idx NR = kNR>
 void pack_b(char op, const cplx* b, idx ldb, idx p0, idx kc, idx j0, idx nc,
             double* re, double* im) {
-  for (idx jb = 0; jb < nc; jb += kNR) {
-    double* pre = re + (jb / kNR) * kc * kNR;
-    double* pim = im + (jb / kNR) * kc * kNR;
+  for (idx jb = 0; jb < nc; jb += NR) {
+    double* pre = re + (jb / NR) * kc * NR;
+    double* pim = im + (jb / NR) * kc * NR;
     for (idx p = 0; p < kc; ++p) {
-      for (idx j = 0; j < kNR; ++j) {
+      for (idx j = 0; j < NR; ++j) {
         cplx v{0.0, 0.0};
         if (jb + j < nc) v = op_elem(b, ldb, op, p0 + p, j0 + jb + j);
-        pre[p * kNR + j] = v.real();
-        pim[p * kNR + j] = v.imag();
+        pre[p * NR + j] = v.real();
+        pim[p * NR + j] = v.imag();
       }
     }
   }
 }
 
-// C tile += packed-A micro-panel * packed-B micro-panel.  Split-complex
-// accumulation: 8 real flops per (i, j, p) as four FMA streams that
-// auto-vectorize over the kNR doubles of each B row.
+// C tile += packed-A micro-panel * packed-B micro-panel (a kMR x NR tile).
+// Split-complex accumulation: 8 real flops per (i, j, p) as four FMA
+// streams vectorized over the NR doubles of each B row.  The tile
+// width changes only which (i, j) elements exist, never how one is summed.
+template <idx NR = kNR>
 void micro_kernel(idx kc, const double* __restrict a_re,
                   const double* __restrict a_im, const double* __restrict b_re,
                   const double* __restrict b_im, cplx* c, idx ldc,
                   idx m_valid, idx n_valid) {
-  double acc_re[kMR][kNR] = {};
-  double acc_im[kMR][kNR] = {};
+  double acc_re[kMR][NR] = {};
+  double acc_im[kMR][NR] = {};
   for (idx p = 0; p < kc; ++p) {
-    const double* br = b_re + p * kNR;
-    const double* bi = b_im + p * kNR;
+    const double* br = b_re + p * NR;
+    const double* bi = b_im + p * NR;
     for (idx i = 0; i < kMR; ++i) {
       const double ar = a_re[p * kMR + i];
       const double ai = a_im[p * kMR + i];
-      for (idx j = 0; j < kNR; ++j) {
+      // Vectorize over j explicitly: left alone, GCC fully unrolls the
+      // narrow widths (NR = 4..16) and vectorizes across rows instead, at
+      // a fraction of the speed.  The j elements are independent, so this
+      // changes no arithmetic.
+#pragma omp simd
+      for (idx j = 0; j < NR; ++j) {
         acc_re[i][j] += ar * br[j] - ai * bi[j];
         acc_im[i][j] += ar * bi[j] + ai * br[j];
       }
@@ -126,38 +135,72 @@ void micro_kernel(idx kc, const double* __restrict a_re,
   }
 }
 
-}  // namespace
-
-void set_thread_parallelism(bool enabled) noexcept { g_parallel = enabled; }
-bool thread_parallelism() noexcept { return g_parallel; }
-
-void gemm_view(char op_a, const cplx* a, idx lda, char op_b, const cplx* b,
-               idx ldb, idx m, idx n, idx k, cplx alpha, cplx beta, cplx* c,
-               idx ldc, bool count_flops) {
-  if ((op_a != 'N' && op_a != 'T' && op_a != 'C') ||
-      (op_b != 'N' && op_b != 'T' && op_b != 'C'))
-    throw std::invalid_argument("gemm: op must be one of N/T/C");
-
-  if (beta == cplx{0.0}) {
-    for (idx i = 0; i < m; ++i)
-      std::fill_n(c + i * ldc, n, cplx{0.0});
-  } else if (beta != cplx{1.0}) {
-    for (idx i = 0; i < m; ++i) {
-      cplx* crow = c + i * ldc;
-      for (idx j = 0; j < n; ++j) crow[j] *= beta;
-    }
+// The direct route: one depth slab (k <= kKC) and one B panel of width
+// NR >= n, so nothing is packed to the kNR = 24 tile or into per-thread
+// scratch.  A is packed one kMR-row micro-panel at a time on the stack.
+// pack_a, pack_b and micro_kernel are the packed route's own, so every C
+// element gets the same arithmetic — bit-identical results.
+template <idx NR>
+void direct_product(char op_a, const cplx* a, idx lda, char op_b,
+                    const cplx* b, idx ldb, idx m, idx n, idx k, cplx alpha,
+                    cplx* c, idx ldc) {
+  double b_re[kKC * NR];
+  double b_im[kKC * NR];
+  pack_b<NR>(op_b, b, ldb, 0, k, 0, n, b_re, b_im);
+  double a_re[kKC * kMR];
+  double a_im[kKC * kMR];
+  for (idx ir = 0; ir < m; ir += kMR) {
+    const idx mr = std::min(kMR, m - ir);
+    pack_a(op_a, a, lda, ir, mr, 0, k, alpha, a_re, a_im);
+    micro_kernel<NR>(k, a_re, a_im, b_re, b_im, c + ir * ldc, ldc, mr, n);
   }
-  if (m == 0 || n == 0 || k == 0 || alpha == cplx{0.0}) return;
+}
 
-  if (count_flops)
-    FlopCounter::add(static_cast<std::uint64_t>(m) * n * k * 8u);
+// The direct route's shapes: one depth slab and at most kDirectMaxN output
+// columns, where the packed kMR x kNR tile is mostly padding.  Chosen with
+// bench/micro_kernels' small-shape rows.
+constexpr idx kDirectMaxN = 16;
+constexpr bool direct_shape(idx n, idx k) {
+  return n <= kDirectMaxN && k <= kKC;
+}
 
+// True when the packed route splits C's rows across OpenMP threads.
+bool packed_runs_parallel(idx m, idx n, idx k) noexcept {
+  return g_parallel &&
+         static_cast<std::uint64_t>(m) * n * k > 64ull * 64ull * 64ull;
+}
+
+// gemm_view's rule: the direct route is serial, so it takes only the
+// direct shapes the packed route would also run on one thread.
+bool takes_direct_route(idx m, idx n, idx k) noexcept {
+  return direct_shape(n, k) && !packed_runs_parallel(m, n, k);
+}
+
+// The direct route at the narrowest tile width covering n columns.
+void direct_kernel(char op_a, const cplx* a, idx lda, char op_b, const cplx* b,
+                   idx ldb, idx m, idx n, idx k, cplx alpha, cplx* c,
+                   idx ldc) {
+  static_assert(kDirectMaxN == 16, "direct_kernel's widths end at 16");
+  if (n <= 2)
+    direct_product<2>(op_a, a, lda, op_b, b, ldb, m, n, k, alpha, c, ldc);
+  else if (n <= 4)
+    direct_product<4>(op_a, a, lda, op_b, b, ldb, m, n, k, alpha, c, ldc);
+  else if (n <= 8)
+    direct_product<8>(op_a, a, lda, op_b, b, ldb, m, n, k, alpha, c, ldc);
+  else
+    direct_product<16>(op_a, a, lda, op_b, b, ldb, m, n, k, alpha, c, ldc);
+}
+
+// C += alpha * op(A) * op(B) through the GotoBLAS loop nest: packed B
+// slabs, packed A panels, kMR x kNR micro-tiles.
+void packed_product(char op_a, const cplx* a, idx lda, char op_b,
+                    const cplx* b, idx ldb, idx m, idx n, idx k, cplx alpha,
+                    cplx* c, idx ldc) {
   PackBuffers& master = tls_pack();
   const idx kc_max = std::min(kKC, k);
   grow(master.b_re, master.b_im, kc_max * round_up(std::min(kNC, n), kNR));
 
-  const bool par = g_parallel && static_cast<std::uint64_t>(m) * n * k >
-                                     64ull * 64ull * 64ull;
+  const bool par = packed_runs_parallel(m, n, k);
   (void)par;
 
   for (idx jc = 0; jc < n; jc += kNC) {
@@ -198,6 +241,64 @@ void gemm_view(char op_a, const cplx* a, idx lda, char op_b, const cplx* b,
     }
   }
 }
+
+void gemm_routed(detail::GemmRoute route, char op_a, const cplx* a, idx lda,
+                 char op_b, const cplx* b, idx ldb, idx m, idx n, idx k,
+                 cplx alpha, cplx beta, cplx* c, idx ldc, bool count_flops) {
+  if ((op_a != 'N' && op_a != 'T' && op_a != 'C') ||
+      (op_b != 'N' && op_b != 'T' && op_b != 'C'))
+    throw std::invalid_argument("gemm: op must be one of N/T/C");
+  if (route == detail::GemmRoute::kDirect && !direct_shape(n, k))
+    throw std::invalid_argument("gemm: shape too large for the direct route");
+
+  if (beta == cplx{0.0}) {
+    for (idx i = 0; i < m; ++i)
+      std::fill_n(c + i * ldc, n, cplx{0.0});
+  } else if (beta != cplx{1.0}) {
+    for (idx i = 0; i < m; ++i) {
+      cplx* crow = c + i * ldc;
+      for (idx j = 0; j < n; ++j) crow[j] *= beta;
+    }
+  }
+  if (m == 0 || n == 0 || k == 0 || alpha == cplx{0.0}) return;
+
+  if (count_flops)
+    FlopCounter::add(static_cast<std::uint64_t>(m) * n * k * 8u);
+
+  if (route == detail::GemmRoute::kDirect)
+    direct_kernel(op_a, a, lda, op_b, b, ldb, m, n, k, alpha, c, ldc);
+  else
+    packed_product(op_a, a, lda, op_b, b, ldb, m, n, k, alpha, c, ldc);
+}
+
+}  // namespace
+
+void set_thread_parallelism(bool enabled) noexcept { g_parallel = enabled; }
+bool thread_parallelism() noexcept { return g_parallel; }
+
+void gemm_view(char op_a, const cplx* a, idx lda, char op_b, const cplx* b,
+               idx ldb, idx m, idx n, idx k, cplx alpha, cplx beta, cplx* c,
+               idx ldc, bool count_flops) {
+  gemm_routed(takes_direct_route(m, n, k) ? detail::GemmRoute::kDirect
+                                          : detail::GemmRoute::kPacked,
+              op_a, a, lda, op_b, b, ldb, m, n, k, alpha, beta, c, ldc,
+              count_flops);
+}
+
+namespace detail {
+
+bool gemm_direct_shape(idx m, idx n, idx k) noexcept {
+  return takes_direct_route(m, n, k);
+}
+
+void gemm_view_via(GemmRoute route, char op_a, const cplx* a, idx lda,
+                   char op_b, const cplx* b, idx ldb, idx m, idx n, idx k,
+                   cplx alpha, cplx beta, cplx* c, idx ldc) {
+  gemm_routed(route, op_a, a, lda, op_b, b, ldb, m, n, k, alpha, beta, c, ldc,
+              /*count_flops=*/false);
+}
+
+}  // namespace detail
 
 void gemm(const CMatrix& a_in, const CMatrix& b_in, CMatrix& c, cplx alpha,
           cplx beta, char op_a, char op_b) {

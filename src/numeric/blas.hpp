@@ -4,7 +4,10 @@
 // a packed, tiled kernel in the GotoBLAS mold: operands are repacked into
 // contiguous split real/imaginary panels (transpose and conjugation are
 // applied during packing, never by materializing op(A)), and an FMA-friendly
-// register-tile micro-kernel runs on the packed panels.  Device workers run
+// register-tile micro-kernel runs on the packed panels.  Shapes whose packed
+// tile would be mostly padding (few output columns, one depth slab — the
+// s = 2..8 blocks of small devices) take a direct route instead, with the
+// same per-element arithmetic and so bit-identical results.  Device workers run
 // with parallelism disabled (see parallel/device.hpp) so that emulated GPUs
 // do not oversubscribe the host.
 #pragma once
@@ -36,9 +39,37 @@ void gemm(const CMatrix& a, const CMatrix& b, CMatrix& c,
 /// block-tridiagonal solvers call on sub-blocks without copying them out.
 /// `count_flops=false` lets callers that account analytically (LU) avoid
 /// double counting.  C must not overlap A or B.
+///
+/// Two routes, one arithmetic.  The packed route tiles C into 4 x 24
+/// micro-tiles from per-thread packing scratch; a product with few columns
+/// over one depth slab (detail::gemm_direct_shape) takes a direct route
+/// that packs a tile just wide enough, on the stack, and skips the
+/// padding.  Both fold alpha into each A element, accumulate every C
+/// element in split re/im sums from 0 in depth order with the same
+/// `ar*br - ai*bi` / `ar*bi + ai*br` form, and add once into C, so the
+/// route never changes a bit of the result.
 void gemm_view(char op_a, const cplx* a, idx lda, char op_b, const cplx* b,
                idx ldb, idx m, idx n, idx k, cplx alpha, cplx beta, cplx* c,
                idx ldc, bool count_flops = true);
+
+namespace detail {
+
+/// The shape rule gemm_view routes by: true when (m, n, k) takes the
+/// direct small-shape route on the calling thread.  The direct route is
+/// serial, so a shape the packed route would split across threads
+/// (thread_parallelism() on and m*n*k > 64^3) stays packed.
+bool gemm_direct_shape(idx m, idx n, idx k) noexcept;
+
+/// gemm_view's two routes, for the kernel bench.
+enum class GemmRoute { kDirect, kPacked };
+
+/// gemm_view forced onto one route, counting no flops.  kDirect throws
+/// std::invalid_argument outside the direct shapes.
+void gemm_view_via(GemmRoute route, char op_a, const cplx* a, idx lda,
+                   char op_b, const cplx* b, idx ldb, idx m, idx n, idx k,
+                   cplx alpha, cplx beta, cplx* c, idx ldc);
+
+}  // namespace detail
 
 /// Convenience: returns op(A)*op(B).
 CMatrix matmul(const CMatrix& a, const CMatrix& b, char op_a = 'N',

@@ -1,5 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 
@@ -11,9 +13,21 @@ namespace {
 thread_local bool g_in_pool_worker = false;
 }  // namespace
 
+std::size_t ThreadPool::usable_cpus() noexcept {
+  // hardware_concurrency() counts the machine's CPUs, not the ones this
+  // process may run on: under taskset or a container cpuset it would size
+  // the pool for cores the workers can never reach.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int allowed = CPU_COUNT(&mask);
+    if (allowed > 0) return static_cast<std::size_t>(allowed);
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0)
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
+  if (num_threads == 0) num_threads = usable_cpus();
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });

@@ -17,8 +17,12 @@ namespace omenx::parallel {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (defaults to hardware concurrency).
+  /// Spawns `num_threads` workers (0 = usable_cpus()).
   explicit ThreadPool(std::size_t num_threads = 0);
+
+  /// CPUs the calling thread's affinity mask allows (sched_getaffinity),
+  /// falling back to std::thread::hardware_concurrency(); at least 1.
+  static std::size_t usable_cpus() noexcept;
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -19,9 +20,15 @@ struct TraceEvent {
   double end_s;
 };
 
-/// Thread-safe append-only event log.
+/// Thread-safe append-only event log with a bounded window: it holds the
+/// first kCapacity events since construction or the last clear() and
+/// counts the rest in dropped().  Spans are recorded all the time (every
+/// batch and device kernel), so an unbounded log would grow for as long as
+/// the process runs; readers clear() before the window they inspect.
 class Tracer {
  public:
+  static constexpr std::size_t kCapacity = std::size_t{1} << 16;
+
   Tracer() : epoch_(clock::now()) {}
 
   /// Record an event that ran from `start` to now.
@@ -29,6 +36,10 @@ class Tracer {
               std::chrono::steady_clock::time_point start) {
     const auto now = clock::now();
     std::lock_guard lock(mutex_);
+    if (events_.size() >= kCapacity) {
+      ++dropped_;
+      return;
+    }
     events_.push_back({std::move(name), device_id, seconds_since(start),
                        seconds_since(now)});
   }
@@ -38,9 +49,17 @@ class Tracer {
     return events_;
   }
 
+  /// Events discarded because the window was full.
+  std::size_t dropped() const {
+    std::lock_guard lock(mutex_);
+    return dropped_;
+  }
+
   void clear() {
     std::lock_guard lock(mutex_);
     events_.clear();
+    events_.shrink_to_fit();
+    dropped_ = 0;
     epoch_ = clock::now();
   }
 
@@ -56,6 +75,7 @@ class Tracer {
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
   clock::time_point epoch_;
+  std::size_t dropped_ = 0;
 };
 
 /// RAII helper: records an event over its lifetime.

@@ -9,9 +9,15 @@
 
 #include "numeric/blas.hpp"
 #include "numeric/matrix.hpp"
+#include "parallel/thread_pool.hpp"
 #include "perf/flops.hpp"
 
 namespace omenx::perf {
+
+int host_model_lanes() noexcept {
+  return static_cast<int>(
+      std::min<std::size_t>(parallel::ThreadPool::usable_cpus(), 16));
+}
 
 namespace {
 
@@ -25,8 +31,7 @@ namespace {
 double measure_batched_gemm_gflops(double scalar_gflops) {
   using clock = std::chrono::steady_clock;
   const numeric::idx s = 64;  // below the kernel's internal-parallel cutoff
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned lanes = std::min(hw, 16u);
+  const unsigned lanes = static_cast<unsigned>(host_model_lanes());
   const int reps = 4;
   std::vector<std::thread> threads;
   threads.reserve(lanes);
@@ -126,9 +131,7 @@ const MachineSpec& MachineSpec::host() {
     // offloaded bucket from a host one.  This is what makes the host
     // crossover honest: device wins only when it has more streams than the
     // host has free lanes.
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned lanes = std::min(hw, 16u);
-    m.host_lane_gflops = m.batched_gemm_gflops / lanes;
+    m.host_lane_gflops = m.batched_gemm_gflops / host_model_lanes();
     m.device_stream_gflops = m.host_lane_gflops;
     m.pcie_gbps = 1e9;  // accounting-only transfers cost no wall time
     m.kernel_launch_seconds = 10e-6;

@@ -64,6 +64,12 @@ struct MachineSpec {
   }
 };
 
+/// CPU lanes of the host model: the CPUs the process may run on
+/// (parallel::ThreadPool::usable_cpus(), which also sizes the pool behind
+/// the host backend), at most 16.  MachineSpec::host() calibrates its
+/// batched GEMM on this many threads and divides it into host_lane_gflops.
+int host_model_lanes() noexcept;
+
 /// Shape of one (k, E) bucket item in the engine's device phase: a
 /// block-tridiagonal system of `nb` diagonal blocks of size `s` with
 /// `nrhs` right-hand-side columns (the injection states).

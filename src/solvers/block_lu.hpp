@@ -55,7 +55,7 @@ class BlockTridiagLU {
   /// This is the shape for offloading backends, where each stage maps to
   /// one fused kernel.  Host lanes gain nothing from it (three barriers per
   /// row); they batch by problem instead, each lane running factor() on
-  /// whole systems (see the block_lu solver's solve_boundary_batched).
+  /// whole systems (see the block_lu solver's solve_boundary_problem).
   static void factor_batched(std::vector<BlockTridiagLU>& out,
                              const std::vector<const BlockTridiag*>& as,
                              numeric::Backend& backend);

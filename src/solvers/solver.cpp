@@ -22,6 +22,20 @@ using numeric::cplx;
 
 namespace {
 
+/// Every problem of one batch must share the block structure — that is what
+/// lets the planner fuse their kernels into single batched calls.
+void check_batch_shapes(const std::vector<BoundaryProblem>& problems) {
+  for (const BoundaryProblem& p : problems) {
+    if (p.a == nullptr || p.sigma_l == nullptr || p.sigma_r == nullptr ||
+        p.b_top == nullptr || p.b_bot == nullptr)
+      throw std::invalid_argument("solve_boundary_batched: null operand");
+    if (p.a->num_blocks() != problems.front().a->num_blocks() ||
+        p.a->block_size() != problems.front().a->block_size())
+      throw std::invalid_argument(
+          "solve_boundary_batched: mixed block structures in one batch");
+  }
+}
+
 /// T = A - sum_p diag(sigma_p at block_p) — the N-terminal generalization
 /// of apply_boundary_into.
 void apply_attachments_into(BlockTridiag& t, const BlockTridiag& a,
@@ -132,16 +146,31 @@ CMatrix Solver::solve_attached(const BlockTridiag& a,
 
 std::vector<CMatrix> Solver::solve_boundary_batched(
     const std::vector<BoundaryProblem>& problems, numeric::Backend& backend) {
-  // Scalar fallback: any backend can serve a batch one problem at a time,
-  // trivially bit-identical to the unbatched path.  kBatchable overrides
-  // replace this with fused numeric::Backend calls.
-  (void)backend;
-  std::vector<CMatrix> xs;
-  xs.reserve(problems.size());
-  for (const BoundaryProblem& p : problems)
-    xs.push_back(solve_boundary(*p.a, *p.sigma_l, *p.sigma_r, *p.b_top,
-                                *p.b_bot));
+  std::vector<CMatrix> xs(problems.size());
+  if ((capabilities() & kBatchable) == 0) {
+    // Scalar fallback: the instance is stateful, so problems run one at a
+    // time, trivially bit-identical to the unbatched path.
+    for (std::size_t p = 0; p < problems.size(); ++p)
+      xs[p] = solve_boundary(*problems[p].a, *problems[p].sigma_l,
+                             *problems[p].sigma_r, *problems[p].b_top,
+                             *problems[p].b_bot);
+    return xs;
+  }
+  check_batch_shapes(problems);
+  // Lanes run the same scalar kernels whether rows or problems are grouped,
+  // so a batch goes out by problem: one dispatch, each lane solving whole
+  // problems on its own scratch.
+  backend.dispatch("solve_boundary_batched", problems.size(),
+                   [&](std::size_t p) {
+                     xs[p] = solve_boundary_problem(problems[p]);
+                   });
   return xs;
+}
+
+CMatrix Solver::solve_boundary_problem(const BoundaryProblem& problem) const {
+  (void)problem;
+  throw std::logic_error(std::string(name()) +
+                         ": solve_boundary_problem needs a kBatchable backend");
 }
 
 std::vector<CMatrix> Solver::diagonal_blocks(const BlockTridiag& t) {
@@ -167,20 +196,6 @@ std::vector<CMatrix> Solver::diagonal_blocks(const BlockTridiag& t) {
 
 namespace {
 
-/// Every problem of one batch must share the block structure — that is what
-/// lets the planner fuse their kernels into single batched calls.
-void check_batch_shapes(const std::vector<BoundaryProblem>& problems) {
-  for (const BoundaryProblem& p : problems) {
-    if (p.a == nullptr || p.sigma_l == nullptr || p.sigma_r == nullptr ||
-        p.b_top == nullptr || p.b_bot == nullptr)
-      throw std::invalid_argument("solve_boundary_batched: null operand");
-    if (p.a->num_blocks() != problems.front().a->num_blocks() ||
-        p.a->block_size() != problems.front().a->block_size())
-      throw std::invalid_argument(
-          "solve_boundary_batched: mixed block structures in one batch");
-  }
-}
-
 /// Block Thomas factorization (the MUMPS stand-in of Fig. 8).  Factor once,
 /// solve any number of dense right-hand sides.
 class BlockLUSolver final : public Solver {
@@ -193,28 +208,20 @@ class BlockLUSolver final : public Solver {
   }
   void factor(const BlockTridiag& t) override { lu_.factor(t); }
   CMatrix solve(const CMatrix& b) override { return lu_.solve(b); }
+  CMatrix solve_boundary_problem(const BoundaryProblem& pr) const override {
+    BlockTridiag t;
+    apply_boundary_into(t, *pr.a, *pr.sigma_l, *pr.sigma_r);
+    const BlockTridiagLU lu(t);
+    return lu.solve(expand_boundary_rhs(pr.a->dim(), *pr.b_top, *pr.b_bot));
+  }
   std::vector<CMatrix> solve_boundary_batched(
       const std::vector<BoundaryProblem>& problems,
       numeric::Backend& backend) override {
-    if (problems.empty()) return {};
+    if (!backend.offloads() || problems.empty())
+      return Solver::solve_boundary_batched(problems, backend);
     check_batch_shapes(problems);
     const std::size_t n = problems.size();
     std::vector<CMatrix> xs(n);
-    if (!backend.offloads()) {
-      // Host lanes run the same scalar kernels whether rows or problems are
-      // grouped, so they batch by problem: one dispatch, each lane applying,
-      // factoring and solving whole problems on lane-local scratch.  The
-      // row lockstep below would only add three barriers per block row.
-      backend.dispatch("block_lu_batched", n, [&](std::size_t p) {
-        const BoundaryProblem& pr = problems[p];
-        BlockTridiag t;
-        apply_boundary_into(t, *pr.a, *pr.sigma_l, *pr.sigma_r);
-        const BlockTridiagLU lu(t);
-        xs[p] = lu.solve(
-            expand_boundary_rhs(pr.a->dim(), *pr.b_top, *pr.b_bot));
-      });
-      return xs;
-    }
     // Offload: boundary application is cheap copies; run it as one dispatch
     // so every stream assembles its own T = A - diag-corner(Sigma_L, Sigma_R).
     ts_.resize(n);
@@ -288,24 +295,12 @@ class RgfSolver final : public Solver {
     const CMatrix q = rgf_block_columns(t_);
     return columns_times_rhs(q, a, b_top, b_bot);
   }
-  std::vector<CMatrix> solve_boundary_batched(
-      const std::vector<BoundaryProblem>& problems,
-      numeric::Backend& backend) override {
-    if (problems.empty()) return {};
-    check_batch_shapes(problems);
-    // RGF's recursion has no cross-problem kernel to fuse; it batches at
-    // the problem level — one independent recursion per lane, on lane-local
-    // scratch (the shared t_ member is single-lane only).
-    std::vector<CMatrix> xs(problems.size());
-    backend.dispatch("rgf_batched", problems.size(), [&](std::size_t p) {
-      BlockTridiag t;
-      apply_boundary_into(t, *problems[p].a, *problems[p].sigma_l,
-                          *problems[p].sigma_r);
-      const CMatrix q = rgf_block_columns(t);
-      xs[p] = columns_times_rhs(q, *problems[p].a, *problems[p].b_top,
-                                *problems[p].b_bot);
-    });
-    return xs;
+  CMatrix solve_boundary_problem(const BoundaryProblem& pr) const override {
+    // solve_boundary on local scratch (the t_ member is single-lane only).
+    BlockTridiag t;
+    apply_boundary_into(t, *pr.a, *pr.sigma_l, *pr.sigma_r);
+    const CMatrix q = rgf_block_columns(t);
+    return columns_times_rhs(q, *pr.a, *pr.b_top, *pr.b_bot);
   }
   std::vector<CMatrix> diagonal_blocks(const BlockTridiag& t) override {
     return rgf_diagonal_blocks(t);
@@ -379,29 +374,32 @@ class SplitSolveSolver final : public Solver {
   }
   void prepare_batched(const std::vector<const BlockTridiag*>& systems,
                        numeric::Backend& backend) override {
-    // Step 1 (Q_i = A_i^{-1} B) for the whole batch as one backend
-    // dispatch: this is the heavy phase the engine overlaps with the
-    // asynchronous OBC stage.  Each lane runs the *serial* SPIKE
-    // block-column kernel, which is bit-identical to the pool and spatial
-    // variants for equal partition counts — so the batch needs no device
-    // pool and still matches the scalar splitsolve path to the bit.
-    SpikeOptions so;
-    so.partitions = ctx_.partitions;
+    // On an offloading backend, Step 1 (Q_i = A_i^{-1} B) for the whole
+    // batch is one dispatch: the heavy phase the engine overlaps with the
+    // asynchronous OBC stage.  Host lanes run Step 1 inside each problem's
+    // own lane (solve_boundary_problem), so there is nothing to prepare.
+    qs_.clear();
+    if (!backend.offloads()) return;
     qs_.assign(systems.size(), CMatrix());
     backend.dispatch("splitsolve_step1_batched", systems.size(),
                      [&](std::size_t p) {
                        if (systems[p] == nullptr)
                          throw std::invalid_argument(
                              "splitsolve: null system in batch");
-                       qs_[p] = spike_block_columns(*systems[p], so);
+                       qs_[p] = step1(*systems[p]);
                      });
+  }
+  CMatrix solve_boundary_problem(const BoundaryProblem& pr) const override {
+    return SplitSolve::solve_with_q(step1(*pr.a), pr.a->dim(),
+                                    pr.a->block_size(), *pr.sigma_l,
+                                    *pr.sigma_r, *pr.b_top, *pr.b_bot);
   }
   std::vector<CMatrix> solve_boundary_batched(
       const std::vector<BoundaryProblem>& problems,
       numeric::Backend& backend) override {
-    if (problems.empty()) {
+    if (!backend.offloads() || problems.empty()) {
       qs_.clear();
-      return {};
+      return Solver::solve_boundary_batched(problems, backend);
     }
     check_batch_shapes(problems);
     if (qs_.size() != problems.size()) {
@@ -455,6 +453,16 @@ class SplitSolveSolver final : public Solver {
   }
 
  private:
+  /// Step 1 on the calling thread: the *serial* SPIKE block-column kernel,
+  /// bit-identical to the pool and spatial variants for equal partition
+  /// counts — so batches need no device pool and still match the scalar
+  /// splitsolve path to the bit.
+  CMatrix step1(const BlockTridiag& a) const {
+    SpikeOptions so;
+    so.partitions = ctx_.partitions;
+    return spike_block_columns(a, so);
+  }
+
   SolverContext ctx_;
   std::unique_ptr<SplitSolve> split_;
   std::vector<CMatrix> qs_;  ///< per-problem Step 1 results of the batch

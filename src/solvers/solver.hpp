@@ -180,13 +180,22 @@ class Solver {
     (void)backend;
   }
 
-  /// Solve a batch of same-shape boundary problems, issuing the heavy
-  /// kernels as batched numeric::Backend calls when the backend advertises
-  /// kBatchable.  Results are in problem order; problem i is bit-identical
-  /// to solve_boundary(*a, *sigma_l, *sigma_r, *b_top, *b_bot) on problem
-  /// i's operands.  The default (any backend) is exactly that scalar loop.
+  /// Solve a batch of same-shape boundary problems.  Results are in problem
+  /// order; problem i is bit-identical to solve_boundary(*a, *sigma_l,
+  /// *sigma_r, *b_top, *b_bot) on problem i's operands.  The default runs a
+  /// kBatchable backend as one backend.dispatch, each lane solving whole
+  /// problems through solve_boundary_problem, and any other backend as the
+  /// scalar solve_boundary loop.  Backends whose offload shape differs
+  /// (stage-wise fused kernels) override it for offloading backends.
   virtual std::vector<CMatrix> solve_boundary_batched(
       const std::vector<BoundaryProblem>& problems, numeric::Backend& backend);
+
+  /// The per-problem host kernel of a kBatchable backend: one boundary
+  /// problem solved start to finish on the calling thread's scratch,
+  /// bit-identical to solve_boundary on its operands.  Const and lane-safe:
+  /// many lanes call it concurrently on one instance.  Backends without
+  /// kBatchable throw std::logic_error.
+  virtual CMatrix solve_boundary_problem(const BoundaryProblem& problem) const;
 
   /// N-terminal work unit: x = T^{-1} B with T = a - sum_p diag(sigma_p at
   /// block_p) and B assembled from the non-zero block rows in `rhs`.

@@ -61,9 +61,10 @@ class SplitSolve {
                          const numeric::CMatrix& b_bottom);
 
   /// Steps 2-4 against an externally computed Q = A^{-1} B (dim x 2s with
-  /// block size s).  This is the whole of solve() minus Step 1 — the
-  /// batched pipeline computes many Qs as one backend dispatch and then
-  /// runs this per problem, bit-identical to solve() on the same Q.
+  /// block size s).  This is the whole of solve() minus Step 1 — batched
+  /// solves compute Q per problem (on host lanes) or many Qs as one
+  /// backend dispatch (offloaded) and then run this per problem,
+  /// bit-identical to solve() on the same Q.
   static numeric::CMatrix solve_with_q(const numeric::CMatrix& q,
                                        numeric::idx dim, numeric::idx s,
                                        const numeric::CMatrix& sigma_l,

@@ -21,6 +21,32 @@ std::uint64_t operand_bytes(const CMatrix& m) {
   return std::uint64_t(m.rows()) * std::uint64_t(m.cols()) * sizeof(cplx);
 }
 
+/// The OBC stage of one task ("obc_prefetch" trace span): its own strategy
+/// instance, so concurrent fetches share nothing but the BoundaryCache,
+/// whose first-insert-wins discipline makes concurrent misses on one key
+/// converge on a single canonical Boundary.
+detail::FetchedBoundary fetch_task_boundary(const BatchTask& task,
+                                            const EnergyPointOptions& options) {
+  const parallel::TraceScope trace("obc_prefetch", /*device_id=*/-1);
+  EnergyPointOptions task_options = options;
+  task_options.k_index = task.k_index;
+  auto strategy = obc::make_obc_strategy(task_options.obc);
+  return detail::fetch_boundary(*strategy, (*task.contacts)[0], 0,
+                                cplx{task.energy, 0.0}, task_options);
+}
+
+/// One host lane's scratch for a whole task — A = E*S - H and the sparse
+/// RHS blocks — kept warm across the tasks and batches the lane runs.
+struct LaneScratch {
+  BlockTridiag a;
+  CMatrix b_top, b_bot;
+};
+
+LaneScratch& lane_scratch() {
+  static thread_local LaneScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 std::vector<EnergyPointResult> solve_energy_batch(
@@ -37,13 +63,6 @@ std::vector<EnergyPointResult> solve_energy_batch(
   const numeric::WorkspaceScope scope(ctx.point.workspace);
   const std::size_t n = tasks.size();
 
-  // --- Stage 1: asynchronous OBC prefetch -------------------------------
-  // Every task's boundary goes to the process thread pool *before* the
-  // device phase is issued, so the lead stage runs ahead of (and
-  // interleaved with) Step 1 — the paper's CPU/GPU overlap at batch scope.
-  // Each job uses its own strategy instance and workspace arena; the
-  // BoundaryCache's first-insert-wins discipline makes concurrent misses on
-  // one key converge on a single canonical Boundary.
   for (const BatchTask& task : tasks) {
     if (task.dm == nullptr || task.contacts == nullptr)
       throw std::invalid_argument("solve_energy_batch: null task operand");
@@ -84,6 +103,68 @@ std::vector<EnergyPointResult> solve_energy_batch(
     }
   }
 
+  // --- Solver + OBC resolution ------------------------------------------
+  const idx nb = tasks[0].dm->h.num_blocks();
+  const idx sf = tasks[0].dm->h.block_size();
+  for (const BatchTask& task : tasks)
+    if (task.dm->h.num_blocks() != nb || task.dm->h.block_size() != sf)
+      throw std::invalid_argument(
+          "solve_energy_batch: mixed block structures in one batch");
+  solvers::SolverContext binding;
+  binding.pool = pool;
+  binding.partitions = options.partitions;
+  binding.batch = std::max(1, nominal_batch);
+  binding.backend = &backend;
+  solvers::Solver& solver = ctx.point.solver(options.solver, binding, nb, sf);
+  obc::Strategy& obc_strategy = ctx.point.obc_strategy(options.obc);
+  const bool have_injection =
+      (obc_strategy.capabilities() & obc::kProvidesInjection) != 0;
+  detail::require_injection_support(obc_strategy, have_injection, options);
+  const bool batched = (solver.capabilities() & solvers::kBatchable) != 0;
+
+  BatchStats local;
+  local.batches = 1;
+  local.tasks = static_cast<idx>(n);
+  local.batched_solve = batched;
+
+  if (batched && !backend.offloads()) {
+    // --- Host lanes: one dispatch, each lane one task end to end --------
+    // Lanes run the same scalar kernels whichever way the work is grouped,
+    // so a host batch needs no stages: lane i fetches task i's boundary,
+    // assembles A_i, solves it through the solver's per-problem kernel and
+    // finalizes its observables.  Tasks overlap one another's OBC and
+    // solve phases across lanes; nothing waits on a batch-wide barrier.
+    std::vector<char> hits(n, 0);
+    backend.dispatch("energy_batch", n, [&](std::size_t i) {
+      const BatchTask& task = tasks[i];
+      const detail::FetchedBoundary fetched =
+          fetch_task_boundary(task, options);
+      hits[i] = fetched.hit ? 1 : 0;
+      const obc::Boundary& bnd = fetched.get();
+      LaneScratch& lane = lane_scratch();
+      lane.a.assign_es_minus_h(cplx{task.energy, 0.0}, task.dm->s,
+                               task.dm->h);
+      results[i].energy = task.energy;
+      CMatrix x;
+      detail::solve_task(
+          results[i], lane.a, bnd, bnd, have_injection, options, lane.b_top,
+          lane.b_bot, x, [&](const CMatrix& b_top, const CMatrix& b_bot) {
+            const parallel::TraceScope trace("batch_device_phase",
+                                             /*device_id=*/-1);
+            return solver.solve_boundary_problem(
+                {&lane.a, &bnd.sigma_l, &bnd.sigma_r, &b_top, &b_bot});
+          });
+    });
+    for (const char hit : hits)
+      (hit != 0 ? local.prefetch_hits : local.prefetch_misses) += 1;
+    if (stats != nullptr) *stats += local;
+    return results;
+  }
+
+  // --- Stage 1: asynchronous OBC prefetch -------------------------------
+  // Every task's boundary goes to the process thread pool *before* the
+  // device phase is issued, so the lead stage runs ahead of (and
+  // interleaved with) Step 1 — the paper's CPU/GPU overlap at batch scope.
   auto& threads = parallel::ThreadPool::global();
   std::vector<std::future<detail::FetchedBoundary>> prefetch;
   prefetch.reserve(n);
@@ -102,60 +183,29 @@ std::vector<EnergyPointResult> solve_energy_batch(
   for (std::size_t i = 0; i < n; ++i) {
     const BatchTask& task = tasks[i];
     prefetch.push_back(threads.submit([&options, &task] {
-      const parallel::TraceScope trace("obc_prefetch", /*device_id=*/-1);
       static thread_local numeric::Workspace prefetch_workspace;
       const numeric::WorkspaceScope ws(prefetch_workspace);
-      EnergyPointOptions task_options = options;
-      task_options.k_index = task.k_index;
-      auto strategy = obc::make_obc_strategy(task_options.obc);
-      return detail::fetch_boundary(*strategy, (*task.contacts)[0], 0,
-                                    cplx{task.energy, 0.0}, task_options);
+      return fetch_task_boundary(task, options);
     }));
   }
 
-  bool batched = false;
-  bool have_injection = false;
-  bool rhs_known_nonempty = false;
-  idx nb = 0, sf = 0;
-  solvers::Solver* solver = nullptr;
+  // With Caroli columns (or a self-energy-only OBC, which forces them)
+  // every task has a non-empty RHS, so the whole batch can start its
+  // device phase before any boundary arrives.  Otherwise the column
+  // count is boundary-dependent and Step 1 waits for the prefetch.
+  const bool rhs_known_nonempty = options.want_caroli || !have_injection;
   try {
     // --- Assemble every task's A = E*S - H ------------------------------
     ctx.a.resize(n);
     for (std::size_t i = 0; i < n; ++i)
       ctx.a[i].assign_es_minus_h(cplx{tasks[i].energy, 0.0}, tasks[i].dm->s,
                                  tasks[i].dm->h);
-    nb = ctx.a[0].num_blocks();
-    sf = ctx.a[0].block_size();
-    for (const BlockTridiag& a : ctx.a)
-      if (a.num_blocks() != nb || a.block_size() != sf)
-        throw std::invalid_argument(
-            "solve_energy_batch: mixed block structures in one batch");
-
-    // --- Solver + OBC resolution ----------------------------------------
-    solvers::SolverContext binding;
-    binding.pool = pool;
-    binding.partitions = options.partitions;
-    binding.batch = std::max(1, nominal_batch);
-    binding.backend = &backend;
-    solver = &ctx.point.solver(options.solver, binding, nb, sf);
-    obc::Strategy& obc_strategy = ctx.point.obc_strategy(options.obc);
-    have_injection =
-        (obc_strategy.capabilities() & obc::kProvidesInjection) != 0;
-    detail::require_injection_support(obc_strategy, have_injection, options);
-    batched = (solver->capabilities() & solvers::kBatchable) != 0;
-
-    // With Caroli columns (or a self-energy-only OBC, which forces them)
-    // every task has a non-empty RHS, so the whole batch can start its
-    // device phase before any boundary arrives.  Otherwise the column
-    // count is boundary-dependent and Step 1 waits for the prefetch.
-    rhs_known_nonempty = options.want_caroli || !have_injection;
-
     if (batched && rhs_known_nonempty) {
       std::vector<const BlockTridiag*> systems(n);
       for (std::size_t i = 0; i < n; ++i) systems[i] = &ctx.a[i];
       const parallel::TraceScope trace("batch_device_phase",
                                        /*device_id=*/-1);
-      solver->prepare_batched(systems, backend);
+      solver.prepare_batched(systems, backend);
     }
   } catch (...) {
     drain_prefetch();
@@ -179,11 +229,8 @@ std::vector<EnergyPointResult> solve_energy_batch(
   }
   if (prefetch_error != nullptr) std::rethrow_exception(prefetch_error);
 
-  BatchStats local;
-  local.batches = 1;
-  local.tasks = static_cast<idx>(n);
-  local.batched_solve = batched;
-  local.device_batches = (batched && backend.offloads()) ? 1 : 0;
+  // Past the host-lane route, a batched solve is an offloaded one.
+  local.device_batches = batched ? 1 : 0;
   for (const detail::FetchedBoundary& f : boundaries)
     (f.hit ? local.prefetch_hits : local.prefetch_misses) += 1;
 
@@ -196,10 +243,9 @@ std::vector<EnergyPointResult> solve_energy_batch(
   for (std::size_t i = 0; i < n; ++i) {
     const obc::Boundary& bnd = boundaries[i].get();
     results[i].energy = tasks[i].energy;
-    results[i].num_propagating = bnd.num_incident;
-    shapes[i] = detail::rhs_shape(bnd, bnd, have_injection, sf, options);
+    shapes[i] = detail::task_rhs(results[i], bnd, bnd, have_injection, sf,
+                                 options, ctx.b_top[i], ctx.b_bot[i]);
     if (shapes[i].m == 0) continue;  // nothing propagates at this energy
-    detail::build_rhs(ctx.b_top[i], ctx.b_bot[i], bnd, bnd, shapes[i], sf);
     solvable.push_back(i);
   }
 
@@ -214,7 +260,7 @@ std::vector<EnergyPointResult> solve_energy_batch(
   // Id 0 is reserved for "stream, do not cache" (Backend::stage_operand).
   // The A blocks are deliberately *not* staged — their traffic is accounted
   // by the batched calls themselves and re-streams every iteration.
-  if (batched && backend.offloads()) {
+  if (batched) {
     for (const std::size_t i : solvable) {
       const obc::Boundary& bnd = boundaries[i].get();
       obc::BoundaryKey key =
@@ -255,9 +301,9 @@ std::vector<EnergyPointResult> solve_energy_batch(
       solvable_systems.reserve(solvable.size());
       for (const std::size_t i : solvable)
         solvable_systems.push_back(&ctx.a[i]);
-      solver->prepare_batched(solvable_systems, backend);
+      solver.prepare_batched(solvable_systems, backend);
     }
-    xs = solver->solve_boundary_batched(problems, backend);
+    xs = solver.solve_boundary_batched(problems, backend);
     if (solvable.size() != n && rhs_known_nonempty) {
       // Unreachable by construction (rhs_known_nonempty => every task is
       // solvable), kept as a guard against future shape changes.
@@ -271,8 +317,8 @@ std::vector<EnergyPointResult> solve_energy_batch(
     for (std::size_t j = 0; j < solvable.size(); ++j) {
       const std::size_t i = solvable[j];
       const obc::Boundary& bnd = boundaries[i].get();
-      solver->prepare(ctx.a[i]);
-      xs[j] = solver->solve_boundary(ctx.a[i], bnd.sigma_l, bnd.sigma_r,
+      solver.prepare(ctx.a[i]);
+      xs[j] = solver.solve_boundary(ctx.a[i], bnd.sigma_l, bnd.sigma_r,
                                     ctx.b_top[i], ctx.b_bot[i]);
     }
   }

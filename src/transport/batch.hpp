@@ -2,19 +2,28 @@
 // (Section 5E) across *tasks* instead of within one.
 //
 // A batch is a bucket of queued (k, E) tasks sharing one block structure.
-// The pipeline runs:
-//   1. OBC prefetch: every task's boundary (BoundaryCache-disciplined) is
-//      submitted to the process thread pool up front ("obc_prefetch" trace
-//      spans), so the lead stage runs asynchronously ahead of —
-//   2. the device phase: SplitSolve Step 1 / block-LU factorization of the
-//      whole bucket and the per-task boundary solves, fused through
-//      Solver::solve_boundary_batched ("batch_device_phase" trace span).
-//      On host lanes a bucket is batched by problem (one dispatch, each
-//      lane factoring and solving whole problems); an offloading backend
-//      gets the block-LU row lockstep, one batched left-solve, GEMM and LU
-//      per elimination row, the fused device-kernel shape.
-//   3. Observables finalize on backend lanes, one task per lane.
-// Every stage runs the same scalar arithmetic as transport::
+// How it runs depends on the backend:
+//   * Host lanes (!Backend::offloads(), kBatchable solver): one dispatch,
+//     lane i running task i end to end — boundary fetch through the
+//     BoundaryCache ("obc_prefetch" span), A_i = E*S - H, the solver's
+//     per-problem kernel Solver::solve_boundary_problem
+//     ("batch_device_phase" span), observables.  Lanes run the same scalar
+//     kernels however the work is grouped, so the stages below would only
+//     add barriers; tasks overlap one another across lanes instead.
+//   * An offloading backend gets the CPU/GPU shape:
+//     1. OBC prefetch: every task's boundary is submitted to the process
+//        thread pool up front ("obc_prefetch" spans), so the lead stage
+//        runs asynchronously ahead of —
+//     2. the device phase: SplitSolve Step 1 / block-LU factorization of
+//        the whole bucket and the per-task boundary solves, fused through
+//        Solver::prepare_batched + solve_boundary_batched
+//        ("batch_device_phase" span), with the boundary operands staged
+//        for device residency and block-LU in its row lockstep (one
+//        batched left-solve, GEMM and LU per elimination row).
+//     3. Observables finalize on backend lanes, one task per lane.
+//   * A solver without kBatchable runs the offload pipeline's stages with
+//     a scalar solve loop (the instance is stateful).
+// Every route runs the same scalar arithmetic as transport::
 // solve_energy_point (the shared detail:: helpers), so results are
 // bit-identical to the unbatched path, task by task.
 #pragma once
@@ -65,8 +74,9 @@ struct BatchStats {
 };
 
 /// Reusable state of a batch consumer (one per energy-group leader): the
-/// workspace arena, the per-task assembled systems, and the cached solver
-/// instance (inside the EnergyPointContext).
+/// workspace arena, the cached solver instance (inside the
+/// EnergyPointContext), and the staged pipeline's per-task assembled
+/// systems (host lanes keep theirs in lane-local scratch).
 struct BatchContext {
   EnergyPointContext point;
   std::vector<blockmat::BlockTridiag> a;  ///< per-task E*S - H

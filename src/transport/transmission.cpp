@@ -169,6 +169,16 @@ void build_rhs(CMatrix& b_top, CMatrix& b_bot, const obc::Boundary& left,
       b_bot(i, shape.gcols + shape.n_inc + j) = right.inj_r(i, j);
 }
 
+RhsShape task_rhs(EnergyPointResult& out, const obc::Boundary& left,
+                  const obc::Boundary& right, bool have_injection, idx sf,
+                  const EnergyPointOptions& options, CMatrix& b_top,
+                  CMatrix& b_bot) {
+  out.num_propagating = left.num_incident;
+  const RhsShape shape = rhs_shape(left, right, have_injection, sf, options);
+  if (shape.m > 0) build_rhs(b_top, b_bot, left, right, shape, sf);
+  return shape;
+}
+
 void finalize_observables(EnergyPointResult& out, const BlockTridiag& a,
                           const obc::Boundary& left, const obc::Boundary& right,
                           bool have_injection, const RhsShape& shape,
@@ -475,29 +485,20 @@ EnergyPointResult solve_pair(EnergyPointContext& ctx,
     fr = detail::fetch_boundary(obc_strategy, contacts[cr], rep_r, e, options);
   const obc::Boundary& left = fl.get();
   const obc::Boundary& right = rep_r != rep_l ? fr.get() : left;
-  out.num_propagating = left.num_incident;
 
   // --- Solve: Green's-function columns (for Caroli) + injected waves ---
   // RHS layout: [e_first I (s), e_last I (s), Inj (n_inc), Inj_r] so one
   // solve covers both formalisms.
-  const detail::RhsShape shape =
-      detail::rhs_shape(left, right, have_injection, sf, options);
-  if (shape.m == 0) {
-    // Nothing to solve at this energy — but cooperative/asynchronous
-    // backends may have outstanding work (spatial members' partitions,
-    // SplitSolve's Step 1) that must be settled before the next point.
-    solver.discard();
-    return out;
-  }
-
-  detail::build_rhs(ctx.b_top, ctx.b_bot, left, right, shape, sf);
-
-  CMatrix& x = ctx.x;
-  x = solver.solve_boundary(a, left.sigma_l, right.sigma_r, ctx.b_top,
-                            ctx.b_bot);
-
-  detail::finalize_observables(out, a, left, right, have_injection, shape, x,
-                               options);
+  const bool solved = detail::solve_task(
+      out, a, left, right, have_injection, options, ctx.b_top, ctx.b_bot,
+      ctx.x, [&](const CMatrix& b_top, const CMatrix& b_bot) {
+        return solver.solve_boundary(a, left.sigma_l, right.sigma_r, b_top,
+                                     b_bot);
+      });
+  // Nothing to solve at this energy — but cooperative/asynchronous
+  // backends may have outstanding work (spatial members' partitions,
+  // SplitSolve's Step 1) that must be settled before the next point.
+  if (!solved) solver.discard();
   return out;
 }
 

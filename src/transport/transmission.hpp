@@ -369,6 +369,30 @@ void finalize_observables(EnergyPointResult& out, const BlockTridiag& a,
                           bool have_injection, const RhsShape& shape,
                           const CMatrix& x, const EnergyPointOptions& options);
 
+/// Stage 3a of one two-contact task: records out.num_propagating, returns
+/// the RHS shape and, when it has columns, assembles the RHS blocks.
+RhsShape task_rhs(EnergyPointResult& out, const obc::Boundary& left,
+                  const obc::Boundary& right, bool have_injection, idx sf,
+                  const EnergyPointOptions& options, CMatrix& b_top,
+                  CMatrix& b_bot);
+
+/// Stages 3-4 of one two-contact task whose A and boundaries are in hand:
+/// task_rhs, x = solve(b_top, b_bot), finalize_observables.  Returns false
+/// without calling `solve` when nothing propagates.  The scalar point and
+/// the host batch lanes both run this; only their `solve` differs.
+template <class Solve>
+bool solve_task(EnergyPointResult& out, const BlockTridiag& a,
+                const obc::Boundary& left, const obc::Boundary& right,
+                bool have_injection, const EnergyPointOptions& options,
+                CMatrix& b_top, CMatrix& b_bot, CMatrix& x, Solve&& solve) {
+  const RhsShape shape = task_rhs(out, left, right, have_injection,
+                                  a.block_size(), options, b_top, b_bot);
+  if (shape.m == 0) return false;  // nothing propagates at this energy
+  x = solve(std::as_const(b_top), std::as_const(b_bot));
+  finalize_observables(out, a, left, right, have_injection, shape, x, options);
+  return true;
+}
+
 /// Shared guard: density/current requests need a mode-based OBC.
 void require_injection_support(const obc::Strategy& strategy,
                                bool have_injection,

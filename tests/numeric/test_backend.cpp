@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "blockmat/block_tridiag.hpp"
+#include "dft/hamiltonian.hpp"
 #include "numeric/blas.hpp"
 #include "numeric/device_backend.hpp"
 #include "numeric/lu.hpp"
@@ -22,10 +24,13 @@
 #include "parallel/thread_pool.hpp"
 #include "solvers/block_lu.hpp"
 #include "solvers/solver.hpp"
+#include "transport/batch.hpp"
 
 namespace bm = omenx::blockmat;
+namespace df = omenx::dft;
 namespace nm = omenx::numeric;
 namespace sv = omenx::solvers;
+namespace tr = omenx::transport;
 using nm::CMatrix;
 using nm::cplx;
 using nm::idx;
@@ -297,6 +302,12 @@ class CountingBackend final : public nm::Backend {
     ++lu_factors;
     return Backend::lu_factor_batched(as, pivoting);
   }
+  void lu_solve_batched(const std::vector<const nm::LUFactor*>& factors,
+                        const std::vector<const CMatrix*>& bs,
+                        std::vector<CMatrix>& xs) override {
+    ++lu_solves;
+    Backend::lu_solve_batched(factors, bs, xs);
+  }
   void lu_solve_left_batched(const std::vector<const nm::LUFactor*>& factors,
                              const std::vector<const CMatrix*>& bs,
                              std::vector<CMatrix>& xs) override {
@@ -307,10 +318,128 @@ class CountingBackend final : public nm::Backend {
   int dispatches = 0;
   int gemms = 0;
   int lu_factors = 0;
+  int lu_solves = 0;
   int lu_solve_lefts = 0;
 };
 
+df::LeadBlocks synthetic_lead(idx s, unsigned seed) {
+  df::LeadBlocks lead;
+  lead.h.resize(2);
+  lead.s.resize(2);
+  const CMatrix h0 = nm::random_cmatrix(s, s, seed);
+  lead.h[0] = (h0 + nm::dagger(h0)) * cplx{0.25};
+  lead.h[1] = nm::random_cmatrix(s, s, seed + 1) * cplx{0.4};
+  lead.s[0] = CMatrix::identity(s);
+  lead.s[1] = CMatrix(s, s);
+  return lead;
+}
+
+/// The bit-exact fields a batched task must share with solve_energy_point.
+void expect_same_point(const tr::EnergyPointResult& got,
+                       const tr::EnergyPointResult& ref, const char* what) {
+  EXPECT_EQ(got.energy, ref.energy) << what;
+  EXPECT_EQ(got.num_propagating, ref.num_propagating) << what;
+  EXPECT_EQ(got.transmission, ref.transmission) << what;
+  EXPECT_EQ(got.transmission_caroli, ref.transmission_caroli) << what;
+  EXPECT_EQ(got.orbital_density, ref.orbital_density) << what;
+  EXPECT_EQ(got.orbital_density_r, ref.orbital_density_r) << what;
+}
+
 }  // namespace
+
+TEST(Backend, HostEnergyBatchIsOneDispatchOfWholeTasks) {
+  // A non-offloading backend runs a whole energy batch as one dispatch —
+  // lane i fetches, assembles, solves and finalizes task i — with no
+  // stage-wise batched call, for every kBatchable solver.  Each task equals
+  // solve_energy_point to the bit, including one where nothing propagates
+  // (an empty RHS: the lane skips the solve).
+  const idx s = 4, cells = 8;
+  const df::LeadBlocks lead = synthetic_lead(s, 41);
+  const df::FoldedLead folded = df::fold_lead(lead);
+  const df::DeviceMatrices dm = df::assemble_device(
+      lead, cells, std::vector<double>(static_cast<std::size_t>(cells), 0.0));
+  const tr::ContactSet contacts = tr::ContactSet::pair(lead, folded, 0.0, 0.0);
+  const std::vector<double> energies{-1.1, -0.45, 0.05, 0.6, 1.2, 9.0};
+  omenx::parallel::DevicePool pool(2);  // the scalar splitsolve needs one
+
+  for (const sv::SolverAlgorithm algo :
+       {sv::SolverAlgorithm::kBlockLU, sv::SolverAlgorithm::kRgf,
+        sv::SolverAlgorithm::kSplitSolve}) {
+    const char* name = sv::algorithm_name(algo);
+    tr::EnergyPointOptions opts;
+    opts.obc = tr::ObcAlgorithm::kShiftInvert;
+    opts.solver = algo;
+    opts.want_caroli = false;  // the column count then follows the modes
+    opts.want_current = false;
+    std::vector<tr::BatchTask> tasks;
+    for (const double e : energies) tasks.push_back({0, e, &dm, &contacts});
+
+    CountingBackend counting;
+    tr::BatchContext ctx;
+    tr::BatchStats stats;
+    const auto got =
+        tr::solve_energy_batch(ctx, tasks, opts, &pool, counting, 4, &stats);
+    EXPECT_EQ(counting.dispatches, 1) << name;
+    EXPECT_EQ(counting.gemms, 0) << name;
+    EXPECT_EQ(counting.lu_factors, 0) << name;
+    EXPECT_EQ(counting.lu_solves, 0) << name;
+    EXPECT_EQ(counting.lu_solve_lefts, 0) << name;
+    EXPECT_TRUE(stats.batched_solve) << name;
+    EXPECT_EQ(stats.batches, 1) << name;
+    EXPECT_EQ(stats.device_batches, 0) << name;
+    EXPECT_EQ(stats.prefetch_misses, static_cast<idx>(energies.size()))
+        << name;
+
+    ASSERT_EQ(got.size(), energies.size());
+    int open = 0, closed = 0;
+    for (std::size_t i = 0; i < energies.size(); ++i) {
+      const tr::EnergyPointResult ref =
+          tr::solve_energy_point(dm, contacts, energies[i], opts, &pool);
+      expect_same_point(got[i], ref, name);
+      (ref.num_propagating == 0 ? closed : open) += 1;
+    }
+    EXPECT_GT(open, 0) << name;
+    EXPECT_GT(closed, 0) << name;
+  }
+}
+
+TEST(Backend, HostEnergyBatchSurfacesAFetchErrorAfterEveryLaneSettles) {
+  // A NaN energy makes its boundary fetch throw (the cache refuses the
+  // key).  The error surfaces from the batch only after every other lane
+  // has run its task to completion — each left its boundary in the cache —
+  // and nothing hangs.
+  const idx s = 4, cells = 8;
+  const df::LeadBlocks lead = synthetic_lead(s, 43);
+  const df::FoldedLead folded = df::fold_lead(lead);
+  const df::DeviceMatrices dm = df::assemble_device(
+      lead, cells, std::vector<double>(static_cast<std::size_t>(cells), 0.0));
+  const tr::ContactSet contacts = tr::ContactSet::pair(lead, folded, 0.0, 0.0);
+  omenx::obc::BoundaryCache cache;
+  tr::EnergyPointOptions opts;
+  opts.obc = tr::ObcAlgorithm::kShiftInvert;
+  opts.solver = sv::SolverAlgorithm::kBlockLU;
+  opts.want_current = false;
+  opts.boundary_cache = &cache;
+  std::vector<tr::BatchTask> tasks;
+  for (int i = 0; i < 12; ++i)
+    tasks.push_back({0, i == 3 ? std::numeric_limits<double>::quiet_NaN()
+                               : -1.0 + 0.15 * i,
+                     &dm, &contacts});
+  tr::BatchContext ctx;
+  EXPECT_THROW(tr::solve_energy_batch(ctx, tasks, opts, nullptr,
+                                      nm::host_backend(), 4),
+               std::invalid_argument);
+  EXPECT_EQ(cache.size(), tasks.size() - 1);
+
+  // The context stays usable for the next batch.
+  tasks[3].energy = 0.2;
+  const auto got =
+      tr::solve_energy_batch(ctx, tasks, opts, nullptr, nm::host_backend(), 4);
+  EXPECT_EQ(got[3].energy, 0.2);
+  expect_same_point(got[3],
+                    tr::solve_energy_point(dm, contacts, 0.2, opts, nullptr),
+                    "after a failed batch");
+}
 
 TEST(Backend, BlockLuSolverBatchesHostLanesByProblem) {
   // On a backend that does not offload, block_lu hands each lane whole

@@ -180,4 +180,78 @@ TEST(Blas, GemmSteadyStateDoesNotAllocate) {
   nm::gemm(a, b, c);
   nm::gemm(a, b, c, cplx{2.0}, cplx{1.0}, 'T', 'C');
   EXPECT_EQ(nm::matrix_heap_allocations(), before);
+
+  // The direct small-shape route needs no warm-up at all.
+  const CMatrix as = nm::random_cmatrix(4, 4, 62);
+  const CMatrix bs = nm::random_cmatrix(4, 8, 63);
+  CMatrix cs(4, 8);
+  ASSERT_TRUE(nm::detail::gemm_direct_shape(4, 8, 4));
+  const std::uint64_t small_before = nm::matrix_heap_allocations();
+  nm::gemm(as, bs, cs);
+  nm::gemm(as, bs, cs, cplx{0.5, 1.0}, cplx{1.0}, 'C', 'N');
+  EXPECT_EQ(nm::matrix_heap_allocations(), small_before);
+}
+
+// The direct route is serial: a tall narrow product the packed route would
+// split across threads stays packed while the thread's parallelism is on.
+TEST(Blas, DirectRouteOnlyWhereThePackedRouteIsSerial) {
+  const bool saved = nm::thread_parallelism();
+  nm::set_thread_parallelism(true);
+  EXPECT_TRUE(nm::detail::gemm_direct_shape(128, 16, 8));
+  EXPECT_FALSE(nm::detail::gemm_direct_shape(4800, 16, 96));
+  nm::set_thread_parallelism(false);
+  EXPECT_TRUE(nm::detail::gemm_direct_shape(4800, 16, 96));
+  nm::set_thread_parallelism(saved);
+}
+
+// The direct small-shape route must reproduce the packed route to the bit:
+// each small product is also computed as the leading block of a product
+// wide enough to take the packed route, reading the very same operand
+// elements (the small call views the wide operands' storage).
+TEST(Blas, SmallShapeGemmBitwiseEqualsPackedKernel) {
+  const idx kWide = 25;  // > the direct route's column limit
+  const idx kSlab = 192;  // one full packed depth slab
+  const cplx betas[] = {cplx{0.0}, cplx{1.0}, cplx{-0.75, 0.5}};
+  const cplx alpha{0.625, -1.25};
+  int cases = 0;
+  for (idx k : {idx{1}, idx{2}, idx{3}, kSlab}) {
+    // Storage big enough for op(A) m x k and op(B) k x kWide under any op.
+    const CMatrix a = nm::random_cmatrix(kSlab, kSlab, 70 + unsigned(k));
+    const CMatrix b = nm::random_cmatrix(kSlab, kSlab, 80 + unsigned(k));
+    const CMatrix c0 = nm::random_cmatrix(8, kWide, 90 + unsigned(k));
+    ASSERT_FALSE(nm::detail::gemm_direct_shape(8, kWide, k));
+    for (const char op_a : {'N', 'T', 'C'})
+      for (const char op_b : {'N', 'T', 'C'})
+        for (const cplx beta : betas)
+          for (idx m = 1; m <= 8; ++m)
+            for (idx n = 1; n <= 8; ++n) {
+              ASSERT_TRUE(nm::detail::gemm_direct_shape(m, n, k));
+              CMatrix wide = c0;
+              nm::gemm_view(op_a, a.data(), a.cols(), op_b, b.data(), b.cols(),
+                            m, kWide, k, alpha, beta, wide.data(),
+                            wide.cols());
+              CMatrix small = c0;
+              nm::gemm_view(op_a, a.data(), a.cols(), op_b, b.data(),
+                            b.cols(), m, n, k, alpha, beta, small.data(),
+                            small.cols());
+              for (idx i = 0; i < m; ++i)
+                for (idx j = 0; j < n; ++j) {
+                  const cplx x = small(i, j), y = wide(i, j);
+                  ASSERT_EQ(x.real(), y.real())
+                      << op_a << op_b << " m=" << m << " n=" << n
+                      << " k=" << k << " beta=" << beta << " (" << i << ","
+                      << j << ")";
+                  ASSERT_EQ(x.imag(), y.imag())
+                      << op_a << op_b << " m=" << m << " n=" << n
+                      << " k=" << k << " beta=" << beta << " (" << i << ","
+                      << j << ")";
+                }
+              // Columns past n are untouched by the small product.
+              for (idx i = 0; i < m; ++i)
+                for (idx j = n; j < kWide; ++j)
+                  ASSERT_EQ(small(i, j), c0(i, j));
+              ++cases;
+            }
+  }
+  EXPECT_EQ(cases, 4 * 9 * 3 * 64);
 }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
+#include <string>
 
 #include "numeric/blas.hpp"
 #include "numeric/device_backend.hpp"
@@ -10,6 +13,7 @@
 #include "parallel/device.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/tracer.hpp"
+#include "perf/machine.hpp"
 
 namespace pp = omenx::parallel;
 namespace nm = omenx::numeric;
@@ -38,6 +42,56 @@ TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
   pp::ThreadPool pool(2);
   auto fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(fut.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, DefaultSizeFollowsCpuAffinity) {
+  // hardware_concurrency() ignores the affinity mask; the default pool size
+  // must not (a pool pinned to one CPU runs one worker, not one per core).
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  int first = -1;
+  for (int c = 0; c < CPU_SETSIZE && first < 0; ++c)
+    if (CPU_ISSET(c, &saved)) first = c;
+  ASSERT_GE(first, 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+  std::size_t workers = 0;
+  std::size_t usable = 0;
+  {
+    pp::ThreadPool pool(0);
+    workers = pool.num_threads();
+    usable = pp::ThreadPool::usable_cpus();
+    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+  }
+  // The host cost model counts its lanes from the same mask.
+  const int model_lanes = omenx::perf::host_model_lanes();
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  EXPECT_EQ(workers, 1u);
+  EXPECT_EQ(usable, 1u);
+  EXPECT_EQ(model_lanes, 1);
+  EXPECT_EQ(pp::ThreadPool::usable_cpus(),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+
+TEST(Tracer, WindowIsBounded) {
+  // Spans are recorded all the time; the log keeps a bounded window.
+  pp::Tracer tracer;
+  const std::size_t n = pp::Tracer::kCapacity + 2;
+  for (std::size_t i = 0; i < n; ++i)
+    pp::TraceScope(i == 0 ? "first" : "span", -1, tracer);
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), pp::Tracer::kCapacity);
+  EXPECT_EQ(events[0].name, "first");
+  EXPECT_EQ(tracer.dropped(), 2u);
+  tracer.clear();
+  EXPECT_TRUE(tracer.events().empty());
+  EXPECT_EQ(tracer.dropped(), 0u);
+  pp::TraceScope("after", -1, tracer);
+  ASSERT_EQ(tracer.events().size(), 1u);
+  EXPECT_EQ(tracer.events()[0].name, "after");
 }
 
 TEST(Device, KernelsExecuteInOrder) {
