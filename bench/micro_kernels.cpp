@@ -1,5 +1,6 @@
 // Kernel microbenchmarks: the primitives behind SplitSolve (zgemm,
-// zgesv-like LU, RGF sweeps) plus the end-to-end energy-sweep pipeline.
+// zgesv-like LU, RGF sweeps, FEAST's contour filter and subspace QR) plus
+// the end-to-end energy-sweep pipeline.
 //
 // Every section measures the seed-era reference implementation against the
 // current packed/blocked kernels and prints GFLOP/s (or points/s) for both,
@@ -14,9 +15,13 @@
 
 #include "bench_util.hpp"
 #include "blockmat/block_tridiag.hpp"
+#include "dft/basis.hpp"
 #include "dft/hamiltonian.hpp"
+#include "lattice/structure.hpp"
 #include "numeric/blas.hpp"
 #include "numeric/lu.hpp"
+#include "numeric/qr.hpp"
+#include "obc/feast.hpp"
 #include "parallel/thread_pool.hpp"
 #include "solvers/rgf.hpp"
 #include "transport/transmission.hpp"
@@ -268,6 +273,44 @@ int main() {
     w.field("s", 48.0);
     w.field("ms", sec * 1e3, true);
     json += "  \"rgf\": {" + w.body + "},\n";
+  }
+
+  // FEAST on the utb_kspace lead (make_utb(0.2, 8): s = 24, NBW = 2, so
+  // d = 4 and N_BC = 96) with a 48-column probing block, points serial.
+  // The first filter pass factors every P(z_p); later passes of the same
+  // call reuse the factors and pay only the products and the solves.
+  benchutil::header("FEAST filter pass and subspace QR (s = 24, d = 4, m = 48)");
+  {
+    const dft::BasisLibrary basis;
+    const dft::LeadBlocks lead =
+        dft::build_lead_blocks(lattice::make_utb(0.2, 8), basis);
+    const obc::CompanionPencil pencil(lead, cplx{0.4});
+    const CMatrix y = numeric::random_cmatrix(pencil.dim(), 48, 6);
+    const auto contour = obc::detail::annulus_contour(20.0, 16);
+    const double t_first = time_seconds(
+        [&] {
+          obc::detail::ContourFilter filter(pencil, contour, false);
+          benchutil::consume(filter.apply(y).data());
+        },
+        20);
+    obc::detail::ContourFilter filter(pencil, contour, false);
+    const double t_pass =
+        time_seconds([&] { benchutil::consume(filter.apply(y).data()); }, 20);
+    const CMatrix q = numeric::random_cmatrix(pencil.dim(), 48, 7);
+    const double t_qr = time_seconds(
+        [&] { benchutil::consume(numeric::orthonormalize(q).data()); }, 50);
+    std::printf(
+        "first pass (32 factors + solves) %.3f ms, later pass %.3f ms, "
+        "orthonormalize %lldx48 %.1f us\n",
+        t_first * 1e3, t_pass * 1e3, (long long)pencil.dim(), t_qr * 1e6);
+    benchutil::JsonWriter w("%.4f");
+    w.field("s", double(pencil.block_size()));
+    w.field("degree", double(pencil.degree()));
+    w.field("subspace", 48.0);
+    w.field("first_pass_ms", t_first * 1e3);
+    w.field("pass_ms", t_pass * 1e3);
+    w.field("orthonormalize_us", t_qr * 1e6, true);
+    json += "  \"feast\": {" + w.body + "},\n";
   }
 
   benchutil::header("energy sweep: serial vs thread-pool (per-worker workspaces)");

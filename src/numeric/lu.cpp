@@ -8,49 +8,20 @@
 
 #include "numeric/blas.hpp"
 #include "numeric/flops.hpp"
+#include "numeric/vec_kernels.hpp"
 
 namespace omenx::numeric {
 
 namespace {
+using detail::axpy_sub;
+using detail::scale;
+
 // Default blocking width of the factorization and of the triangular solves.
 // 24 splits the pipeline's s = 48 blocks into two panels, and for s a
 // multiple of 24 every trailing update is a whole number of the GEMM
 // micro-kernel's 24-column tiles.  Widths 8 to 32 measure within ~20% of
 // each other at s = 48, 96 and 144; 24 was the fastest.
 constexpr idx kDefaultPanel = 24;
-
-// y[0, n) -= a * x[0, n).  Works on the interleaved (re, im) doubles of the
-// std::complex<double> arrays ([complex.numbers] lets a pointer to an array
-// of complex be read as one to 2n doubles), because GCC does not vectorize
-// std::complex operator*: its Annex G branch recovers infinities from NaN
-// products.  Here a NaN or infinity in a or x makes y non-finite (IEEE
-// propagation) instead of being recovered, and that is all the LU needs.
-inline void axpy_sub(idx n, cplx a, const cplx* __restrict x,
-                     cplx* __restrict y) {
-  const double ar = a.real();
-  const double ai = a.imag();
-  const double* __restrict xd = reinterpret_cast<const double*>(x);
-  double* __restrict yd = reinterpret_cast<double*>(y);
-  for (idx j = 0; j < 2 * n; j += 2) {
-    const double xr = xd[j];
-    const double xi = xd[j + 1];
-    yd[j] -= ar * xr - ai * xi;
-    yd[j + 1] -= ar * xi + ai * xr;
-  }
-}
-
-// y[0, n) *= a, in the same interleaved form as axpy_sub.
-inline void scale(idx n, cplx a, cplx* __restrict y) {
-  const double ar = a.real();
-  const double ai = a.imag();
-  double* __restrict yd = reinterpret_cast<double*>(y);
-  for (idx j = 0; j < 2 * n; j += 2) {
-    const double yr = yd[j];
-    const double yi = yd[j + 1];
-    yd[j] = ar * yr - ai * yi;
-    yd[j + 1] = ar * yi + ai * yr;
-  }
-}
 
 // Row i >= k of the largest |a(i, k)|, the first one on ties.  Compares
 // |z|^2 in plain arithmetic, which orders like |z| up to rounding and costs

@@ -1,20 +1,43 @@
 #include "numeric/qr.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "numeric/flops.hpp"
+#include "numeric/vec_kernels.hpp"
 
 namespace omenx::numeric {
+
+namespace {
+
+// x <- (I - 2 v v^H) x on rows [k, m) and columns [c0, n), row by row on the
+// row-major storage: d = v^H x accumulates one row at a time (an AXPY of
+// conj(v_i) times row i), then every row takes x_i -= v_i (2 d).  `d` is
+// scratch of at least n - c0 entries.
+void reflect(const std::vector<cplx>& v, idx k, idx c0, CMatrix& x,
+             std::vector<cplx>& d) {
+  const idx w = x.cols() - c0;
+  std::fill(d.begin(), d.begin() + w, cplx{0.0});
+  for (idx i = k; i < x.rows(); ++i)
+    detail::axpy(w, std::conj(v[static_cast<std::size_t>(i - k)]),
+                 x.row_ptr(i) + c0, d.data());
+  for (idx i = k; i < x.rows(); ++i)
+    detail::axpy_sub(w, 2.0 * v[static_cast<std::size_t>(i - k)], d.data(),
+                     x.row_ptr(i) + c0);
+}
+
+}  // namespace
 
 QRResult qr_decompose(const CMatrix& a) {
   const idx m = a.rows(), n = a.cols();
   if (m < n) throw std::invalid_argument("qr_decompose: requires m >= n");
   CMatrix r = a;
-  // Accumulate Q by applying the reflectors to an identity afterwards; store
-  // the Householder vectors in-place below the diagonal plus a tau array.
+  // Keep the unit Householder vectors (v_k spans rows k..m-1) and apply them
+  // to an identity afterwards to form Q.
   std::vector<std::vector<cplx>> vs;
   vs.reserve(static_cast<std::size_t>(n));
+  std::vector<cplx> d(static_cast<std::size_t>(n));
   FlopCounter::add(static_cast<std::uint64_t>(16.0 / 3.0 * n * n * (3 * m - n)));
 
   for (idx k = 0; k < n; ++k) {
@@ -36,35 +59,19 @@ QRResult qr_decompose(const CMatrix& a) {
       nv = std::sqrt(nv);
       if (nv > 0.0) {
         for (auto& vi : v) vi /= nv;
-        // Apply reflector H = I - 2 v v^H to trailing columns of R.
-        for (idx j = k; j < n; ++j) {
-          cplx dot{0.0};
-          for (idx i = k; i < m; ++i)
-            dot += std::conj(v[static_cast<std::size_t>(i - k)]) * r(i, j);
-          dot *= 2.0;
-          for (idx i = k; i < m; ++i)
-            r(i, j) -= dot * v[static_cast<std::size_t>(i - k)];
-        }
+        reflect(v, k, k, r, d);  // H = I - 2 v v^H on the trailing columns
       }
     }
     vs.push_back(std::move(v));
   }
 
-  // Form the thin Q by applying reflectors in reverse to the first n columns
-  // of the identity.
+  // Form the thin Q by applying the reflectors in reverse to the first n
+  // columns of the identity.  Before H_k is applied, columns j < k are still
+  // e_j, zero on rows k..m-1, so H_k only touches columns k..n-1.
   CMatrix q(m, n);
   for (idx j = 0; j < n; ++j) q(j, j) = cplx{1.0};
-  for (idx k = n - 1; k >= 0; --k) {
-    const auto& v = vs[static_cast<std::size_t>(k)];
-    for (idx j = 0; j < n; ++j) {
-      cplx dot{0.0};
-      for (idx i = k; i < m; ++i)
-        dot += std::conj(v[static_cast<std::size_t>(i - k)]) * q(i, j);
-      dot *= 2.0;
-      for (idx i = k; i < m; ++i)
-        q(i, j) -= dot * v[static_cast<std::size_t>(i - k)];
-    }
-  }
+  for (idx k = n - 1; k >= 0; --k)
+    reflect(vs[static_cast<std::size_t>(k)], k, k, q, d);
 
   // Zero the strict lower triangle of R (numerical dust from reflections).
   CMatrix r_out(n, n);

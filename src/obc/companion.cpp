@@ -1,8 +1,10 @@
 #include "obc/companion.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "numeric/blas.hpp"
+#include "numeric/vec_kernels.hpp"
 
 namespace omenx::obc {
 
@@ -63,52 +65,63 @@ CMatrix CompanionPencil::polynomial(cplx z) const {
   return p;
 }
 
-CMatrix CompanionPencil::solve_shifted(cplx z, const CMatrix& y) const {
-  if (y.rows() != dim())
-    throw std::invalid_argument("solve_shifted: RHS dimension mismatch");
+CMatrix CompanionPencil::apply_a(const CMatrix& x) const {
+  if (x.rows() != dim())
+    throw std::invalid_argument("apply_a: dimension mismatch");
+  const idx m = x.cols();
+  const idx blk = s_ * m;  // one block row of x, contiguous in row-major
+  CMatrix out(dim(), m);
+  std::copy(x.data() + blk, x.data() + degree_ * blk, out.data());
+  cplx* last = out.data() + (degree_ - 1) * blk;
+  for (idx j = 0; j < degree_; ++j)
+    numeric::gemm_view('N', coeffs_[static_cast<std::size_t>(j)].data(), s_,
+                       'N', x.data() + j * blk, m, s_, m, s_, cplx{-1.0},
+                       cplx{1.0}, last, m);
+  return out;
+}
+
+CMatrix CompanionPencil::apply_b(const CMatrix& x) const {
+  if (x.rows() != dim())
+    throw std::invalid_argument("apply_b: dimension mismatch");
+  const idx m = x.cols();
+  const idx blk = s_ * m;
+  CMatrix out(dim(), m);
+  std::copy(x.data(), x.data() + (degree_ - 1) * blk, out.data());
+  numeric::gemm_view('N', coeffs_[static_cast<std::size_t>(degree_)].data(),
+                     s_, 'N', x.data() + (degree_ - 1) * blk, m, s_, m, s_,
+                     cplx{1.0}, cplx{0.0}, out.data() + (degree_ - 1) * blk, m);
+  return out;
+}
+
+CompanionPencil::ShiftedRhs CompanionPencil::shifted_rhs(
+    const CMatrix& y) const {
   const idx m = y.cols();
-  // R = B_F * Y: r_i = y_i for i < d-1, r_{d-1} = C_d y_{d-1}.
-  std::vector<CMatrix> r(static_cast<std::size_t>(degree_));
-  for (idx i = 0; i < degree_; ++i)
-    r[static_cast<std::size_t>(i)] = y.block(i * s_, 0, s_, m);
-  r[static_cast<std::size_t>(degree_ - 1)] = numeric::matmul(
-      coeffs_[static_cast<std::size_t>(degree_)],
-      r[static_cast<std::size_t>(degree_ - 1)]);
+  const idx blk = s_ * m;
+  ShiftedRhs out{apply_b(y), CMatrix(dim(), m)};
+  for (idx k = 0; k < degree_; ++k) {
+    const idx j_end = k == 0 ? degree_ - 1 : degree_;
+    for (idx j = k + 1; j <= j_end; ++j)
+      numeric::gemm_view('N', coeffs_[static_cast<std::size_t>(j)].data(), s_,
+                         'N', out.r.data() + (j - 1 - k) * blk, m, s_, m, s_,
+                         cplx{1.0}, cplx{1.0}, out.sums.data() + k * blk, m);
+  }
+  return out;
+}
 
-  // Block rows i < d-1 of (zB - A)X = R give x_{i+1} = z x_i - r_i.
-  // Writing x_j = z^j x_0 - w_j with w_0 = 0, w_{j+1} = z w_j + r_j,
-  // the last row collapses onto P(z) x_0 = r_{d-1} + z C_d w_{d-1}
-  //                                        + sum_{j=0}^{d-1} C_j w_j.
-  std::vector<CMatrix> w(static_cast<std::size_t>(degree_));
-  w[0] = CMatrix(s_, m);
-  for (idx j = 1; j < degree_; ++j) {
-    w[static_cast<std::size_t>(j)] = w[static_cast<std::size_t>(j - 1)] * z;
-    w[static_cast<std::size_t>(j)] += r[static_cast<std::size_t>(j - 1)];
+CMatrix CompanionPencil::reduced_rhs(cplx z, const ShiftedRhs& rhs) const {
+  const idx blk = s_ * rhs.r.cols();
+  const auto add = [blk](const cplx* src, cplx* dst) {
+    for (idx e = 0; e < blk; ++e) dst[e] += src[e];
+  };
+  CMatrix out(s_, rhs.r.cols());
+  const cplx* sums = rhs.sums.data();
+  std::copy(sums + (degree_ - 1) * blk, sums + degree_ * blk, out.data());
+  for (idx k = degree_ - 2; k >= 0; --k) {  // Horner over the S_k
+    numeric::detail::scale(blk, z, out.data());
+    add(sums + k * blk, out.data());
   }
-  CMatrix rhs = r[static_cast<std::size_t>(degree_ - 1)];
-  {
-    CMatrix t = numeric::matmul(coeffs_[static_cast<std::size_t>(degree_)],
-                                w[static_cast<std::size_t>(degree_ - 1)]);
-    t *= z;
-    rhs += t;
-  }
-  for (idx j = 0; j < degree_; ++j) {
-    if (j == 0) continue;  // w_0 = 0
-    rhs += numeric::matmul(coeffs_[static_cast<std::size_t>(j)],
-                           w[static_cast<std::size_t>(j)]);
-  }
-  const CMatrix x0 = numeric::solve(polynomial(z), rhs);
-
-  // Reconstruct the full block vector x_j = z^j x_0 - w_j.
-  CMatrix x(dim(), m);
-  CMatrix zj_x0 = x0;
-  for (idx j = 0; j < degree_; ++j) {
-    CMatrix xj = zj_x0;
-    xj -= w[static_cast<std::size_t>(j)];
-    x.set_block(j * s_, 0, xj);
-    if (j + 1 < degree_) zj_x0 *= z;
-  }
-  return x;
+  add(rhs.r.data() + (degree_ - 1) * blk, out.data());
+  return out;
 }
 
 }  // namespace omenx::obc

@@ -1,22 +1,18 @@
 #include "obc/feast.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "numeric/blas.hpp"
 #include "numeric/eig.hpp"
 #include "numeric/qr.hpp"
 #include "numeric/types.hpp"
+#include "numeric/vec_kernels.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace omenx::obc {
 
-namespace {
-
-// Contour integration points and weights for the annulus boundary.
-struct ContourPoint {
-  cplx z;
-  cplx weight;
-};
+namespace detail {
 
 std::vector<ContourPoint> annulus_contour(double r, idx np) {
   std::vector<ContourPoint> pts;
@@ -35,60 +31,116 @@ std::vector<ContourPoint> annulus_contour(double r, idx np) {
   return pts;
 }
 
-}  // namespace
+ContourFilter::ContourFilter(const CompanionPencil& pencil,
+                             std::vector<ContourPoint> points,
+                             bool parallel_points)
+    : pencil_(pencil),
+      points_(std::move(points)),
+      moments_(static_cast<std::size_t>(pencil.degree() - 1), cplx{0.0}),
+      factors_(points_.size()),
+      parallel_points_(parallel_points) {
+  for (const auto& pt : points_) {
+    cplx wz = pt.weight;
+    for (auto& mu : moments_) {
+      mu += wz;
+      wz *= pt.z;
+    }
+  }
+}
+
+CMatrix ContourFilter::apply(const CMatrix& y) {
+  const CompanionPencil::ShiftedRhs rhs = pencil_.shifted_rhs(y);
+  const idx d = pencil_.degree();
+  const idx blk = pencil_.block_size() * y.cols();  // one s x m block
+
+  for (const auto& f : factors_)
+    if (!f) ++factorizations_;
+  std::vector<CMatrix> x0(points_.size());
+  const auto solve_point = [&](std::size_t p) {
+    auto& factor = factors_[p];
+    if (!factor) factor.emplace(pencil_.polynomial(points_[p].z));
+    x0[p] = factor->solve(pencil_.reduced_rhs(points_[p].z, rhs));
+  };
+  if (parallel_points_) {
+    parallel::ThreadPool::global().parallel_for(points_.size(), solve_point);
+  } else {
+    for (std::size_t p = 0; p < points_.size(); ++p) solve_point(p);
+  }
+
+  // Block j of X_p is z_p^j x_0,p - w_j(z_p), so
+  // Q_j = sum_p w_p z_p^j x_0,p - sum_{i<j} mu_{j-1-i} r_i.  The point sum
+  // runs in point order whether or not the points ran in parallel.
+  CMatrix q(pencil_.dim(), y.cols());
+  for (std::size_t p = 0; p < points_.size(); ++p) {
+    cplx wz = points_[p].weight;
+    for (idx j = 0; j < d; ++j) {
+      numeric::detail::axpy(blk, wz, x0[p].data(), q.data() + j * blk);
+      wz *= points_[p].z;
+    }
+  }
+  for (idx j = 1; j < d; ++j)
+    for (idx i = 0; i < j; ++i)
+      numeric::detail::axpy_sub(blk,
+                                moments_[static_cast<std::size_t>(j - 1 - i)],
+                                rhs.r.data() + i * blk, q.data() + j * blk);
+  return q;
+}
+
+}  // namespace detail
 
 LeadModes compute_modes_feast(const dft::LeadBlocks& lead, cplx e,
                               const FeastOptions& options, FeastStats* stats) {
   const CompanionPencil pencil(lead, e);
   const idx nbc = pencil.dim();
   const idx s = pencil.block_size();
-  const CMatrix a = pencil.a_dense();
-  const CMatrix b = pencil.b_dense();
-  const auto contour = annulus_contour(options.annulus_r, options.num_points);
+  detail::ContourFilter filter(
+      pencil, detail::annulus_contour(options.annulus_r, options.num_points),
+      options.parallel_points);
 
   idx subspace = options.subspace > 0
                      ? std::min(options.subspace, nbc)
                      : std::min(nbc, std::max<idx>(8, nbc / 2));
 
+  // Residuals ||A x - lambda B x|| / (||A x|| + |lambda| ||B x||) per pair.
+  const auto residuals = [&](const numeric::EigResult& pairs) {
+    const CMatrix ax = pencil.apply_a(pairs.vectors);
+    const CMatrix bx = pencil.apply_b(pairs.vectors);
+    std::vector<double> res;
+    for (idx c = 0; c < static_cast<idx>(pairs.values.size()); ++c) {
+      const cplx lam = pairs.values[static_cast<std::size_t>(c)];
+      double num = 0.0, den = 0.0;
+      for (idx rr = 0; rr < nbc; ++rr) {
+        num += std::norm(ax(rr, c) - lam * bx(rr, c));
+        den += std::norm(ax(rr, c)) + std::norm(lam) * std::norm(bx(rr, c));
+      }
+      res.push_back(std::sqrt(num / std::max(den, 1e-300)));
+    }
+    return res;
+  };
+
   numeric::EigResult kept;
-  double max_residual = 0.0;
+  std::vector<double> kept_residual;
   idx iterations = 0;
 
   for (;;) {  // subspace-saturation restart loop
     CMatrix y = numeric::random_cmatrix(nbc, subspace, options.seed);
     bool saturated = false;
     kept = numeric::EigResult{};
+    kept_residual.clear();
 
     for (idx iter = 0; iter < options.max_refinement; ++iter) {
       ++iterations;
-      // Contour filter: Q = sum_p w_p (z_p B - A)^{-1} B Y.  Each point is
-      // one s x s solve via the companion reduction; points run in parallel.
-      std::vector<CMatrix> partial(contour.size());
-      auto solve_point = [&](std::size_t p) {
-        CMatrix xp = pencil.solve_shifted(contour[p].z, y);
-        xp *= contour[p].weight;
-        partial[p] = std::move(xp);
-      };
-      if (options.parallel_points) {
-        parallel::ThreadPool::global().parallel_for(contour.size(),
-                                                    solve_point);
-      } else {
-        for (std::size_t p = 0; p < contour.size(); ++p) solve_point(p);
-      }
-      CMatrix q(nbc, subspace);
-      for (const auto& xp : partial) q += xp;
-
-      const CMatrix qo = numeric::orthonormalize(q);
+      const CMatrix qo = numeric::orthonormalize(filter.apply(y));
       if (qo.cols() == 0) break;  // nothing inside the contour
 
       // Rayleigh-Ritz on the projected pencil; shift-invert tolerates a
       // singular projected B and drops infinite Ritz values.
-      const CMatrix ar = numeric::matmul(qo, numeric::matmul(a, qo), 'C', 'N');
-      const CMatrix br = numeric::matmul(qo, numeric::matmul(b, qo), 'C', 'N');
+      const CMatrix ar = numeric::matmul(qo, pencil.apply_a(qo), 'C', 'N');
+      const CMatrix br = numeric::matmul(qo, pencil.apply_b(qo), 'C', 'N');
       const numeric::EigResult ritz = numeric::shift_invert_eig(
           ar, br, cplx{1.07, 0.23}, /*want_vectors=*/true);
 
-      // Back-transform and keep Ritz pairs inside the annulus.
+      // Back-transform the Ritz pairs inside the annulus.
       kept = numeric::EigResult{};
       std::vector<idx> keep_cols;
       for (idx c = 0; c < static_cast<idx>(ritz.values.size()); ++c) {
@@ -98,35 +150,22 @@ LeadModes compute_modes_feast(const dft::LeadBlocks& lead, cplx e,
           keep_cols.push_back(c);
         }
       }
-      kept.vectors = CMatrix(nbc, static_cast<idx>(keep_cols.size()));
-      for (idx c = 0; c < static_cast<idx>(keep_cols.size()); ++c) {
-        CMatrix yc = CMatrix(ritz.vectors.rows(), 1);
-        for (idx rr = 0; rr < ritz.vectors.rows(); ++rr)
-          yc(rr, 0) = ritz.vectors(rr, keep_cols[static_cast<std::size_t>(c)]);
-        const CMatrix xc = numeric::matmul(qo, yc);
-        for (idx rr = 0; rr < nbc; ++rr) kept.vectors(rr, c) = xc(rr, 0);
-      }
-
-      // Residuals ||A x - lambda B x|| / (||A x|| + |lambda| ||B x||).
-      max_residual = 0.0;
-      const CMatrix ax = numeric::matmul(a, kept.vectors);
-      const CMatrix bx = numeric::matmul(b, kept.vectors);
-      for (idx c = 0; c < static_cast<idx>(kept.values.size()); ++c) {
-        const cplx lam = kept.values[static_cast<std::size_t>(c)];
-        double num = 0.0, den = 0.0;
-        for (idx rr = 0; rr < nbc; ++rr) {
-          num += std::norm(ax(rr, c) - lam * bx(rr, c));
-          den += std::norm(ax(rr, c)) + std::norm(lam) * std::norm(bx(rr, c));
-        }
-        max_residual = std::max(max_residual,
-                                std::sqrt(num / std::max(den, 1e-300)));
-      }
+      CMatrix yk(ritz.vectors.rows(), static_cast<idx>(keep_cols.size()));
+      for (idx rr = 0; rr < yk.rows(); ++rr)
+        for (idx c = 0; c < yk.cols(); ++c)
+          yk(rr, c) = ritz.vectors(rr, keep_cols[static_cast<std::size_t>(c)]);
+      kept.vectors = numeric::matmul(qo, yk);
+      kept_residual = residuals(kept);
 
       if (static_cast<idx>(kept.values.size()) >= subspace &&
           subspace < nbc) {
         saturated = true;  // annulus may hold more modes than the subspace
         break;
       }
+      const double max_residual =
+          kept_residual.empty()
+              ? 0.0
+              : *std::max_element(kept_residual.begin(), kept_residual.end());
       if (max_residual < options.residual_tol) break;
       // Subspace iteration: feed the Ritz vectors back through the filter,
       // padded with fresh random columns to keep the subspace size.
@@ -145,45 +184,35 @@ LeadModes compute_modes_feast(const dft::LeadBlocks& lead, cplx e,
   // Final filter: discard Ritz pairs that never converged (spurious values
   // that the contour filter could not resolve, typically deep inside large
   // annuli).  The survivors are the trustworthy modes.
-  {
-    const double keep_tol = std::max(options.residual_tol * 1e3, 1e-6);
-    const CMatrix ax = numeric::matmul(a, kept.vectors);
-    const CMatrix bx = numeric::matmul(b, kept.vectors);
-    std::vector<idx> good;
-    max_residual = 0.0;
-    for (idx c = 0; c < static_cast<idx>(kept.values.size()); ++c) {
-      const cplx lam = kept.values[static_cast<std::size_t>(c)];
-      double num = 0.0, den = 0.0;
-      for (idx rr = 0; rr < nbc; ++rr) {
-        num += std::norm(ax(rr, c) - lam * bx(rr, c));
-        den += std::norm(ax(rr, c)) + std::norm(lam) * std::norm(bx(rr, c));
-      }
-      const double res = std::sqrt(num / std::max(den, 1e-300));
-      if (res <= keep_tol) {
-        good.push_back(c);
-        max_residual = std::max(max_residual, res);
-      }
+  const double keep_tol = std::max(options.residual_tol * 1e3, 1e-6);
+  std::vector<idx> good;
+  double max_residual = 0.0;
+  for (idx c = 0; c < static_cast<idx>(kept.values.size()); ++c) {
+    const double res = kept_residual[static_cast<std::size_t>(c)];
+    if (res <= keep_tol) {
+      good.push_back(c);
+      max_residual = std::max(max_residual, res);
     }
-    numeric::EigResult filtered;
-    filtered.vectors = CMatrix(nbc, static_cast<idx>(good.size()));
-    for (idx c = 0; c < static_cast<idx>(good.size()); ++c) {
-      const idx src = good[static_cast<std::size_t>(c)];
-      filtered.values.push_back(kept.values[static_cast<std::size_t>(src)]);
-      for (idx rr = 0; rr < nbc; ++rr)
-        filtered.vectors(rr, c) = kept.vectors(rr, src);
-    }
-    kept = std::move(filtered);
+  }
+  numeric::EigResult filtered;
+  filtered.vectors = CMatrix(nbc, static_cast<idx>(good.size()));
+  for (idx c = 0; c < static_cast<idx>(good.size()); ++c) {
+    const idx src = good[static_cast<std::size_t>(c)];
+    filtered.values.push_back(kept.values[static_cast<std::size_t>(src)]);
+    for (idx rr = 0; rr < nbc; ++rr)
+      filtered.vectors(rr, c) = kept.vectors(rr, src);
   }
 
   if (stats != nullptr) {
-    stats->modes_found = static_cast<idx>(kept.values.size());
+    stats->modes_found = static_cast<idx>(filtered.values.size());
     stats->subspace_used = subspace;
     stats->iterations = iterations;
+    stats->factorizations = filter.factorizations();
     stats->max_residual = max_residual;
   }
 
   const LeadOperators ops = lead_operators(dft::fold_lead(lead), e);
-  return fold_and_classify(kept, lead.nbw(), s, ops, options.prop_tol);
+  return fold_and_classify(filtered, lead.nbw(), s, ops, options.prop_tol);
 }
 
 }  // namespace omenx::obc

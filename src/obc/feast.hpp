@@ -4,13 +4,25 @@
 // transport (propagating and slowly decaying modes); the contour is the
 // annulus boundary: the outer circle traversed counter-clockwise plus the
 // inner circle clockwise.  Each trapezoid integration point costs one s x s
-// solve thanks to the companion reduction (CompanionPencil::solve_shifted);
-// the points are independent and run in parallel on the host threads — in
-// the paper this is the CPU-side work overlapped with SplitSolve on GPUs.
+// solve thanks to the companion reduction (obc/companion.hpp); the points
+// are independent and run in parallel on the host threads — in the paper
+// this is the CPU-side work overlapped with SplitSolve on GPUs.
+//
+// Per call, each P(z_p) is factored once and the factor is reused by every
+// filter pass and subspace-saturation restart.  Per pass, the z-independent
+// products C_j r_i are formed once (CompanionPencil::shifted_rhs); a point
+// then costs a Horner sum of s x m blocks and one solve with its factor.
+// The filtered block Q is accumulated in point order from the points'
+// s x m solutions x_0, so serial and parallel points agree bit for bit.
 #pragma once
+
+#include <optional>
+#include <vector>
 
 #include "dft/hamiltonian.hpp"
 #include "numeric/hash.hpp"
+#include "numeric/lu.hpp"
+#include "obc/companion.hpp"
 #include "obc/modes.hpp"
 
 namespace omenx::obc {
@@ -36,7 +48,8 @@ struct FeastOptions {
 struct FeastStats {
   idx modes_found = 0;
   idx subspace_used = 0;
-  idx iterations = 0;
+  idx iterations = 0;        ///< filter passes, over all restarts
+  idx factorizations = 0;    ///< LUs of P(z): 2 * num_points per call
   double max_residual = 0.0;
 };
 
@@ -45,5 +58,44 @@ struct FeastStats {
 LeadModes compute_modes_feast(const dft::LeadBlocks& lead, cplx e,
                               const FeastOptions& options = {},
                               FeastStats* stats = nullptr);
+
+namespace detail {
+
+/// A trapezoid node of the contour and its weight.
+struct ContourPoint {
+  cplx z;
+  cplx weight;
+};
+
+/// The annulus boundary with `np` points per circle (outer circle first at
+/// each angle): sum_p weight_p f(z_p) approximates (1/(2 pi i)) \oint f dz.
+std::vector<ContourPoint> annulus_contour(double r, idx np);
+
+/// FEAST's contour filter Q = sum_p w_p (z_p B_F - A_F)^{-1} B_F Y for one
+/// pencil, which must outlive the filter.  The factor of P(z_p) is made on
+/// the filter's first pass and kept for the filter's lifetime; concurrent
+/// points each fill their own slot.
+class ContourFilter {
+ public:
+  ContourFilter(const CompanionPencil& pencil,
+                std::vector<ContourPoint> points, bool parallel_points);
+
+  /// Q for the probing block Y (pencil.dim() rows).
+  CMatrix apply(const CMatrix& y);
+
+  const std::vector<ContourPoint>& points() const noexcept { return points_; }
+  /// Factorizations of P(z) made so far: at most one per point.
+  idx factorizations() const noexcept { return factorizations_; }
+
+ private:
+  const CompanionPencil& pencil_;
+  std::vector<ContourPoint> points_;
+  std::vector<cplx> moments_;  ///< mu_k = sum_p w_p z_p^k, k = 0..d-2
+  std::vector<std::optional<numeric::LUFactor>> factors_;
+  bool parallel_points_;
+  idx factorizations_ = 0;
+};
+
+}  // namespace detail
 
 }  // namespace omenx::obc

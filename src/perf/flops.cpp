@@ -67,17 +67,34 @@ std::uint64_t block_lu_flops(idx nb, idx s, idx nrhs) {
 
 std::uint64_t feast_flops(idx s, idx degree, idx np, idx subspace,
                           idx iterations) {
-  // Each contour point: LU of the s x s polynomial + solve with `subspace`
-  // RHS + Horner assembly (degree GEMM-free scalings, negligible).  Two
-  // circles => 2*np points.  Rayleigh-Ritz: QR of (degree*s x subspace) and
-  // a subspace^3 reduced eigensolve.
-  const std::uint64_t per_point = lu_flops(s) + lu_solve_flops(s, subspace);
+  // Once per call: one LU of P(z_p) per contour point (two circles => 2*np
+  // points), reused by every filter pass.  Per pass:
+  //  - the d(d+1)/2 z-independent products C_j r_i (s x s x m GEMMs);
+  //  - one m-column solve per point;
+  //  - the QR of the N_BC x m filtered block;
+  //  - Rayleigh-Ritz: A_F Q and B_F Q from the companion structure (d + 1
+  //    GEMMs), the two projections Q^H (A_F Q), Q^H (B_F Q) and a
+  //    shift-invert eigensolve of the projected pencil (LU, solve,
+  //    Hessenberg, QR iteration and vectors: ~47 m^3).
+  // Rayleigh-Ritz runs at the rank of the filtered block, at most m, so
+  // that term is an upper bound.
+  const idx m = subspace;
   const idx nbc = degree * s;
+  const std::uint64_t points = 2ull * static_cast<std::uint64_t>(np);
+  const std::uint64_t factor = points * lu_flops(s);
+  const std::uint64_t products =
+      static_cast<std::uint64_t>(degree * (degree + 1) / 2) *
+      gemm_flops(s, m, s);
+  const std::uint64_t solves = points * lu_solve_flops(s, m);
+  const std::uint64_t qr =
+      u(16.0 / 3.0 * static_cast<double>(m) * static_cast<double>(m) *
+        (3.0 * static_cast<double>(nbc) - static_cast<double>(m)));
   const std::uint64_t rr =
-      u(16.0 / 3.0 * static_cast<double>(subspace) * subspace *
-        (3.0 * static_cast<double>(nbc) - subspace)) +
-      25ull * static_cast<std::uint64_t>(subspace) * subspace * subspace;
-  return iterations * (2ull * np * per_point + rr);
+      static_cast<std::uint64_t>(degree + 1) * gemm_flops(s, m, s) +
+      2ull * gemm_flops(m, m, nbc) +
+      47ull * static_cast<std::uint64_t>(m) * m * m;
+  return factor +
+         static_cast<std::uint64_t>(iterations) * (products + solves + qr + rr);
 }
 
 std::uint64_t shift_invert_flops(idx nbc) {

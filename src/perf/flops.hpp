@@ -39,8 +39,10 @@ std::uint64_t splitsolve_postprocess_flops(idx nb, idx s, idx nrhs);
 /// full solve for nrhs columns.
 std::uint64_t block_lu_flops(idx nb, idx s, idx nrhs);
 
-/// FEAST OBC cost: np contour points, each one s-sized polynomial LU solve
-/// with `subspace` columns, plus the Rayleigh-Ritz reduction.
+/// FEAST OBC cost of one call with `iterations` filter passes: one s-sized
+/// LU of the lead polynomial per contour point (np per circle), then per
+/// pass the z-independent companion products, a `subspace`-column solve per
+/// point, the subspace QR and the Rayleigh-Ritz reduction.
 std::uint64_t feast_flops(idx s, idx degree, idx np, idx subspace,
                           idx iterations);
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "numeric/blas.hpp"
 #include "numeric/matrix.hpp"
 
@@ -9,6 +13,97 @@ namespace nm = omenx::numeric;
 using nm::CMatrix;
 using nm::cplx;
 using nm::idx;
+
+namespace {
+
+// Column-by-column Householder QR on plain std::complex arithmetic: the
+// reference the row-wise reflector kernels of qr_decompose are checked
+// against (same reflector and sign conventions, so Q and R agree to
+// rounding).
+nm::QRResult reference_qr(const CMatrix& a) {
+  const idx m = a.rows(), n = a.cols();
+  CMatrix r = a;
+  std::vector<std::vector<cplx>> vs;
+  const auto reflect = [&](const std::vector<cplx>& v, idx k, CMatrix& x) {
+    for (idx j = 0; j < x.cols(); ++j) {
+      cplx dot{0.0};
+      for (idx i = k; i < m; ++i)
+        dot += std::conj(v[static_cast<std::size_t>(i - k)]) * x(i, j);
+      for (idx i = k; i < m; ++i)
+        x(i, j) -= 2.0 * dot * v[static_cast<std::size_t>(i - k)];
+    }
+  };
+  for (idx k = 0; k < n; ++k) {
+    double norm_x = 0.0;
+    for (idx i = k; i < m; ++i) norm_x += std::norm(r(i, k));
+    norm_x = std::sqrt(norm_x);
+    std::vector<cplx> v(static_cast<std::size_t>(m - k), cplx{0.0});
+    if (norm_x > 0.0) {
+      const cplx x0 = r(k, k);
+      const cplx phase = std::abs(x0) > 0.0 ? x0 / std::abs(x0) : cplx{1.0};
+      for (idx i = k; i < m; ++i) v[static_cast<std::size_t>(i - k)] = r(i, k);
+      v[0] += phase * norm_x;
+      double nv = 0.0;
+      for (const auto& vi : v) nv += std::norm(vi);
+      for (auto& vi : v) vi /= std::sqrt(nv);
+      reflect(v, k, r);
+    }
+    vs.push_back(v);
+  }
+  CMatrix q(m, n);
+  for (idx j = 0; j < n; ++j) q(j, j) = cplx{1.0};
+  for (idx k = n - 1; k >= 0; --k) reflect(vs[static_cast<std::size_t>(k)], k, q);
+  CMatrix r_out(n, n);
+  for (idx i = 0; i < n; ++i)
+    for (idx j = i; j < n; ++j) r_out(i, j) = r(i, j);
+  return {q, r_out};
+}
+
+// Rank orthonormalize() must report: R diagonals above tol * max diagonal.
+idx reference_rank(const CMatrix& a, double tol = 1e-10) {
+  const nm::QRResult qr = reference_qr(a);
+  double max_diag = 0.0;
+  for (idx i = 0; i < qr.r.rows(); ++i)
+    max_diag = std::max(max_diag, std::abs(qr.r(i, i)));
+  idx rank = 0;
+  for (idx i = 0; i < qr.r.rows(); ++i)
+    if (max_diag > 0.0 && std::abs(qr.r(i, i)) > tol * max_diag) ++rank;
+  return rank;
+}
+
+void expect_matches_reference(const CMatrix& a) {
+  const auto [q, r] = nm::qr_decompose(a);
+  const auto ref = reference_qr(a);
+  const double scale = std::max(1.0, nm::max_abs(a));
+  EXPECT_LT(nm::max_abs_diff(nm::matmul(q, r), a), 1e-13 * scale)
+      << a.rows() << " x " << a.cols();
+  EXPECT_LT(nm::max_abs_diff(q, ref.q), 1e-13) << a.rows() << " x " << a.cols();
+  EXPECT_LT(nm::max_abs_diff(r, ref.r), 1e-13 * scale)
+      << a.rows() << " x " << a.cols();
+}
+
+}  // namespace
+
+TEST(QR, RowKernelsMatchScalarReference) {
+  for (idx m = 1; m <= 9; ++m)
+    for (idx n = 1; n <= m; ++n)
+      expect_matches_reference(
+          nm::random_cmatrix(m, n, static_cast<unsigned>(100 + 10 * m + n)));
+  expect_matches_reference(nm::random_cmatrix(96, 48, 5));
+}
+
+TEST(QR, RankDeficientInputsKeepTheirRank) {
+  // Rank-r products B C (96 x r times r x 48) and duplicated columns.
+  for (const idx rank : {1, 7, 30, 47}) {
+    const CMatrix a = nm::matmul(nm::random_cmatrix(96, rank, 8),
+                                 nm::random_cmatrix(rank, 48, 9));
+    EXPECT_EQ(nm::orthonormalize(a).cols(), reference_rank(a)) << rank;
+    EXPECT_EQ(nm::orthonormalize(a).cols(), rank) << rank;
+  }
+  CMatrix dup = nm::random_cmatrix(9, 6, 10);
+  for (idx i = 0; i < 9; ++i) dup(i, 4) = dup(i, 1);
+  EXPECT_EQ(nm::orthonormalize(dup).cols(), reference_rank(dup));
+}
 
 TEST(QR, ReconstructsInput) {
   const CMatrix a = nm::random_cmatrix(12, 7, 1);

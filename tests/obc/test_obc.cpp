@@ -8,7 +8,9 @@
 #include <cmath>
 #include <complex>
 
+#include "dft/basis.hpp"
 #include "dft/hamiltonian.hpp"
+#include "lattice/structure.hpp"
 #include "numeric/blas.hpp"
 #include "numeric/eig.hpp"
 #include "numeric/lu.hpp"
@@ -64,6 +66,31 @@ df::LeadBlocks random_lead(idx s, unsigned seed) {
   return lead;
 }
 
+// Random Hermitian lead with NBW = nbw and a nonsingular farthest coupling.
+df::LeadBlocks random_lead_nbw(idx s, idx nbw, unsigned seed) {
+  df::LeadBlocks lead;
+  lead.h.resize(static_cast<std::size_t>(nbw + 1));
+  lead.s.resize(static_cast<std::size_t>(nbw + 1));
+  const CMatrix a = nm::random_cmatrix(s, s, seed);
+  lead.h[0] = a + nm::dagger(a);
+  lead.s[0] = CMatrix::identity(s);
+  for (idx l = 1; l <= nbw; ++l) {
+    auto& h = lead.h[static_cast<std::size_t>(l)];
+    h = nm::random_cmatrix(s, s, seed + static_cast<unsigned>(l));
+    h *= cplx{1.0 / static_cast<double>(l)};
+    if (l == nbw)
+      for (idx i = 0; i < s; ++i) h(i, i) += cplx{1.5};
+    lead.s[static_cast<std::size_t>(l)] = CMatrix(s, s);
+  }
+  return lead;
+}
+
+// The make_utb(0.2, 8) lead of the utb_kspace benchmark: s = 24, NBW = 2.
+df::LeadBlocks utb_lead() {
+  const df::BasisLibrary basis;
+  return df::build_lead_blocks(omenx::lattice::make_utb(0.2, 8), basis);
+}
+
 df::FoldedLead fold_of(const df::LeadBlocks& lead) { return df::fold_lead(lead); }
 
 cplx analytic_sigma(double e, double t) {
@@ -102,21 +129,25 @@ TEST(Companion, PolynomialEvaluation) {
   EXPECT_LT(std::abs(p(0, 0) - expected), 1e-13);
 }
 
-TEST(Companion, SolveShiftedMatchesDense) {
-  const auto lead = random_lead(3, 7);
-  const cplx e{0.4, 0.0};
-  const ob::CompanionPencil pencil(lead, e);
-  const cplx z{1.3, 0.8};
-  const CMatrix y = nm::random_cmatrix(pencil.dim(), 4, 21);
-  const CMatrix fast = pencil.solve_shifted(z, y);
-  // Dense reference: (z B - A) X = B Y.
-  CMatrix zb_a = pencil.b_dense() * z - pencil.a_dense();
-  const CMatrix rhs = nm::matmul(pencil.b_dense(), y);
-  const CMatrix ref = nm::solve(zb_a, rhs);
-  EXPECT_LT(nm::max_abs_diff(fast, ref), 1e-9);
+// x_0 = P(z)^{-1} reduced_rhs(z) must be the first block of the dense
+// solution of (z B - A) X = B Y.
+static void expect_reduced_solve_matches_dense(const ob::CompanionPencil& pencil,
+                                        cplx z, idx m, unsigned seed) {
+  const CMatrix y = nm::random_cmatrix(pencil.dim(), m, seed);
+  const CMatrix x0 = nm::solve(pencil.polynomial(z),
+                               pencil.reduced_rhs(z, pencil.shifted_rhs(y)));
+  const CMatrix zb_a = pencil.b_dense() * z - pencil.a_dense();
+  const CMatrix ref = nm::solve(zb_a, nm::matmul(pencil.b_dense(), y));
+  EXPECT_LT(nm::max_abs_diff(x0, ref.block(0, 0, pencil.block_size(), m)),
+            1e-10 * nm::max_abs(ref));
 }
 
-TEST(Companion, SolveShiftedMultiNeighbor) {
+TEST(Companion, ReducedSolveMatchesDense) {
+  const ob::CompanionPencil pencil(random_lead(3, 7), cplx{0.4, 0.0});
+  expect_reduced_solve_matches_dense(pencil, cplx{1.3, 0.8}, 4, 21);
+}
+
+TEST(Companion, ReducedSolveMultiNeighbor) {
   // NBW = 2 chain: second-neighbour hopping.
   df::LeadBlocks lead;
   lead.h.resize(3);
@@ -129,11 +160,24 @@ TEST(Companion, SolveShiftedMultiNeighbor) {
   lead.s[2] = CMatrix(1, 1);
   const ob::CompanionPencil pencil(lead, cplx{0.3});
   EXPECT_EQ(pencil.dim(), 4);
-  const cplx z{0.9, -0.3};
-  const CMatrix y = nm::random_cmatrix(4, 2, 31);
-  CMatrix zb_a = pencil.b_dense() * z - pencil.a_dense();
-  const CMatrix ref = nm::solve(zb_a, nm::matmul(pencil.b_dense(), y));
-  EXPECT_LT(nm::max_abs_diff(pencil.solve_shifted(z, y), ref), 1e-10);
+  expect_reduced_solve_matches_dense(pencil, cplx{0.9, -0.3}, 2, 31);
+  expect_reduced_solve_matches_dense(
+      ob::CompanionPencil(random_lead_nbw(3, 3, 17), cplx{0.2}),
+      cplx{-0.6, 1.1}, 5, 32);
+}
+
+TEST(Companion, StructuredProductsMatchDense) {
+  for (const idx nbw : {1, 2, 3}) {
+    const ob::CompanionPencil pencil(random_lead_nbw(4, nbw, 40 + nbw),
+                                     cplx{0.3, 0.01});
+    const CMatrix x = nm::random_cmatrix(pencil.dim(), 5, 9);
+    EXPECT_LT(nm::max_abs_diff(pencil.apply_a(x),
+                               nm::matmul(pencil.a_dense(), x)),
+              1e-12);
+    EXPECT_LT(nm::max_abs_diff(pencil.apply_b(x),
+                               nm::matmul(pencil.b_dense(), x)),
+              1e-12);
+  }
 }
 
 TEST(Modes, ChainClassificationAndVelocity) {
@@ -270,15 +314,88 @@ TEST(Feast, SelfEnergyAgreesWithDecimationOnChain) {
 }
 
 TEST(Feast, SerialAndParallelPointsAgree) {
-  const auto lead = random_lead(3, 46);
-  const cplx e{0.15};
-  ob::FeastOptions ser;
-  ser.parallel_points = false;
-  ob::FeastOptions par;
-  par.parallel_points = true;
-  const auto a = ob::compute_modes_feast(lead, e, ser);
-  const auto b = ob::compute_modes_feast(lead, e, par);
-  ASSERT_EQ(a.lambda.size(), b.lambda.size());
+  // Points solve independently and Q sums them in point order either way,
+  // so the two runs agree bit for bit.
+  const auto check = [](const df::LeadBlocks& lead, cplx e) {
+    ob::FeastOptions ser;
+    ser.parallel_points = false;
+    ob::FeastOptions par;
+    par.parallel_points = true;
+    const auto a = ob::compute_modes_feast(lead, e, ser);
+    const auto b = ob::compute_modes_feast(lead, e, par);
+    ASSERT_EQ(a.lambda.size(), b.lambda.size());
+    ASSERT_FALSE(a.lambda.empty());
+    for (std::size_t i = 0; i < a.lambda.size(); ++i)
+      EXPECT_EQ(a.lambda[i], b.lambda[i]);
+    ASSERT_EQ(a.vectors.rows(), b.vectors.rows());
+    ASSERT_EQ(a.vectors.cols(), b.vectors.cols());
+    for (idx i = 0; i < a.vectors.size(); ++i)
+      EXPECT_EQ(a.vectors.data()[i], b.vectors.data()[i]);
+  };
+  check(random_lead(3, 46), cplx{0.15});
+  check(utb_lead(), cplx{0.4});
+}
+
+TEST(Feast, ContourFilterMatchesDensePencil) {
+  // Q = sum_p w_p (z_p B - A)^{-1} B Y, once through the reduced filter and
+  // once through dense N_BC-sized solves of the companion pencil.
+  const auto check = [](const df::LeadBlocks& lead, cplx e,
+                        std::vector<ob::detail::ContourPoint> points) {
+    const ob::CompanionPencil pencil(lead, e);
+    const CMatrix y = nm::random_cmatrix(pencil.dim(), 6, 77);
+    ob::detail::ContourFilter filter(pencil, std::move(points),
+                                     /*parallel_points=*/true);
+    const CMatrix a = pencil.a_dense();
+    const CMatrix b = pencil.b_dense();
+    const CMatrix by = nm::matmul(b, y);
+    CMatrix ref(pencil.dim(), y.cols());
+    for (const auto& pt : filter.points()) {
+      CMatrix x = nm::solve(b * pt.z - a, by);
+      x *= pt.weight;
+      ref += x;
+    }
+    // Twice: the second pass reuses the factors of the first.
+    for (int pass = 0; pass < 2; ++pass)
+      EXPECT_LT(nm::max_abs_diff(filter.apply(y), ref), 1e-12 * nm::max_abs(ref))
+          << "NBW " << lead.nbw() << " pass " << pass;
+    EXPECT_EQ(filter.factorizations(),
+              static_cast<idx>(filter.points().size()));
+  };
+  const auto annulus = ob::detail::annulus_contour;
+  check(random_lead_nbw(3, 1, 51), cplx{0.2}, annulus(3.0, 8));
+  check(random_lead_nbw(3, 2, 52), cplx{-0.1, 0.01}, annulus(3.0, 8));
+  check(random_lead_nbw(2, 3, 53), cplx{0.3}, annulus(2.0, 8));
+  check(utb_lead(), cplx{0.4}, annulus(20.0, 16));
+  // On the annulus the moments sum_p w_p z_p^k (k < d - 1) vanish; three
+  // arbitrary points with arbitrary weights exercise that term of Q too.
+  const std::vector<ob::detail::ContourPoint> loose = {
+      {cplx{1.3, 0.4}, cplx{0.2, 1.0}},
+      {cplx{-0.7, 0.9}, cplx{0.5, -0.3}},
+      {cplx{0.4, -1.1}, cplx{-0.8, 0.6}}};
+  check(random_lead_nbw(3, 2, 54), cplx{0.1}, loose);
+  check(random_lead_nbw(2, 3, 55), cplx{-0.2}, loose);
+}
+
+TEST(Feast, FactorsEachContourPointOncePerCall) {
+  // 2 * num_points factorizations per call however many filter passes and
+  // subspace-saturation restarts the call makes.
+  const ob::FeastOptions fopt;
+  bool multi_pass = false;
+  const auto lead = utb_lead();
+  for (const double e : {0.4, 0.9, 1.2}) {  // 2, 4 and 3 passes
+    ob::FeastStats stats;
+    ob::compute_modes_feast(lead, cplx{e}, fopt, &stats);
+    EXPECT_EQ(stats.factorizations, 2 * fopt.num_points);
+    multi_pass = multi_pass || stats.iterations > 1;
+  }
+  EXPECT_TRUE(multi_pass);
+  // A 2-column subspace saturates and restarts with a larger one.
+  ob::FeastOptions narrow;
+  narrow.subspace = 2;
+  ob::FeastStats stats;
+  ob::compute_modes_feast(random_lead(4, 44), cplx{0.3}, narrow, &stats);
+  EXPECT_GT(stats.subspace_used, 2);
+  EXPECT_EQ(stats.factorizations, 2 * narrow.num_points);
 }
 
 TEST(Decimation, ChainSurfaceGfAnalytic) {

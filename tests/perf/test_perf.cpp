@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "blockmat/block_tridiag.hpp"
+#include "dft/basis.hpp"
+#include "dft/hamiltonian.hpp"
+#include "lattice/structure.hpp"
 #include "numeric/blas.hpp"
 #include "numeric/flops.hpp"
 #include "numeric/lu.hpp"
+#include "obc/feast.hpp"
 #include "perf/flops.hpp"
 #include "perf/machine.hpp"
 #include "perf/power.hpp"
@@ -234,4 +238,28 @@ TEST(Flops, BlockedLUCountsStayAnalytic) {
   nm::FlopCounter::reset();
   lu.solve(rhs);
   EXPECT_EQ(nm::FlopCounter::total(), pf::lu_solve_flops(n, 9));
+}
+
+// The FEAST model counts what compute_modes_feast does: one factor per
+// contour point per call, and per filter pass the companion products, the
+// per-point solves, the subspace QR and Rayleigh-Ritz.  Checked against the
+// instrumented count of one call on the utb_kspace lead (s = 24, NBW = 2).
+TEST(Flops, FeastModelTracksOneCall) {
+  const omenx::dft::BasisLibrary basis;
+  const auto lead = omenx::dft::build_lead_blocks(
+      omenx::lattice::make_utb(0.2, 8), basis);
+  ASSERT_EQ(lead.block_dim(), 24);
+  ASSERT_EQ(lead.nbw(), 2);
+  for (const double e : {0.1, 0.9}) {
+    const omenx::obc::FeastOptions opt;
+    omenx::obc::FeastStats stats;
+    const nm::FlopScope scope;
+    omenx::obc::compute_modes_feast(lead, cplx{e}, opt, &stats);
+    const double measured = static_cast<double>(scope.elapsed());
+    const double model = static_cast<double>(
+        pf::feast_flops(24, 4, opt.num_points, stats.subspace_used,
+                        stats.iterations));
+    EXPECT_GT(measured / model, 0.5) << "E = " << e;
+    EXPECT_LT(measured / model, 2.0) << "E = " << e;
+  }
 }
