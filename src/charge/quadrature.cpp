@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
+#include "numeric/registry.hpp"
 #include "transport/energy_grid.hpp"
 #include "transport/transmission.hpp"
 
@@ -169,56 +168,31 @@ class ContourQuadrature final : public Quadrature {
   }
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, QuadratureFactory> factories;
-};
-
-Registry& registry() {
-  static Registry* r = [] {
-    auto* reg = new Registry;
-    reg->factories["real_grid"] = [] {
-      return std::make_unique<RealGridQuadrature>();
-    };
-    reg->factories["contour"] = [] {
-      return std::make_unique<ContourQuadrature>();
-    };
-    return reg;
-  }();
+numeric::Registry<QuadratureFactory>& registry() {
+  static auto* r = new numeric::Registry<QuadratureFactory>({
+      {"real_grid", [] { return std::make_unique<RealGridQuadrature>(); }},
+      {"contour", [] { return std::make_unique<ContourQuadrature>(); }},
+  });
   return *r;
 }
 
 }  // namespace
 
 void register_quadrature(const std::string& name, QuadratureFactory factory) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  r.factories[name] = std::move(factory);
+  registry().set(name, std::move(factory));
 }
 
 std::vector<std::string> registered_quadratures() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<std::string> names;
-  names.reserve(r.factories.size());
-  for (const auto& [name, factory] : r.factories) names.push_back(name);
-  return names;
+  return registry().names();
 }
 
 std::unique_ptr<Quadrature> make_quadrature(const std::string& name) {
-  // Copy the factory out before invoking it: a registered factory may
-  // itself call make_quadrature (delegating wrappers do), and invoking it
-  // under the registry lock would self-deadlock.
-  QuadratureFactory factory;
-  {
-    Registry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    const auto it = r.factories.find(name);
-    if (it == r.factories.end())
-      throw std::invalid_argument("make_quadrature: unknown backend '" + name +
-                                  "'");
-    factory = it->second;
-  }
+  // The registry hands the factory out before it runs: a registered
+  // factory may itself call make_quadrature (delegating wrappers do).
+  const QuadratureFactory factory = registry().find(name);
+  if (!factory)
+    throw std::invalid_argument("make_quadrature: unknown backend '" + name +
+                                "'");
   return factory();
 }
 

@@ -2,13 +2,12 @@
 
 #include <exception>
 #include <future>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "numeric/blas.hpp"
+#include "numeric/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/tracer.hpp"
 
@@ -75,14 +74,9 @@ class HostBackend final : public Backend {
   }
 };
 
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::map<std::string, Backend*>& registry() {
-  static std::map<std::string, Backend*> backends{{"host", &host_backend()}};
-  return backends;
+Registry<Backend*>& registry() {
+  static auto* r = new Registry<Backend*>({{"host", &host_backend()}});
+  return *r;
 }
 
 }  // namespace
@@ -140,30 +134,18 @@ Backend& host_backend() {
 void register_backend(const std::string& name, Backend* backend) {
   if (backend == nullptr)
     throw std::invalid_argument("register_backend: null backend");
-  const std::lock_guard<std::mutex> lock(registry_mutex());
   // A name maps to one backend forever (callers cache the raw pointer, so a
   // silent overwrite would strand them on an object the registry no longer
   // vouches for).
-  const auto [it, inserted] = registry().emplace(name, backend);
-  (void)it;
-  if (!inserted)
+  if (!registry().insert(name, backend))
     throw std::invalid_argument("register_backend: name '" + name +
                                 "' is already registered");
 }
 
 Backend* find_backend(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  auto& backends = registry();
-  auto it = backends.find(name);
-  return it == backends.end() ? nullptr : it->second;
+  return registry().find(name);
 }
 
-std::vector<std::string> registered_backends() {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, _] : registry()) names.push_back(name);
-  return names;
-}
+std::vector<std::string> registered_backends() { return registry().names(); }
 
 }  // namespace omenx::numeric

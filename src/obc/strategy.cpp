@@ -1,9 +1,9 @@
 #include "obc/strategy.hpp"
 
 #include <atomic>
-#include <map>
-#include <mutex>
 #include <stdexcept>
+
+#include "numeric/registry.hpp"
 
 namespace omenx::obc {
 
@@ -91,24 +91,13 @@ class DecimationStrategy final : public Strategy {
   }
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, StrategyFactory> factories;
-};
-
-Registry& registry() {
-  static Registry* r = [] {
-    auto* reg = new Registry;
-    reg->factories["shift_invert"] = [] {
-      return std::make_unique<ShiftInvertStrategy>();
-    };
-    reg->factories["feast"] = [] { return std::make_unique<FeastStrategy>(); };
-    reg->factories["decimation"] = [] {
-      return std::make_unique<DecimationStrategy>();
-    };
-    reg->factories["beyn"] = [] { return std::make_unique<BeynStrategy>(); };
-    return reg;
-  }();
+numeric::Registry<StrategyFactory>& registry() {
+  static auto* r = new numeric::Registry<StrategyFactory>({
+      {"shift_invert", [] { return std::make_unique<ShiftInvertStrategy>(); }},
+      {"feast", [] { return std::make_unique<FeastStrategy>(); }},
+      {"decimation", [] { return std::make_unique<DecimationStrategy>(); }},
+      {"beyn", [] { return std::make_unique<BeynStrategy>(); }},
+  });
   return *r;
 }
 
@@ -125,31 +114,18 @@ Boundary Strategy::boundary(const dft::LeadBlocks& lead,
 }
 
 void register_obc_strategy(const std::string& name, StrategyFactory factory) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  r.factories[name] = std::move(factory);
+  registry().set(name, std::move(factory));
 }
 
 std::vector<std::string> registered_obc_strategies() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<std::string> names;
-  names.reserve(r.factories.size());
-  for (const auto& [name, _] : r.factories) names.push_back(name);
-  return names;  // std::map iterates sorted
+  return registry().names();
 }
 
 std::unique_ptr<Strategy> make_obc_strategy(const std::string& name) {
-  Registry& r = registry();
-  StrategyFactory factory;
-  {
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    const auto it = r.factories.find(name);
-    if (it == r.factories.end())
-      throw std::invalid_argument("make_obc_strategy: unknown backend '" +
-                                  name + "'");
-    factory = it->second;
-  }
+  const StrategyFactory factory = registry().find(name);
+  if (!factory)
+    throw std::invalid_argument("make_obc_strategy: unknown backend '" +
+                                name + "'");
   return factory();
 }
 

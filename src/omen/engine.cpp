@@ -6,11 +6,10 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "numeric/backend.hpp"
 #include "numeric/device_backend.hpp"
@@ -209,16 +208,18 @@ std::size_t num_materials(const SweepRequest& req) {
   return req.contact_leads != nullptr ? req.contact_leads->size() : 0;
 }
 
-/// The terminal layout of one k.  `lead`/`folded`/`lead_hash` are this k's
-/// entry of `leads` (material -1); `extras`/`extra_folded`/`extra_hashes`
-/// index the materials >= 0.  Every referenced object must outlive the
-/// returned set.
+/// The terminal layout of one k.  `lead`/`folded` are this k's entry of
+/// `leads` (material -1); `extras`/`extra_folded` index the materials
+/// >= 0.  Lead content hashes are computed here, once per (k, material) per
+/// run, never per fetch.  Every referenced object must outlive the set.
 transport::ContactSet build_contact_set(
     const SweepRequest& req, const dft::LeadBlocks& lead,
-    const dft::FoldedLead& folded, std::uint64_t lead_hash,
-    const std::vector<dft::LeadBlocks>& extras,
-    const std::vector<dft::FoldedLead>& extra_folded,
-    const std::vector<std::uint64_t>& extra_hashes) {
+    const dft::FoldedLead& folded, const std::vector<dft::LeadBlocks>& extras,
+    const std::vector<dft::FoldedLead>& extra_folded) {
+  const std::uint64_t lead_hash = transport::lead_content_hash(lead);
+  std::vector<std::uint64_t> extra_hashes;
+  for (const dft::LeadBlocks& ex : extras)
+    extra_hashes.push_back(transport::lead_content_hash(ex));
   std::vector<transport::Contact> cs;
   cs.reserve(req.contacts.size());
   for (const SweepContact& sc : req.contacts) {
@@ -243,17 +244,6 @@ transport::ContactSet build_contact_set(
     cs.push_back(c);
   }
   return transport::ContactSet(std::move(cs));
-}
-
-/// lead_content_hash of every lead — computed once per (k, material) per
-/// run, never per fetch.
-std::vector<std::uint64_t> lead_hashes(
-    const std::vector<dft::LeadBlocks>& leads) {
-  std::vector<std::uint64_t> out;
-  out.reserve(leads.size());
-  for (const dft::LeadBlocks& lead : leads)
-    out.push_back(transport::lead_content_hash(lead));
-  return out;
 }
 
 /// Coordinator service loop: runs on a helper thread next to rank 0's own
@@ -313,49 +303,45 @@ void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
   }
 }
 
-/// Everything one rank caches for a k point it solves: the lead blocks it
-/// received, the folded/assembled device built from them, and the sweep
-/// worker bound to the rank's warm context.
+/// Everything one rank holds for a k point it solves: the lead blocks it
+/// received and the device assembled from them; on energy-group leaders
+/// also the folds and the k's terminals.
 struct KData {
   dft::LeadBlocks lead;
   dft::FoldedLead folded;  ///< leaders only; members never run the OBCs
-  std::uint64_t lead_hash = 0;  ///< leaders only: lead_content_hash(lead)
   /// Extra lead materials (SweepContact::material >= 0) and their folds —
   /// leaders only; members keep them empty.
   std::vector<dft::LeadBlocks> extra_leads;
   std::vector<dft::FoldedLead> extra_folded;
   dft::DeviceMatrices dm;
-  std::unique_ptr<transport::EnergySweepWorker> worker;  ///< leaders only
+  /// The k's terminals (leaders only), pointing at the members above: the
+  /// engine holds KData by unique_ptr, so they never move.
+  transport::ContactSet contacts;
+  /// The k's wave-function tasks may fuse into batched calls
+  /// (TaskRunner::load sets it from the one per-k rule).
+  bool batchable = false;
 
-  /// `build_worker` = false is the spatial-member variant: members only
-  /// need the assembled device matrices to compute SPIKE partitions of A,
-  /// so the lead folding, hashing, and the sweep worker are skipped.  The
-  /// worker's ContactSet (build_contact_set) points at this KData's own
-  /// members, which are stable for its lifetime (the per-rank cache holds
-  /// KData by unique_ptr).
-  KData(dft::LeadBlocks l, const SweepRequest& req,
-        const transport::EnergyPointOptions& opts,
-        transport::EnergyPointContext& ctx, parallel::DevicePool* pool,
-        const dft::FoldedLead* pre_folded = nullptr, bool build_worker = true,
-        std::vector<dft::LeadBlocks> extras = {})
+  /// `leader` = false is the spatial-member variant: members only need the
+  /// assembled device matrices to compute SPIKE partitions of A, so the
+  /// lead folding, hashing and the terminals are skipped.  `pre_folded`
+  /// (may be null) replaces folding the lead.
+  KData(dft::LeadBlocks l, std::vector<dft::LeadBlocks> extras,
+        const SweepRequest& req, const dft::FoldedLead* pre_folded,
+        bool leader)
       : lead(std::move(l)),
-        folded(build_worker
-                   ? (pre_folded != nullptr ? *pre_folded
-                                            : dft::fold_lead(lead))
-                   : dft::FoldedLead{}),
+        folded(leader ? (pre_folded != nullptr ? *pre_folded
+                                               : dft::fold_lead(lead))
+                      : dft::FoldedLead{}),
         extra_leads(std::move(extras)),
         dm(dft::assemble_device(lead, req.cells, req.potential)) {
-    if (!build_worker) return;
-    lead_hash = transport::lead_content_hash(lead);
+    if (!leader) return;
     extra_folded.reserve(extra_leads.size());
     for (const dft::LeadBlocks& ex : extra_leads)
       extra_folded.push_back(dft::fold_lead(ex));
-    worker = std::make_unique<transport::EnergySweepWorker>(
-        ctx, dm,
-        build_contact_set(req, lead, folded, lead_hash, extra_leads,
-                          extra_folded, lead_hashes(extra_leads)),
-        opts, pool);
+    contacts = build_contact_set(req, lead, folded, extra_leads, extra_folded);
   }
+  KData(const KData&) = delete;
+  KData& operator=(const KData&) = delete;
 };
 
 struct RankLocal {
@@ -386,25 +372,6 @@ struct RankLocal {
 std::size_t sample_stride(const SweepRequest& req) {
   const std::size_t nc = req.contacts.size();
   return 4 + (nc >= 3 ? nc * nc : 0);
-}
-
-void record_sample(RankLocal& local, const Layout& lay,
-                   const SweepRequest& req, idx ik, idx ie,
-                   const transport::EnergyPointResult& res) {
-  local.samples.push_back(
-      static_cast<double>(lay.e_prefix[static_cast<std::size_t>(ik)] + ie));
-  local.samples.push_back(res.transmission);
-  local.samples.push_back(res.transmission_caroli);
-  local.samples.push_back(static_cast<double>(res.num_propagating));
-  const std::size_t nc = req.contacts.size();
-  if (nc >= 3) {
-    // Zero-padded to the fixed stride so a task whose solve produced no
-    // T matrix (nothing propagates) still parses on the root.
-    const std::size_t want = nc * nc;
-    for (std::size_t i = 0; i < want; ++i)
-      local.samples.push_back(i < res.t_matrix.size() ? res.t_matrix[i]
-                                                      : 0.0);
-  }
 }
 
 /// Per-cell charge of one task: every terminal's injected density times
@@ -443,29 +410,19 @@ std::vector<double> weighted_task_charge(
   return out;
 }
 
-void accumulate_charge(RankLocal& local, const SweepRequest& req,
-                       const Layout& lay, const KData& kd, idx ik, idx ie,
-                       const transport::EnergyPointResult& res) {
-  const auto per_cell =
-      weighted_task_charge(req, kd.lead.block_dim(), ik, ie, res);
-  if (per_cell.empty()) return;
-  local.charge_samples.push_back(
-      static_cast<double>(lay.e_prefix[static_cast<std::size_t>(ik)] + ie));
-  for (idx c = 0; c < req.cells; ++c)
-    local.charge_samples.push_back(per_cell[static_cast<std::size_t>(c)]);
-}
-
-/// Per-cell charge of one Green's-function node: Im(w * G_ii) summed onto
-/// physical cells.  The node weight w (contour jacobian * gauss weight *
-/// Fermi factor, or a pole residue) already carries the -2 spectral
-/// normalization, so this is the GF-side twin of weighted_task_charge.
-std::vector<double> greens_task_charge(const SweepRequest& req, idx block_dim,
-                                       numeric::cplx weight,
-                                       const std::vector<numeric::cplx>& diag) {
-  std::vector<double> out(static_cast<std::size_t>(req.cells), 0.0);
+/// Appends the per-cell charge of one Green's-function node to `out`:
+/// Im(w * G_ii) summed onto physical cells.  The node weight w (contour
+/// jacobian * gauss weight * Fermi factor, or a pole residue) already
+/// carries the -2 spectral normalization, so this is the GF-side twin of
+/// weighted_task_charge.
+void append_greens_charge(std::vector<double>& out, const SweepRequest& req,
+                          idx block_dim, numeric::cplx weight,
+                          const std::vector<numeric::cplx>& diag) {
+  const std::size_t base = out.size();
+  out.resize(base + static_cast<std::size_t>(req.cells), 0.0);
   for (std::size_t i = 0; i < diag.size(); ++i)
-    out[i / static_cast<std::size_t>(block_dim)] += (weight * diag[i]).imag();
-  return out;
+    out[base + i / static_cast<std::size_t>(block_dim)] +=
+        (weight * diag[i]).imag();
 }
 
 /// Does the request carry any Green's-function nodes?  Drives charge
@@ -736,6 +693,317 @@ void apply_pool_delta(EngineStats& stats, parallel::DevicePool* pool,
   }
 }
 
+/// Per-point options of one rank's sweep: the request's, bound to the
+/// rank's persistent boundary cache (null when caching is off) and its
+/// spatial communicator (null outside a cooperative group, which also
+/// scrubs any stale handle a caller left in the request).
+transport::EnergyPointOptions sweep_options(const SweepRequest& req,
+                                            obc::BoundaryCache* cache,
+                                            parallel::Comm* spatial) {
+  transport::EnergyPointOptions popt = req.point;
+  popt.spatial = spatial;
+  popt.boundary_cache = cache;
+  // Only pay the drain-injection RHS columns when the request carries
+  // weights to fold them into.
+  popt.want_density_r = !req.density_weight.empty();
+  return popt;
+}
+
+/// One (k, E) task: local index `ie` of momentum `ik` (flat-task layout of
+/// Layout), solved on that k's inputs.
+struct Task {
+  idx ik = 0, ie = 0;
+  const KData* kd = nullptr;
+};
+
+/// How a task runs.  Declaration order is bucket order: a shape's
+/// wave-function buckets run before its Green's-function bucket.
+enum class TaskKind {
+  kBatched,  ///< fused into transport::solve_energy_batch calls
+  kPerTask,  ///< one solve_energy_point per task
+  kGreens,   ///< one contour-node solve_greens_diagonal per task
+};
+
+/// Tasks of one bucket share (num_blocks, block_size, kind).
+using BucketKey = std::tuple<idx, idx, TaskKind>;
+
+/// The engine's one task executor.  The flat loop hands it every task of a
+/// sweep at once; a rank-protocol leader hands it the tasks it pulled.  A
+/// task list is bucketed by BucketKey (std::map order) and each bucket runs
+/// as one unit: batched buckets through solve_energy_batch in max_batch
+/// chunks, on the backend the arbiter picks for the shape; per-task and
+/// Green's-function buckets as a thread-pool loop on the workers'
+/// thread-local contexts, or inline when the bucket holds one task (so a
+/// spatial leader's cooperative solve stays on its rank thread).  Sample
+/// and charge rows land in a RankLocal and are assembled by flat task
+/// index, so the results cannot depend on how the tasks were grouped.
+class TaskRunner {
+ public:
+  /// `pool` is this rank's accelerator share, `residency` its persistent
+  /// device-operand cache (may be null).
+  TaskRunner(const SweepRequest& req, const Layout& lay,
+             const EngineConfig& cfg, transport::EnergyPointOptions popt,
+             parallel::DevicePool* pool, numeric::ResidencyCache* residency)
+      : req_(req), lay_(lay), cfg_(cfg), popt_(std::move(popt)), pool_(pool),
+        arbiter_(make_backend_arbiter(cfg, device_storage_, pool, residency)) {}
+  TaskRunner(const TaskRunner&) = delete;
+  TaskRunner& operator=(const TaskRunner&) = delete;
+
+  /// A leader's inputs for one k, classified by the per-k batching rule.
+  std::unique_ptr<KData> load(dft::LeadBlocks lead,
+                              std::vector<dft::LeadBlocks> extras,
+                              const dft::FoldedLead* pre_folded) const {
+    auto kd = std::make_unique<KData>(std::move(lead), std::move(extras), req_,
+                                      pre_folded, /*leader=*/true);
+    kd->batchable = may_batch(*kd);
+    return kd;
+  }
+
+  BucketKey key(const Task& t) const {
+    const TaskKind kind = lay_.is_greens(t.ik, t.ie) ? TaskKind::kGreens
+                          : t.kd->batchable          ? TaskKind::kBatched
+                                                     : TaskKind::kPerTask;
+    return {t.kd->dm.h.num_blocks(), t.kd->dm.h.block_size(), kind};
+  }
+
+  void run(const std::vector<Task>& tasks, RankLocal& local) {
+    std::map<BucketKey, std::vector<Task>> buckets;
+    for (const Task& t : tasks) buckets[key(t)].push_back(t);
+    for (const auto& [k, bucket] : buckets) {
+      if (std::get<2>(k) == TaskKind::kBatched)
+        run_batched(bucket, std::get<0>(k), std::get<1>(k), local);
+      else
+        run_each(bucket, local);
+    }
+  }
+
+ private:
+  /// The per-k batching rule: a k's wave-function tasks fuse only when
+  /// batching is on, the group is not spatial (those solve cooperatively,
+  /// one point at a time), the terminals are a symmetric pair (the batched
+  /// pipeline's one-boundary arithmetic), the scattering model attaches no
+  /// probes (those would turn every task into a multi-terminal solve), and
+  /// the resolved solver is kBatchable (otherwise the per-task loop keeps
+  /// its across-task parallelism, which the scalar fallback inside
+  /// solve_energy_batch would forfeit).  The resolution sees the
+  /// configured max_batch, never the actual bucket fill.
+  bool may_batch(const KData& kd) const {
+    const idx nb = kd.dm.h.num_blocks();
+    const idx s = kd.dm.h.block_size();
+    if (!cfg_.batch_tasks || popt_.spatial != nullptr ||
+        !kd.contacts.symmetric_pair(nb) ||
+        !scattering::assemble_probes(popt_.scattering, nb, {0, nb - 1})
+             .empty())
+      return false;
+    solvers::SolverContext binding;
+    binding.pool = pool_;
+    binding.partitions = popt_.partitions;
+    binding.batch = std::max(1, cfg_.max_batch);
+    binding.backend = &arbiter_.choose(nb, s);
+    const auto algo =
+        solvers::resolve_algorithm(popt_.solver, nb, s, 2 * s, binding);
+    return (solvers::algorithm_capabilities(algo) & solvers::kBatchable) != 0;
+  }
+
+  /// A wave-function task's sample row and, when it carries charge, its
+  /// charge row.
+  void wave_rows(const Task& t, const transport::EnergyPointResult& res,
+                 std::vector<double>& samples,
+                 std::vector<double>& charge) const {
+    const double flat =
+        static_cast<double>(lay_.e_prefix[static_cast<std::size_t>(t.ik)] +
+                            t.ie);
+    samples.push_back(flat);
+    samples.push_back(res.transmission);
+    samples.push_back(res.transmission_caroli);
+    samples.push_back(static_cast<double>(res.num_propagating));
+    const std::size_t nc = req_.contacts.size();
+    if (nc >= 3) {
+      // Zero-padded to the fixed stride so a task whose solve produced no
+      // T matrix (nothing propagates) still parses on the root.
+      for (std::size_t i = 0; i < nc * nc; ++i)
+        samples.push_back(i < res.t_matrix.size() ? res.t_matrix[i] : 0.0);
+    }
+    const auto per_cell =
+        weighted_task_charge(req_, t.kd->lead.block_dim(), t.ik, t.ie, res);
+    if (per_cell.empty()) return;
+    charge.push_back(flat);
+    charge.insert(charge.end(), per_cell.begin(), per_cell.end());
+  }
+
+  void run_batched(const std::vector<Task>& bucket, idx nb, idx s,
+                   RankLocal& local) {
+    // The whole shape bucket lands on one backend: host lanes or device
+    // streams, by policy/crossover.  Either way the per-item kernels are
+    // identical, so the spectra cannot depend on the choice.
+    numeric::Backend& backend = arbiter_.choose(nb, s);
+    const std::size_t cap =
+        static_cast<std::size_t>(std::max(1, cfg_.max_batch));
+    for (std::size_t base = 0; base < bucket.size(); base += cap) {
+      const std::size_t count = std::min(cap, bucket.size() - base);
+      std::vector<transport::BatchTask> chunk;
+      chunk.reserve(count);
+      for (std::size_t j = 0; j < count; ++j) {
+        const Task& t = bucket[base + j];
+        chunk.push_back({t.ik,
+                         req_.energies[static_cast<std::size_t>(t.ik)]
+                                      [static_cast<std::size_t>(t.ie)],
+                         &t.kd->dm, &t.kd->contacts});
+      }
+      transport::BatchStats bs;
+      const double t0 = now_seconds();
+      const auto res = transport::solve_energy_batch(
+          bctx_, chunk, popt_, pool_, backend, cfg_.max_batch, &bs);
+      local.busy_seconds += now_seconds() - t0;
+      local.tasks += static_cast<idx>(count);
+      if (bs.batched_solve) {
+        local.batches += bs.batches;
+        local.batched_tasks += bs.tasks;
+      }
+      local.prefetch_hits += bs.prefetch_hits;
+      local.prefetch_misses += bs.prefetch_misses;
+      local.device_batches += bs.device_batches;
+      local.residency_hits += bs.residency_hits;
+      local.residency_misses += bs.residency_misses;
+      for (std::size_t j = 0; j < count; ++j)
+        wave_rows(bucket[base + j], res[j], local.samples,
+                  local.charge_samples);
+    }
+  }
+
+  void run_each(const std::vector<Task>& bucket, RankLocal& local) const {
+    struct Rows {
+      std::vector<double> samples, charge;
+      double busy = 0.0;
+    };
+    std::vector<Rows> rows(bucket.size());
+    const auto solve = [&](std::size_t j) {
+      const Task& t = bucket[j];
+      const auto sk = static_cast<std::size_t>(t.ik);
+      // The cache key's momentum component is the global k index.
+      transport::EnergyPointOptions opt = popt_;
+      opt.k_index = t.ik;
+      const double t0 = now_seconds();
+      if (lay_.is_greens(t.ik, t.ie)) {
+        // Diagonal of G at the complex node, folded into per-cell charge
+        // with the node's complex weight.  The RGF diagonal is a solo
+        // solve, even in a spatial group.
+        opt.spatial = nullptr;
+        const auto sg = static_cast<std::size_t>(t.ie - lay_.n_real[sk]);
+        const auto diag = transport::solve_greens_diagonal(
+            t.kd->dm, t.kd->contacts, req_.gf_nodes[sk][sg], opt);
+        rows[j].busy = now_seconds() - t0;
+        rows[j].charge.reserve(1 + static_cast<std::size_t>(req_.cells));
+        rows[j].charge.push_back(
+            static_cast<double>(lay_.e_prefix[sk] + t.ie));
+        append_greens_charge(rows[j].charge, req_, t.kd->lead.block_dim(),
+                             req_.gf_weights[sk][sg], diag);
+        return;
+      }
+      const auto res = transport::solve_energy_point(
+          t.kd->dm, t.kd->contacts,
+          req_.energies[sk][static_cast<std::size_t>(t.ie)], opt, pool_);
+      rows[j].busy = now_seconds() - t0;
+      rows[j].samples.reserve(sample_stride(req_));
+      wave_rows(t, res, rows[j].samples, rows[j].charge);
+    };
+    if (bucket.size() == 1)
+      solve(0);
+    else
+      parallel::ThreadPool::global().parallel_for(bucket.size(), solve);
+    for (std::size_t j = 0; j < bucket.size(); ++j) {
+      local.busy_seconds += rows[j].busy;
+      local.samples.insert(local.samples.end(), rows[j].samples.begin(),
+                           rows[j].samples.end());
+      local.charge_samples.insert(local.charge_samples.end(),
+                                  rows[j].charge.begin(),
+                                  rows[j].charge.end());
+      if (lay_.is_greens(bucket[j].ik, bucket[j].ie)) ++local.greens_tasks;
+    }
+    local.tasks += static_cast<idx>(bucket.size());
+  }
+
+  const SweepRequest& req_;
+  const Layout& lay_;
+  const EngineConfig& cfg_;
+  const transport::EnergyPointOptions popt_;
+  parallel::DevicePool* pool_;
+  std::optional<numeric::DeviceBackend> device_storage_;  ///< before arbiter_
+  const BackendArbiter arbiter_;
+  transport::BatchContext bctx_;
+};
+
+/// A rank's counters on the gather wire, kStatsStride doubles.
+constexpr std::size_t kStatsStride = 10;
+std::vector<double> stats_row(const RankLocal& l) {
+  return {l.busy_seconds,
+          static_cast<double>(l.tasks),
+          static_cast<double>(l.batches),
+          static_cast<double>(l.batched_tasks),
+          static_cast<double>(l.prefetch_hits),
+          static_cast<double>(l.prefetch_misses),
+          static_cast<double>(l.greens_tasks),
+          static_cast<double>(l.device_batches),
+          static_cast<double>(l.residency_hits),
+          static_cast<double>(l.residency_misses)};
+}
+
+/// Root-side assembly, shared by the flat loop (its own rows) and the rank
+/// protocol (every rank's gathered rows): sample rows into the per-(k, E)
+/// fields, charge rows summed per cell in flat task order — work stealing
+/// moves tasks between ranks run to run, so any other order would make the
+/// charge rounding depend on the race — and the per-rank stats rows.
+void assemble(SweepResult& out, const SweepRequest& req, const Layout& lay,
+              idx stolen, const std::vector<double>& samples,
+              const std::vector<double>& charge,
+              const std::vector<double>& rank_stats) {
+  const std::size_t stride = sample_stride(req);
+  for (std::size_t i = 0; i + stride <= samples.size(); i += stride) {
+    const auto [ik, ie] = lay.unflatten(static_cast<idx>(samples[i]));
+    const auto sk = static_cast<std::size_t>(ik);
+    const auto se = static_cast<std::size_t>(ie);
+    out.transmission[sk][se] = samples[i + 1];
+    out.caroli[sk][se] = samples[i + 2];
+    out.propagating[sk][se] = static_cast<idx>(samples[i + 3]);
+    // stride > 4 carries the row-major ncon x ncon pairwise T matrix.
+    for (std::size_t q = 0; q + 4 < stride; ++q)
+      out.t_matrix[sk][se][q] = samples[i + 4 + q];
+  }
+  if (!charge.empty()) {
+    // Each task's charge row offset (charge.size() = none), then the sum.
+    const std::size_t cells = static_cast<std::size_t>(req.cells);
+    std::vector<std::size_t> row(static_cast<std::size_t>(lay.total_tasks),
+                                 charge.size());
+    for (std::size_t i = 0; i + 1 + cells <= charge.size(); i += 1 + cells)
+      row[static_cast<std::size_t>(charge[i])] = i + 1;
+    for (const std::size_t r : row)
+      if (r < charge.size())
+        for (std::size_t c = 0; c < cells; ++c) out.charge[c] += charge[r + c];
+  }
+  EngineStats& st = out.stats;
+  st.ranks = lay.world;
+  st.energy_groups = lay.num_leaders;
+  st.tasks_total = lay.total_tasks;
+  st.tasks_stolen = stolen;
+  idx batched_tasks_total = 0;
+  for (std::size_t b = 0; b + kStatsStride <= rank_stats.size();
+       b += kStatsStride) {
+    st.busy_seconds_per_rank.push_back(rank_stats[b]);
+    st.tasks_per_rank.push_back(static_cast<idx>(rank_stats[b + 1]));
+    st.batches_issued += static_cast<idx>(rank_stats[b + 2]);
+    batched_tasks_total += static_cast<idx>(rank_stats[b + 3]);
+    st.prefetch_hits += static_cast<idx>(rank_stats[b + 4]);
+    st.prefetch_misses += static_cast<idx>(rank_stats[b + 5]);
+    st.tasks_greens += static_cast<idx>(rank_stats[b + 6]);
+    st.device_batches += static_cast<idx>(rank_stats[b + 7]);
+    st.residency_hits += static_cast<idx>(rank_stats[b + 8]);
+    st.residency_misses += static_cast<idx>(rank_stats[b + 9]);
+  }
+  if (st.batches_issued > 0)
+    st.mean_batch_size = static_cast<double>(batched_tasks_total) /
+                         static_cast<double>(st.batches_issued);
+}
+
 }  // namespace
 
 SweepResult Engine::run(const SweepRequest& request) {
@@ -789,248 +1057,30 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
   const double t_start = now_seconds();
   SweepResult out = shaped_result(request);
   const Layout lay(request, 1, 1);
-  const std::size_t n = static_cast<std::size_t>(lay.total_tasks);
-  const std::size_t nk = request.energies.size();
-
-  // The flat loop has no spatial sub-communicators; scrub any stale handle
-  // a caller may have left in the options.
-  transport::EnergyPointOptions popt = request.point;
-  popt.spatial = nullptr;
-  // The engine owns the boundary-cache binding: its rank-0 persistent
-  // cache (shared by the pool workers — BoundaryCache is thread-safe), or
-  // nothing when caching is disabled.
-  popt.boundary_cache = rank_cache(0);
-  // Only pay the drain-injection RHS columns when the request carries
-  // weights to fold them into.
-  popt.want_density_r = !request.density_weight.empty();
-  const std::size_t ncon = request.contacts.size();
-
-  // Root-local device assembly, one per k (shared across its energies).
-  // Pre-folded leads from the request are reused as-is.
-  std::vector<dft::FoldedLead> folded_local;
-  const std::vector<dft::FoldedLead>* folded = request.folded;
-  if (folded == nullptr) {
-    folded_local.resize(nk);
-    for (std::size_t k = 0; k < nk; ++k)
-      folded_local[k] = dft::fold_lead((*request.leads)[k]);
-    folded = &folded_local;
+  // The flat loop is its own leader: rank 0's persistent caches (shared by
+  // the pool workers — BoundaryCache is thread-safe), the whole device
+  // pool, and every task of the sweep in one executor call.
+  TaskRunner runner(request, lay, config_,
+                    sweep_options(request, rank_cache(0), nullptr), pool_,
+                    rank_residency(0));
+  std::vector<std::unique_ptr<KData>> ks;
+  std::vector<Task> tasks;
+  tasks.reserve(static_cast<std::size_t>(lay.total_tasks));
+  for (std::size_t k = 0; k < request.energies.size(); ++k) {
+    std::vector<dft::LeadBlocks> extras;
+    for (std::size_t m = 0; m < num_materials(request); ++m)
+      extras.push_back((*request.contact_leads)[m][k]);
+    // Pre-folded leads from the request are reused as-is.
+    ks.push_back(runner.load(
+        (*request.leads)[k], std::move(extras),
+        request.folded != nullptr ? &(*request.folded)[k] : nullptr));
+    for (idx ie = 0; ie < lay.e_prefix[k + 1] - lay.e_prefix[k]; ++ie)
+      tasks.push_back({static_cast<idx>(k), ie, ks.back().get()});
   }
-  std::vector<dft::DeviceMatrices> dms(nk);
-  for (std::size_t k = 0; k < nk; ++k)
-    dms[k] = dft::assemble_device((*request.leads)[k], request.cells,
-                                  request.potential);
-  const std::vector<std::uint64_t> lead_hash = lead_hashes(*request.leads);
-
-  // Per-k copies of the extra lead materials, their folds, and the
-  // ContactSet pointing at them (stable — the vectors are fully built
-  // before any set references them).
-  const std::size_t m_count = num_materials(request);
-  std::vector<std::vector<dft::LeadBlocks>> extra_leads_k(nk);
-  std::vector<std::vector<dft::FoldedLead>> extra_folded_k(nk);
-  std::vector<transport::ContactSet> contact_sets(nk);
-  for (std::size_t k = 0; k < nk; ++k) {
-    for (std::size_t m = 0; m < m_count; ++m) {
-      extra_leads_k[k].push_back((*request.contact_leads)[m][k]);
-      extra_folded_k[k].push_back(dft::fold_lead(extra_leads_k[k].back()));
-    }
-    contact_sets[k] = build_contact_set(
-        request, (*request.leads)[k], (*folded)[k], lead_hash[k],
-        extra_leads_k[k], extra_folded_k[k], lead_hashes(extra_leads_k[k]));
-  }
-
-  const bool has_greens = request_has_greens(request);
-  const bool want_charge = !request.density_weight.empty() || has_greens;
-  std::vector<std::vector<double>> point_charge;
-  if (want_charge) point_charge.resize(n);
-  double busy_total = 0.0;
-  idx greens_done = 0;
-
-  // One Green's-function (contour) task: diagonal of G at the complex node,
-  // folded into per-cell charge with the node's complex weight.
-  const auto solve_greens_flat = [&](std::size_t flat) {
-    const auto [ik, ie] = lay.unflatten(static_cast<idx>(flat));
-    const auto sk = static_cast<std::size_t>(ik);
-    const auto sg =
-        static_cast<std::size_t>(ie - lay.n_real[sk]);
-    transport::EnergyPointOptions task_opt = popt;
-    task_opt.k_index = ik;
-    const auto diag = transport::solve_greens_diagonal(
-        dms[sk], contact_sets[sk], request.gf_nodes[sk][sg], task_opt);
-    point_charge[flat] = greens_task_charge(
-        request, (*request.leads)[sk].block_dim(), request.gf_weights[sk][sg],
-        diag);
-  };
-
-  // Batch only when the representative resolution (rank-invariant: the
-  // configured max_batch, the first k's block structure) lands on a solver
-  // that advertises kBatchable; otherwise the per-task thread-pool loop
-  // keeps its across-task parallelism, which the scalar fallback inside
-  // solve_energy_batch would forfeit.
-  // The flat loop is its own leader: one DeviceBackend over the whole pool
-  // (when bound), persistent rank-0 residency, and the configured backend
-  // policy deciding where each shape bucket's device phase runs.
-  std::optional<numeric::DeviceBackend> device_storage;
-  const BackendArbiter arbiter = make_backend_arbiter(
-      config_, device_storage, pool_, rank_residency(0));
-
-  // The batched pipeline is the one-boundary pair arithmetic: every k's
-  // terminals must be a symmetric pair.  A scattering model that attaches
-  // probes turns every task into a multi-terminal solve (solve_energy_batch
-  // would only degrade it back to scalar solves), so keep the across-task
-  // thread-pool parallelism instead; a model that attaches nothing (kNone,
-  // buttiker at eta <= 0) changes nothing here.
-  bool use_batches = config_.batch_tasks && n > 0;
-  for (std::size_t k = 0; k < nk && use_batches; ++k)
-    use_batches = contact_sets[k].symmetric_pair(dms[k].h.num_blocks());
-  if (use_batches &&
-      popt.scattering.algorithm != scattering::ScatteringAlgorithm::kNone)
-    use_batches = scattering::assemble_probes(popt.scattering,
-                                              dms[0].h.num_blocks(),
-                                              {0, dms[0].h.num_blocks() - 1})
-                      .empty();
-  if (use_batches) {
-    const idx nbb = dms[0].h.num_blocks();
-    const idx sbb = dms[0].h.block_size();
-    solvers::SolverContext binding;
-    binding.pool = pool_;
-    binding.partitions = popt.partitions;
-    binding.batch = std::max(1, config_.max_batch);
-    binding.backend = &arbiter.choose(nbb, sbb);
-    const auto algo =
-        solvers::resolve_algorithm(popt.solver, nbb, sbb, 2 * sbb, binding);
-    use_batches =
-        (solvers::algorithm_capabilities(algo) & solvers::kBatchable) != 0;
-  }
-
-  if (use_batches) {
-    // Bucket flat tasks by block structure *and task kind*: batching fuses
-    // kernels within one shape, never across shapes, and Green's-function
-    // nodes never fuse with wave-function points (they are scalar RGF
-    // diagonal solves, executed below with across-task parallelism
-    // instead).  Buckets preserve flat order, so the per-task outputs (and
-    // the charge assembly below) stay deterministic.
-    std::map<std::tuple<idx, idx, bool>, std::vector<std::size_t>> buckets;
-    for (std::size_t flat = 0; flat < n; ++flat) {
-      const auto [ik, ie] = lay.unflatten(static_cast<idx>(flat));
-      const auto sk = static_cast<std::size_t>(ik);
-      buckets[{dms[sk].h.num_blocks(), dms[sk].h.block_size(),
-               lay.is_greens(ik, ie)}]
-          .push_back(flat);
-    }
-    const std::size_t cap =
-        static_cast<std::size_t>(std::max(1, config_.max_batch));
-    transport::BatchContext bctx;
-    transport::BatchStats bstats;
-    for (const auto& [shape, flats] : buckets) {
-      if (std::get<2>(shape)) {
-        // Green's-function bucket: thread-pool loop over the nodes, each
-        // worker on its own warm context.
-        std::vector<double> busy(flats.size(), 0.0);
-        parallel::ThreadPool::global().parallel_for(
-            flats.size(), [&](std::size_t j) {
-              const double t0 = now_seconds();
-              solve_greens_flat(flats[j]);
-              busy[j] = now_seconds() - t0;
-            });
-        busy_total += std::accumulate(busy.begin(), busy.end(), 0.0);
-        greens_done += static_cast<idx>(flats.size());
-        continue;
-      }
-      // The whole shape bucket lands on one backend: host lanes or device
-      // streams, by policy/crossover.  Either way the per-item kernels are
-      // identical, so the spectra cannot depend on the choice.
-      numeric::Backend& bucket_backend =
-          arbiter.choose(std::get<0>(shape), std::get<1>(shape));
-      for (std::size_t base = 0; base < flats.size(); base += cap) {
-        const std::size_t count = std::min(cap, flats.size() - base);
-        std::vector<transport::BatchTask> chunk;
-        chunk.reserve(count);
-        for (std::size_t j = 0; j < count; ++j) {
-          const auto [ik, ie] =
-              lay.unflatten(static_cast<idx>(flats[base + j]));
-          const auto sk = static_cast<std::size_t>(ik);
-          const auto se = static_cast<std::size_t>(ie);
-          chunk.push_back(
-              {ik, request.energies[sk][se], &dms[sk], &contact_sets[sk]});
-        }
-        const double t0 = now_seconds();
-        const auto res = transport::solve_energy_batch(
-            bctx, chunk, popt, pool_, bucket_backend,
-            config_.max_batch, &bstats);
-        busy_total += now_seconds() - t0;
-        for (std::size_t j = 0; j < count; ++j) {
-          const std::size_t flat = flats[base + j];
-          const auto [ik, ie] = lay.unflatten(static_cast<idx>(flat));
-          const auto sk = static_cast<std::size_t>(ik);
-          const auto se = static_cast<std::size_t>(ie);
-          out.transmission[sk][se] = res[j].transmission;
-          out.caroli[sk][se] = res[j].transmission_caroli;
-          out.propagating[sk][se] = res[j].num_propagating;
-          if (want_charge)
-            point_charge[flat] = weighted_task_charge(
-                request, (*request.leads)[sk].block_dim(), ik, ie, res[j]);
-        }
-      }
-    }
-    if (bstats.batched_solve) {
-      out.stats.batches_issued = bstats.batches;
-      if (bstats.batches > 0)
-        out.stats.mean_batch_size = static_cast<double>(bstats.tasks) /
-                                    static_cast<double>(bstats.batches);
-    }
-    out.stats.prefetch_hits = bstats.prefetch_hits;
-    out.stats.prefetch_misses = bstats.prefetch_misses;
-    out.stats.device_batches = bstats.device_batches;
-    out.stats.residency_hits = bstats.residency_hits;
-    out.stats.residency_misses = bstats.residency_misses;
-  } else {
-    // The flat (k, E) thread-pool loop the simulator always ran, with
-    // per-worker warm contexts.
-    std::vector<double> busy(n, 0.0);
-    parallel::ThreadPool::global().parallel_for(n, [&](std::size_t flat) {
-      const auto [ik, ie] = lay.unflatten(static_cast<idx>(flat));
-      const double t0 = now_seconds();
-      if (lay.is_greens(ik, ie)) {
-        solve_greens_flat(flat);
-        busy[flat] = now_seconds() - t0;
-        return;
-      }
-      const auto sk = static_cast<std::size_t>(ik);
-      const auto se = static_cast<std::size_t>(ie);
-      // The cache key's momentum component is the global k index.
-      transport::EnergyPointOptions task_opt = popt;
-      task_opt.k_index = ik;
-      const auto res = transport::solve_energy_point(
-          dms[sk], contact_sets[sk], request.energies[sk][se], task_opt,
-          pool_);
-      busy[flat] = now_seconds() - t0;
-      out.transmission[sk][se] = res.transmission;
-      out.caroli[sk][se] = res.transmission_caroli;
-      out.propagating[sk][se] = res.num_propagating;
-      if (ncon >= 3 && !res.t_matrix.empty())
-        out.t_matrix[sk][se] = res.t_matrix;
-      if (want_charge)
-        point_charge[flat] = weighted_task_charge(
-            request, (*request.leads)[sk].block_dim(), ik, ie, res);
-    });
-    busy_total = std::accumulate(busy.begin(), busy.end(), 0.0);
-    for (idx k = 0; k < static_cast<idx>(nk); ++k)
-      if (!request.gf_nodes.empty())
-        greens_done +=
-            static_cast<idx>(request.gf_nodes[static_cast<std::size_t>(k)]
-                                 .size());
-  }
-  // Deterministic charge assembly: sum in flat task order.
-  for (std::size_t flat = 0; flat < point_charge.size(); ++flat)
-    for (std::size_t c = 0; c < point_charge[flat].size(); ++c)
-      out.charge[c] += point_charge[flat][c];
-
-  out.stats.ranks = 1;
-  out.stats.energy_groups = 1;
-  out.stats.tasks_total = lay.total_tasks;
-  out.stats.tasks_greens = greens_done;
-  out.stats.tasks_per_rank = {lay.total_tasks};
-  out.stats.busy_seconds_per_rank = {busy_total};
+  RankLocal local;
+  runner.run(tasks, local);
+  assemble(out, request, lay, 0, local.samples, local.charge_samples,
+           stats_row(local));
   out.stats.wall_seconds = now_seconds() - t_start;
   return out;
 }
@@ -1044,7 +1094,6 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
   // Extra lead materials travel beside each k's own blocks; the count is
   // read identically on every rank from the shared request.
   const std::size_t m_count = num_materials(request);
-  const std::size_t stride = sample_stride(request);
 
   parallel::CommWorld world(config_.num_ranks);
   std::exception_ptr service_error;
@@ -1141,15 +1190,11 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
           solvers::algorithm_is_cooperative(request.point.solver);
       const bool spatial_group =
           lay.width > 1 && e_comm.size() > 1 && may_cooperate;
-      transport::EnergyPointOptions popt = request.point;
-      popt.spatial = spatial_group ? &e_comm : nullptr;
       // Per-rank persistent boundary cache (nullptr when caching is off):
       // survives across run() calls, so repeated sweeps — the SCF outer
       // loop — reuse this rank's lead eigenproblem solves.
-      popt.boundary_cache = rank_cache(wr);
-      // Mirrors run_flat: drain-injection columns only when there are
-      // weights to consume them.
-      popt.want_density_r = !request.density_weight.empty();
+      const transport::EnergyPointOptions popt = sweep_options(
+          request, rank_cache(wr), spatial_group ? &e_comm : nullptr);
       if (leader && spatial_group) {
         spatial_comm = e_comm;
         members_released = false;
@@ -1164,11 +1209,18 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
         my_pool = &*slice_storage;
       }
 
+      // This leader's executor over its accelerator slice.  The residency
+      // cache is the rank's persistent one, so operands staged in this
+      // sweep hit residency in the next (SCF iterations).
+      std::optional<TaskRunner> runner;
+      if (leader)
+        runner.emplace(request, lay, config_, popt, my_pool,
+                       rank_residency(wr));
+
       // Every group member receives the owned blocks once via the group
       // broadcast.  Energy-group leaders fold/assemble them to solve;
       // members of a spatial group assemble them too — they need their own
       // device matrices to compute SPIKE partitions of A per task.
-      transport::EnergyPointContext ctx;
       std::map<idx, std::unique_ptr<KData>> cache;
       for (const idx k : lay.owned[static_cast<std::size_t>(my_color)]) {
         dft::LeadBlocks lead;
@@ -1203,15 +1255,11 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               wr == 0 && request.folded != nullptr
                   ? &(*request.folded)[static_cast<std::size_t>(k)]
                   : nullptr;
-          // The worker's boundary-cache key carries the *global* k index:
-          // stolen tasks land in the thief's cache under the owner's k, so
-          // two momenta sharing an energy can never alias.
-          transport::EnergyPointOptions kopt = popt;
-          kopt.k_index = k;
-          cache.emplace(k, std::make_unique<KData>(std::move(lead), request,
-                                                   kopt, ctx, my_pool, pre,
-                                                   /*build_worker=*/leader,
-                                                   std::move(extras)));
+          cache.emplace(k, leader ? runner->load(std::move(lead),
+                                                 std::move(extras), pre)
+                                  : std::make_unique<KData>(
+                                        std::move(lead), std::move(extras),
+                                        request, nullptr, /*leader=*/false));
         } catch (...) {
           rank_error = std::current_exception();
         }
@@ -1219,79 +1267,27 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
 
       // --- energy level: pull tasks until the coordinator says done ----
       if (leader) {
-        // Non-spatial leaders accumulate assignments into a same-shape
-        // bucket and flush it through the batched pipeline: on capacity,
-        // on a block-structure change (a stolen k with different blocks),
-        // and at protocol end.  Stolen blocks are still fetched at
-        // accumulation time, so the fetch rides ahead of the flush.
-        // Spatial groups solve cooperatively, one point at a time, and only
-        // a k whose terminals are a symmetric pair joins a bucket (every
-        // other set solves per task through the ContactSet entry points).
-        // An active scattering model disqualifies batching outright (the
-        // device shape is unknown until a task's blocks arrive, so this is
-        // spec-level, conservative): attached probes would only degrade
-        // the batch to serial scalar solves inside solve_energy_batch.
-        const bool use_batches =
-            config_.batch_tasks && !spatial_group &&
-            popt.scattering.algorithm ==
-                scattering::ScatteringAlgorithm::kNone;
+        // Every pulled task queues in `pending`, which flushes through the
+        // executor when it reaches the batch cap, when the bucket key
+        // changes (a stolen k with different blocks, a Green's-function
+        // node after real-axis points), and at protocol end.  Stolen
+        // blocks are fetched at queueing time, so the fetch rides ahead of
+        // the flush.  The cap is 1 without batch_tasks (one solve per
+        // pulled task — the unbatched baseline) and in spatial groups,
+        // which announce and solve cooperatively one point at a time.
         const std::size_t batch_cap =
-            static_cast<std::size_t>(std::max(1, config_.max_batch));
-        // This leader's backend policy over its accelerator slice.  The
-        // residency cache is the rank's persistent one, so operands staged
-        // in this sweep hit residency in the next (SCF iterations).
-        std::optional<numeric::DeviceBackend> device_storage;
-        std::optional<BackendArbiter> arbiter;
-        if (use_batches)
-          arbiter = make_backend_arbiter(config_, device_storage, my_pool,
-                                         rank_residency(wr));
-        struct PendingTask {
-          idx ik, ie;
-          const KData* kd;
-        };
-        std::vector<PendingTask> pending;
-        idx pending_nb = 0, pending_s = 0;
-        transport::BatchContext bctx;
+            config_.batch_tasks && !spatial_group
+                ? static_cast<std::size_t>(std::max(1, config_.max_batch))
+                : 1;
+        std::vector<Task> pending;
+        BucketKey pending_key{};
         const auto flush_pending = [&]() {
           if (pending.empty()) return;
-          std::vector<PendingTask> batch;
+          std::vector<Task> batch;
           batch.swap(pending);
           if (rank_error != nullptr) return;  // drained, not solved
           try {
-            std::vector<transport::BatchTask> bt;
-            bt.reserve(batch.size());
-            for (const PendingTask& p : batch)
-              bt.push_back({p.ik,
-                            request.energies[static_cast<std::size_t>(p.ik)]
-                                            [static_cast<std::size_t>(p.ie)],
-                            &p.kd->dm, &p.kd->worker->contacts()});
-            // The flushed bucket's shape is (pending_nb, pending_s) — set
-            // when its tasks were queued, before any shape change flushes.
-            numeric::Backend& bucket_backend =
-                arbiter.has_value() ? arbiter->choose(pending_nb, pending_s)
-                                    : numeric::host_backend();
-            transport::BatchStats bs;
-            const double t0 = now_seconds();
-            const auto res = transport::solve_energy_batch(
-                bctx, bt, popt, my_pool, bucket_backend,
-                config_.max_batch, &bs);
-            local.busy_seconds += now_seconds() - t0;
-            local.tasks += static_cast<idx>(batch.size());
-            if (bs.batched_solve) {
-              local.batches += bs.batches;
-              local.batched_tasks += bs.tasks;
-            }
-            local.prefetch_hits += bs.prefetch_hits;
-            local.prefetch_misses += bs.prefetch_misses;
-            local.device_batches += bs.device_batches;
-            local.residency_hits += bs.residency_hits;
-            local.residency_misses += bs.residency_misses;
-            for (std::size_t j = 0; j < batch.size(); ++j) {
-              record_sample(local, lay, request, batch[j].ik, batch[j].ie,
-                            res[j]);
-              accumulate_charge(local, request, lay, *batch[j].kd,
-                                batch[j].ik, batch[j].ie, res[j]);
-            }
+            runner->run(batch, local);
           } catch (...) {
             rank_error = std::current_exception();
           }
@@ -1314,50 +1310,27 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
             auto it = cache.find(ik);
             bool fetched = false;
             if (it == cache.end()) {
-              // Stolen k: fetch its blocks from the coordinator, once.
+              // Stolen k: fetch its blocks from the coordinator, once.  Its
+              // boundary-cache keys carry the *global* k index, so stolen
+              // tasks land in the thief's cache under the owner's k and two
+              // momenta sharing an energy can never alias.
               comm.send({1.0, static_cast<double>(ik)}, 0, kTagRequest);
               const dft::FoldedLead* pre =
                   wr == 0 && request.folded != nullptr
                       ? &(*request.folded)[static_cast<std::size_t>(ik)]
                       : nullptr;
-              transport::EnergyPointOptions kopt = popt;
-              kopt.k_index = ik;
               dft::LeadBlocks stolen = recv_lead_blocks(comm, 0);
               std::vector<dft::LeadBlocks> stolen_extras(m_count);
               for (std::size_t m = 0; m < m_count; ++m)
                 stolen_extras[m] = recv_lead_blocks(comm, 0);
               it = cache
-                       .emplace(ik, std::make_unique<KData>(
-                                        std::move(stolen), request, kopt,
-                                        ctx, my_pool, pre,
-                                        /*build_worker=*/true,
-                                        std::move(stolen_extras)))
+                       .emplace(ik, runner->load(std::move(stolen),
+                                                 std::move(stolen_extras),
+                                                 pre))
                        .first;
               fetched = true;
             }
-            const bool is_gf = lay.is_greens(ik, ie);
-            const transport::ContactSet& contacts =
-                it->second->worker->contacts();
-            const idx nbb = it->second->dm.h.num_blocks();
-            if (use_batches && !is_gf && contacts.symmetric_pair(nbb)) {
-              const KData& kd = *it->second;
-              const idx sbb = kd.dm.h.block_size();
-              if (!pending.empty() &&
-                  (nbb != pending_nb || sbb != pending_s))
-                flush_pending();
-              pending_nb = nbb;
-              pending_s = sbb;
-              pending.push_back({ik, ie, &kd});
-              if (pending.size() >= batch_cap) flush_pending();
-              continue;
-            }
-            const auto sik = static_cast<std::size_t>(ik);
-            const numeric::cplx z =
-                is_gf ? request.gf_nodes[sik][static_cast<std::size_t>(
-                            ie - lay.n_real[sik])]
-                      : numeric::cplx{
-                            request.energies[sik][static_cast<std::size_t>(ie)],
-                            0.0};
+            const Task task{ik, ie, it->second.get()};
             // --- spatial level: announce the task to the group ---------
             // The resolved backend travels with the task: members follow
             // the leader's choice (kAuto resolution is pure, but a member
@@ -1368,11 +1341,22 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
             // labels the task by the leader's k no matter whose queue pull
             // (or steal) produced it.
             if (spatial_group) {
+              const bool is_gf = lay.is_greens(ik, ie);
+              const auto sik = static_cast<std::size_t>(ik);
+              const numeric::cplx z =
+                  is_gf ? request.gf_nodes[sik][static_cast<std::size_t>(
+                              ie - lay.n_real[sik])]
+                        : numeric::cplx{
+                              request.energies[sik]
+                                              [static_cast<std::size_t>(ie)],
+                              0.0};
+              const transport::ContactSet& contacts = task.kd->contacts;
+              const idx nbb = task.kd->dm.h.num_blocks();
+              const idx sbb = task.kd->dm.h.block_size();
               solvers::SolverContext binding;
               binding.pool = my_pool;
               binding.partitions = popt.partitions;
               binding.spatial = &e_comm;
-              const idx sbb = it->second->dm.h.block_size();
               // GF nodes announce the (non-cooperative) RGF diagonal: the
               // members run the fetched-blocks broadcast and skip the
               // solve, exactly like a statically requested RGF task.  So
@@ -1386,53 +1370,28 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               const bool solo =
                   is_gf || !contacts.classic_pair(nbb) ||
                   contacts.has_probes() ||
-                  (popt.scattering.algorithm !=
-                       scattering::ScatteringAlgorithm::kNone &&
-                   !scattering::assemble_probes(popt.scattering, nbb,
-                                                {0, nbb - 1})
-                        .empty());
+                  !scattering::assemble_probes(popt.scattering, nbb,
+                                               {0, nbb - 1})
+                       .empty();
               const auto algo =
                   solo ? solvers::SolverAlgorithm::kRgf
                        : solvers::resolve_algorithm(popt.solver, nbb, sbb,
                                                     2 * sbb, binding);
-              std::vector<double> task{
+              std::vector<double> announce{
                   1.0, static_cast<double>(ik), static_cast<double>(ie),
                   fetched ? 1.0 : 0.0,
                   static_cast<double>(static_cast<int>(algo)), z.real(),
                   z.imag()};
-              e_comm.bcast(task, 0);
+              e_comm.bcast(announce, 0);
               // A stolen k's blocks reach the members through the group,
               // mirroring the owned-k broadcast at input distribution.
               if (fetched) broadcast_lead_blocks(e_comm, it->second->lead);
             }
-            if (is_gf) {
-              transport::EnergyPointOptions gopt = popt;
-              gopt.k_index = ik;
-              gopt.spatial = nullptr;  // the RGF diagonal is a solo solve
-              const double t0 = now_seconds();
-              const auto diag = it->second->worker->solve_greens(z, gopt);
-              local.busy_seconds += now_seconds() - t0;
-              ++local.tasks;
-              ++local.greens_tasks;
-              const auto sg = static_cast<std::size_t>(ie - lay.n_real[sik]);
-              local.charge_samples.push_back(static_cast<double>(
-                  lay.e_prefix[sik] + ie));
-              const auto per_cell = greens_task_charge(
-                  request, it->second->lead.block_dim(),
-                  request.gf_weights[sik][sg], diag);
-              local.charge_samples.insert(local.charge_samples.end(),
-                                          per_cell.begin(), per_cell.end());
-              continue;
-            }
-            const double energy =
-                request.energies[static_cast<std::size_t>(ik)]
-                                [static_cast<std::size_t>(ie)];
-            const double t0 = now_seconds();
-            const auto res = it->second->worker->solve(energy);
-            local.busy_seconds += now_seconds() - t0;
-            ++local.tasks;
-            record_sample(local, lay, request, ik, ie, res);
-            accumulate_charge(local, request, lay, *it->second, ik, ie, res);
+            const BucketKey key = runner->key(task);
+            if (!pending.empty() && key != pending_key) flush_pending();
+            pending_key = key;
+            pending.push_back(task);
+            if (pending.size() >= batch_cap) flush_pending();
           } catch (...) {
             rank_error = std::current_exception();
           }
@@ -1442,6 +1401,7 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
         release_members();
       } else if (spatial_group) {
         // --- spatial members: serve the group's cooperative solves -----
+        transport::EnergyPointContext ctx;
         for (;;) {
           std::vector<double> task;
           e_comm.bcast(task, 0);
@@ -1455,12 +1415,10 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
             broadcast_lead_blocks(e_comm, lead);
             if (rank_error == nullptr && cache.find(ik) == cache.end()) {
               try {
-                transport::EnergyPointOptions kopt = popt;
-                kopt.k_index = ik;
                 cache.emplace(ik, std::make_unique<KData>(
-                                      std::move(lead), request, kopt, ctx,
-                                      my_pool, nullptr,
-                                      /*build_worker=*/false));
+                                      std::move(lead),
+                                      std::vector<dft::LeadBlocks>{}, request,
+                                      nullptr, /*leader=*/false));
               } catch (...) {
                 rank_error = std::current_exception();
               }
@@ -1516,73 +1474,10 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
     const bool want_charge =
         !request.density_weight.empty() || request_has_greens(request);
     if (want_charge) charge_gathered = comm.gatherv(local.charge_samples, 0);
-    const auto rank_stats = comm.gatherv(
-        {local.busy_seconds, static_cast<double>(local.tasks),
-         static_cast<double>(local.batches),
-         static_cast<double>(local.batched_tasks),
-         static_cast<double>(local.prefetch_hits),
-         static_cast<double>(local.prefetch_misses),
-         static_cast<double>(local.greens_tasks),
-         static_cast<double>(local.device_batches),
-         static_cast<double>(local.residency_hits),
-         static_cast<double>(local.residency_misses)},
-        0);
-
-    if (wr == 0) {
-      for (std::size_t i = 0; i + stride <= gathered.size(); i += stride) {
-        const auto [ik, ie] = lay.unflatten(static_cast<idx>(gathered[i]));
-        const auto sk = static_cast<std::size_t>(ik);
-        const auto se = static_cast<std::size_t>(ie);
-        out.transmission[sk][se] = gathered[i + 1];
-        out.caroli[sk][se] = gathered[i + 2];
-        out.propagating[sk][se] = static_cast<idx>(gathered[i + 3]);
-        // stride > 4 carries the row-major ncon x ncon pairwise T matrix.
-        for (std::size_t q = 0; q + 4 < stride; ++q)
-          out.t_matrix[sk][se][q] = gathered[i + 4 + q];
-      }
-      if (want_charge) {
-        // Deterministic charge: per-task contributions summed in flat task
-        // order, independent of which rank solved what (work stealing
-        // moves tasks between ranks run to run; mirrors run_flat).
-        const std::size_t rec = 1 + static_cast<std::size_t>(request.cells);
-        std::vector<std::vector<double>> per_task(
-            static_cast<std::size_t>(lay.total_tasks));
-        for (std::size_t i = 0; i + rec <= charge_gathered.size(); i += rec)
-          per_task[static_cast<std::size_t>(charge_gathered[i])].assign(
-              charge_gathered.begin() + static_cast<std::ptrdiff_t>(i + 1),
-              charge_gathered.begin() + static_cast<std::ptrdiff_t>(i + rec));
-        for (const auto& pc : per_task)
-          for (std::size_t c = 0; c < pc.size(); ++c) out.charge[c] += pc[c];
-      }
-      out.stats.ranks = lay.world;
-      out.stats.energy_groups = lay.num_leaders;
-      out.stats.tasks_total = lay.total_tasks;
-      out.stats.tasks_stolen = co.stolen;
-      out.stats.tasks_per_rank.clear();
-      out.stats.busy_seconds_per_rank.clear();
-      idx batched_tasks_total = 0;
-      constexpr std::size_t kStatsStride = 10;
-      for (std::size_t r = 0; kStatsStride * r + 9 < rank_stats.size(); ++r) {
-        const std::size_t base = kStatsStride * r;
-        out.stats.busy_seconds_per_rank.push_back(rank_stats[base]);
-        out.stats.tasks_per_rank.push_back(
-            static_cast<idx>(rank_stats[base + 1]));
-        out.stats.batches_issued += static_cast<idx>(rank_stats[base + 2]);
-        batched_tasks_total += static_cast<idx>(rank_stats[base + 3]);
-        out.stats.prefetch_hits += static_cast<idx>(rank_stats[base + 4]);
-        out.stats.prefetch_misses +=
-            static_cast<idx>(rank_stats[base + 5]);
-        out.stats.tasks_greens += static_cast<idx>(rank_stats[base + 6]);
-        out.stats.device_batches += static_cast<idx>(rank_stats[base + 7]);
-        out.stats.residency_hits += static_cast<idx>(rank_stats[base + 8]);
-        out.stats.residency_misses +=
-            static_cast<idx>(rank_stats[base + 9]);
-      }
-      if (out.stats.batches_issued > 0)
-        out.stats.mean_batch_size =
-            static_cast<double>(batched_tasks_total) /
-            static_cast<double>(out.stats.batches_issued);
-    }
+    const auto rank_stats = comm.gatherv(stats_row(local), 0);
+    if (wr == 0)
+      assemble(out, request, lay, co.stolen, gathered, charge_gathered,
+               rank_stats);
 
     // The protocol is drained and every collective matched; now the error
     // may surface.

@@ -51,10 +51,12 @@ struct EngineConfig {
   /// are bit-identical across widths for equal partition counts.
   int ranks_per_energy_group = 1;
   bool work_stealing = true;       ///< hand idle groups other k's points
-  /// Size-1 worlds default to the flat thread-pool loop (the degenerate
-  /// case preserves the single-process behavior and its intra-process
-  /// parallelism).  Benchmarks force the rank protocol to get an honest
-  /// serial baseline.
+  /// Which task source feeds the engine's one task executor in a size-1
+  /// world.  On (the default): the flat loop hands it every task of the
+  /// sweep at once, so whole shape buckets run on the thread pool.  Off:
+  /// the rank protocol runs anyway, its one leader handing over the tasks
+  /// it pulls — the honest serial baseline benchmarks use.  Results are
+  /// bit-identical either way.
   bool flat_single_rank = true;
   /// Per-rank OBC boundary caches, persistent across run() calls: the lead
   /// eigenproblem at an obc::BoundaryKey (k, E, shift, lead content, OBC
@@ -64,19 +66,21 @@ struct EngineConfig {
   /// replays the stored Boundary verbatim.  Off = recompute every
   /// evaluation (benchmark baseline).
   bool cache_boundaries = true;
-  /// Fuse queued same-shape (k, E) tasks into batched numeric::Backend
-  /// calls (transport::solve_energy_batch): the OBC stage of the whole
-  /// bucket prefetches asynchronously while the device phase issues Step 1
-  /// / block-LU factorizations as single batched calls.  Only solvers
-  /// advertising kBatchable participate; spatial groups (width > 1) always
-  /// solve cooperatively, one point at a time.  Bit-identical to the
-  /// unbatched path, task by task.  Off = solve_energy_point per task
-  /// (benchmark baseline).
+  /// Fuse same-shape (k, E) tasks into batched numeric::Backend calls
+  /// (transport::solve_energy_batch) inside the one task executor, whichever
+  /// source feeds it: the flat loop's whole sweep or a leader's pulled
+  /// tasks.  A k batches when its contacts are a symmetric pair, the
+  /// scattering model attaches no probes, and the resolved solver
+  /// advertises kBatchable; spatial groups (width > 1) always solve
+  /// cooperatively, one point at a time.  Bit-identical to the unbatched
+  /// path, task by task.  Off = solve_energy_point per task, and a leader
+  /// solves each task as it pulls it (benchmark baseline).
   bool batch_tasks = true;
-  /// Batch capacity — how many queued tasks one leader accumulates before
-  /// issuing a batched call.  Also the *nominal* batch fed to kAuto
-  /// resolution (rank-invariant, never the actual bucket fill, so every
-  /// rank resolves the same backend).
+  /// Batch capacity — the chunk size of a batched call, and how many
+  /// pulled tasks one leader queues before handing them to the executor.
+  /// Also the *nominal* batch fed to kAuto resolution (rank-invariant,
+  /// never the actual bucket fill, so every rank resolves the same
+  /// backend).
   int max_batch = 16;
   /// Which numeric::Backend executes the batched device phase:
   ///   "auto"   — per shape bucket, host lanes vs device streams by the
@@ -229,7 +233,8 @@ class Engine {
   const EngineConfig& config() const noexcept { return config_; }
 
   /// Run the full sweep over a fresh CommWorld of config().num_ranks ranks
-  /// (or the flat in-process loop for the degenerate single-rank case).
+  /// (or, for the degenerate single-rank case, hand the whole sweep to the
+  /// task executor in process).
   /// A throwing solve or transfer on any rank drains the queue protocol and
   /// the assembly collectives before surfacing here as an exception — the
   /// world never deadlocks on a failed rank.

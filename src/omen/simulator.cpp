@@ -703,11 +703,9 @@ std::vector<Simulator::IvPoint> Simulator::transfer_characteristics(
   // whole bias sweep.
   if (scf.scattering.algorithm != scattering::ScatteringAlgorithm::kNone)
     set_scattering(scf.scattering);
-  // The bias sweep's lead electrostatics: both spellings resolve onto ONE
-  // per-contact vector (resolved_contact_shifts validates the scalar thin
-  // forward), applied through one path.  The shifts are part of the
-  // boundary-cache keys, so sweeps at shifts seen before keep their cached
-  // lead eigenproblems.
+  // The bias sweep's lead electrostatics, one shift per contact.  The
+  // shifts are part of the boundary-cache keys, so sweeps at shifts seen
+  // before keep their cached lead eigenproblems.
   const std::vector<double> shifts =
       scf.resolved_contact_shifts(config_.contacts.size());
   for (std::size_t i = 0; i < shifts.size(); ++i)

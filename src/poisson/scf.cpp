@@ -10,19 +10,13 @@ namespace omenx::poisson {
 
 std::vector<double> ScfOptions::resolved_contact_shifts(
     std::size_t num_contacts) const {
-  if (!contact_shifts.empty()) {
-    if (contact_shift != 0.0)
-      throw std::invalid_argument(
-          "ScfOptions: contact_shift (scalar) and contact_shifts (vector) "
-          "are both set — pick one spelling");
-    if (contact_shifts.size() != num_contacts)
-      throw std::invalid_argument(
-          "ScfOptions: contact_shifts must have one entry per configured "
-          "contact");
-    return contact_shifts;
-  }
-  return std::vector<double>(std::max<std::size_t>(num_contacts, 1),
-                             contact_shift);
+  if (contact_shifts.empty())
+    return std::vector<double>(std::max<std::size_t>(num_contacts, 1), 0.0);
+  if (contact_shifts.size() != num_contacts)
+    throw std::invalid_argument(
+        "ScfOptions: contact_shifts must have one entry per configured "
+        "contact");
+  return contact_shifts;
 }
 
 namespace {

@@ -50,24 +50,18 @@ struct ScfOptions {
   bool adaptive_energy_grid = false;
   double grid_refine_tol = 0.5;    ///< indicator jump that triggers bisection
   double grid_min_spacing = 1e-3;  ///< eV floor for adaptive refinement
-  /// Uniform lead (contact) potential shift (eV) — the *scalar spelling*
-  /// of the per-contact `contact_shifts` vector: drivers never read this
-  /// field directly but call resolved_contact_shifts(), which forwards the
-  /// scalar onto every terminal.  Setting both spellings at once (nonzero
-  /// scalar + non-empty vector) is ambiguous and throws there.
-  double contact_shift = 0.0;
-  /// Per-contact shifts (terminal order) — the canonical spelling.  Empty =
-  /// the scalar `contact_shift` applies uniformly (the classic behavior).
-  /// Non-empty must match the driver's configured contact count
-  /// (resolved_contact_shifts validates); drivers hand each resolved entry
-  /// to Simulator::set_contact_shift(contact, shift), so a change in one
+  /// Per-contact lead potential shifts (eV, terminal order).  Empty = no
+  /// shift on any terminal; non-empty must match the configured contact
+  /// count (resolved_contact_shifts validates).
+  /// Simulator::transfer_characteristics hands each resolved entry to
+  /// Simulator::set_contact_shift(contact, shift), so a change in one
   /// contact's electrostatics re-keys only that contact's cached lead
-  /// solves — one path for both spellings.
+  /// solves.
   std::vector<double> contact_shifts;
-  /// Unify the two spellings: one shift per contact, max(num_contacts, 1)
-  /// entries.  Throws std::invalid_argument when `contact_shifts`
-  /// is non-empty and its size disagrees with `num_contacts`, or when both
-  /// spellings are set at once.
+  /// One shift per contact, max(num_contacts, 1) entries (zeros when
+  /// `contact_shifts` is empty).  Throws std::invalid_argument when
+  /// `contact_shifts` is non-empty and its size disagrees with
+  /// `num_contacts`.
   std::vector<double> resolved_contact_shifts(std::size_t num_contacts) const;
   /// Dissipation model the bias sweep runs under (scattering::Spec).  The
   /// default kNone leaves the driver's configured model untouched; anything

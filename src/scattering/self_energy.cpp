@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <stdexcept>
+
+#include "numeric/registry.hpp"
 
 namespace omenx::scattering {
 
@@ -61,20 +61,11 @@ class ButtikerProbeModel final : public SelfEnergy {
   }
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, SelfEnergyFactory> factories;
-};
-
-Registry& registry() {
-  static Registry* r = [] {
-    auto* reg = new Registry;
-    reg->factories["none"] = [] { return std::make_unique<NoneModel>(); };
-    reg->factories["buttiker_probe"] = [] {
-      return std::make_unique<ButtikerProbeModel>();
-    };
-    return reg;
-  }();
+numeric::Registry<SelfEnergyFactory>& registry() {
+  static auto* r = new numeric::Registry<SelfEnergyFactory>({
+      {"none", [] { return std::make_unique<NoneModel>(); }},
+      {"buttiker_probe", [] { return std::make_unique<ButtikerProbeModel>(); }},
+  });
   return *r;
 }
 
@@ -181,28 +172,19 @@ void gauss_solve(std::vector<double>& a, std::vector<double>& rhs,
 
 void register_scattering_model(const std::string& name,
                                SelfEnergyFactory factory) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  r.factories[name] = std::move(factory);
+  registry().set(name, std::move(factory));
 }
 
 std::vector<std::string> registered_scattering_models() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<std::string> names;
-  names.reserve(r.factories.size());
-  for (const auto& [name, factory] : r.factories) names.push_back(name);
-  return names;
+  return registry().names();
 }
 
 std::unique_ptr<SelfEnergy> make_scattering_model(const std::string& name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  const auto it = r.factories.find(name);
-  if (it == r.factories.end())
+  const SelfEnergyFactory factory = registry().find(name);
+  if (!factory)
     throw std::invalid_argument("make_scattering_model: unknown model '" +
                                 name + "'");
-  return it->second();
+  return factory();
 }
 
 const char* scattering_algorithm_name(ScatteringAlgorithm algo) noexcept {

@@ -1,12 +1,11 @@
 #include "solvers/solver.hpp"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "numeric/backend.hpp"
 #include "numeric/blas.hpp"
+#include "numeric/registry.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/device.hpp"
 #include "perf/machine.hpp"
@@ -470,63 +469,39 @@ class SplitSolveSolver final : public Solver {
 
 // --- registry --------------------------------------------------------------
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, SolverFactory> factories;
-};
-
-Registry& registry() {
-  static Registry* r = [] {
-    auto* reg = new Registry;
-    reg->factories["rgf"] = [](const SolverContext&) {
-      return std::make_unique<RgfSolver>();
-    };
-    reg->factories["block_lu"] = [](const SolverContext&) {
-      return std::make_unique<BlockLUSolver>();
-    };
-    reg->factories["bcr"] = [](const SolverContext&) {
-      return std::make_unique<BcrSolver>();
-    };
-    reg->factories["spike"] = [](const SolverContext& ctx) {
-      return std::make_unique<SpikeSolver>(ctx);
-    };
-    reg->factories["splitsolve"] = [](const SolverContext& ctx) {
-      return std::make_unique<SplitSolveSolver>(ctx);
-    };
-    return reg;
-  }();
+numeric::Registry<SolverFactory>& registry() {
+  static auto* r = new numeric::Registry<SolverFactory>({
+      {"rgf",
+       [](const SolverContext&) { return std::make_unique<RgfSolver>(); }},
+      {"block_lu",
+       [](const SolverContext&) { return std::make_unique<BlockLUSolver>(); }},
+      {"bcr",
+       [](const SolverContext&) { return std::make_unique<BcrSolver>(); }},
+      {"spike",
+       [](const SolverContext& ctx) {
+         return std::make_unique<SpikeSolver>(ctx);
+       }},
+      {"splitsolve",
+       [](const SolverContext& ctx) {
+         return std::make_unique<SplitSolveSolver>(ctx);
+       }},
+  });
   return *r;
 }
 
 }  // namespace
 
 void register_solver(const std::string& name, SolverFactory factory) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  r.factories[name] = std::move(factory);
+  registry().set(name, std::move(factory));
 }
 
-std::vector<std::string> registered_solvers() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<std::string> names;
-  names.reserve(r.factories.size());
-  for (const auto& [name, _] : r.factories) names.push_back(name);
-  return names;  // std::map iterates sorted
-}
+std::vector<std::string> registered_solvers() { return registry().names(); }
 
 std::unique_ptr<Solver> make_solver(const std::string& name,
                                     const SolverContext& ctx) {
-  Registry& r = registry();
-  SolverFactory factory;
-  {
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    const auto it = r.factories.find(name);
-    if (it == r.factories.end())
-      throw std::invalid_argument("make_solver: unknown backend '" + name +
-                                  "'");
-    factory = it->second;
-  }
+  const SolverFactory factory = registry().find(name);
+  if (!factory)
+    throw std::invalid_argument("make_solver: unknown backend '" + name + "'");
   return factory(ctx);
 }
 

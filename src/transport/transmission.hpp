@@ -250,39 +250,6 @@ std::vector<EnergyPointResult> sweep_energy_points(
     parallel::DevicePool* pool = nullptr,
     parallel::ThreadPool* threads = nullptr);
 
-/// Per-group energy-sweep entry point: binds one device's matrices, its
-/// terminals, and the solve options to a reusable context, so a
-/// distribution layer (omen::Engine) can solve whatever points the work
-/// queue hands its rank — in any order, allocation-free in steady state.
-/// The referenced matrices, context, and pool must outlive the worker, and
-/// so must the set's leads/folded (the set itself is copied).
-class EnergySweepWorker {
- public:
-  EnergySweepWorker(EnergyPointContext& ctx, const dft::DeviceMatrices& dm,
-                    ContactSet contacts, const EnergyPointOptions& options,
-                    parallel::DevicePool* pool = nullptr)
-      : ctx_(ctx), dm_(dm), contacts_(std::move(contacts)), options_(options),
-        pool_(pool) {}
-
-  EnergyPointResult solve(double energy) {
-    return solve_energy_point(ctx_, dm_, contacts_, energy, options_, pool_);
-  }
-
-  std::vector<cplx> solve_greens(cplx energy,
-                                 const EnergyPointOptions& options) {
-    return solve_greens_diagonal(ctx_, dm_, contacts_, energy, options);
-  }
-
-  const ContactSet& contacts() const noexcept { return contacts_; }
-
- private:
-  EnergyPointContext& ctx_;
-  const dft::DeviceMatrices& dm_;
-  ContactSet contacts_;
-  EnergyPointOptions options_;
-  parallel::DevicePool* pool_;
-};
-
 /// Member-side counterpart of a cooperative spatial solve: assemble this
 /// rank's copy of A = E*S - H for the point, compute the SPIKE partitions
 /// spike_partition_owner assigns to this rank, and send them to spatial

@@ -9,6 +9,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -181,27 +182,125 @@ TEST(Engine, WorkStealingBalancesImbalancedGrids) {
       EXPECT_DOUBLE_EQ(dy.caroli[k][ie], st.caroli[k][ie]);
 }
 
+namespace {
+
+/// Bit pattern of every double in a result table, row-major.
+template <typename Rows>
+std::vector<std::uint64_t> table_bits(const Rows& rows) {
+  std::vector<std::uint64_t> out;
+  for (const auto& row : rows)
+    for (const auto& v : row) {
+      std::uint64_t b = 0;
+      const double d = static_cast<double>(v);
+      std::memcpy(&b, &d, sizeof b);
+      out.push_back(b);
+    }
+  return out;
+}
+
+/// Every SweepResult output field, bitwise.
+void expect_same_outputs(const om::SweepResult& a, const om::SweepResult& b,
+                         const std::string& label) {
+  EXPECT_EQ(table_bits(a.transmission), table_bits(b.transmission)) << label;
+  EXPECT_EQ(table_bits(a.caroli), table_bits(b.caroli)) << label;
+  EXPECT_EQ(a.propagating, b.propagating) << label;
+  EXPECT_EQ(table_bits(std::vector<std::vector<double>>{a.charge}),
+            table_bits(std::vector<std::vector<double>>{b.charge}))
+      << label;
+  ASSERT_EQ(a.t_matrix.size(), b.t_matrix.size()) << label;
+  for (std::size_t k = 0; k < a.t_matrix.size(); ++k)
+    EXPECT_EQ(table_bits(a.t_matrix[k]), table_bits(b.t_matrix[k]))
+        << label << " k=" << k;
+  EXPECT_EQ(a.stats.tasks_total, b.stats.tasks_total) << label;
+  EXPECT_EQ(a.stats.tasks_greens, b.stats.tasks_greens) << label;
+}
+
+}  // namespace
+
 TEST(Engine, ForcedProtocolMatchesFlatLoop) {
   // flat_single_rank = false runs the full request/assign protocol on one
   // rank (coordinator + worker on the same thread pair) — the benchmark's
-  // serial baseline.  It must agree bit-for-bit with the flat loop.
-  std::vector<df::LeadBlocks> leads{synthetic_lead(5, 77)};
-  om::SweepRequest req;
-  req.leads = &leads;
-  req.cells = 10;
-  req.potential.assign(10, 0.0);
-  req.point = cheap_options();
-  req.energies = {{-1.5, -0.5, 0.0, 0.5, 1.5}};
+  // serial baseline.  The flat loop and the protocol at 1 and 2 ranks feed
+  // one task executor, so every output must agree bit for bit: on a
+  // request mixing charge-weighted real-axis energies with contour nodes,
+  // for the symmetric pair (batched under block_lu, per task under bcr)
+  // and a 3-contact list (per task, T matrix filled), batching on and off.
+  const idx s = 5, cells = 10;
+  std::vector<df::LeadBlocks> leads{synthetic_lead(s, 77),
+                                    synthetic_lead(s, 83)};
+  const std::vector<std::vector<df::LeadBlocks>> probe_rows{
+      {synthetic_lead(s, 89), synthetic_lead(s, 97)}};
+  om::SweepRequest base;
+  base.leads = &leads;
+  base.cells = cells;
+  base.potential.assign(static_cast<std::size_t>(cells), 0.0);
+  base.point = cheap_options();
+  base.point.obc = tr::ObcAlgorithm::kShiftInvert;
+  base.point.want_density = true;
+  base.energies = {{-1.5, -0.5, 0.0, 0.5, 1.5, 0.9}, {-0.75, 0.25, 1.1}};
+  base.gf_nodes = {{cplx{-1.0, 0.3}, cplx{0.2, 0.4}},
+                   {cplx{-0.4, 0.25}, cplx{0.6, 0.5}, cplx{1.0, 0.2}}};
+  base.gf_weights = {{cplx{0.05, -0.02}, cplx{0.1, 0.03}},
+                     {cplx{0.02, 0.01}, cplx{-0.04, 0.06}, cplx{0.07, 0.0}}};
 
-  om::Engine flat(om::EngineConfig{});
-  om::EngineConfig pcfg;
-  pcfg.flat_single_rank = false;
-  om::Engine protocol(pcfg);
-  const auto a = flat.run(req);
-  const auto b = protocol.run(req);
-  ASSERT_EQ(a.caroli[0].size(), b.caroli[0].size());
-  for (std::size_t i = 0; i < a.caroli[0].size(); ++i)
-    EXPECT_DOUBLE_EQ(a.caroli[0][i], b.caroli[0][i]);
+  for (const int layout : {2, 3}) {
+    om::SweepRequest req = base;
+    if (layout == 3) {
+      req.contacts.push_back(om::SweepContact{0.0, 0.0, 4, 0, 0.0});
+      req.contact_leads = &probe_rows;
+    }
+    req.density_weight.resize(req.contacts.size());
+    for (std::size_t p = 0; p < req.contacts.size(); ++p)
+      for (std::size_t k = 0; k < req.energies.size(); ++k) {
+        req.density_weight[p].emplace_back();
+        for (std::size_t ie = 0; ie < req.energies[k].size(); ++ie)
+          req.density_weight[p][k].push_back(0.1 * (p + 1.0) +
+                                             0.01 * (ie + k));
+      }
+    for (const auto solver :
+         {tr::SolverAlgorithm::kBlockLU, tr::SolverAlgorithm::kBcr}) {
+      // bcr has no multi-terminal attachment: pair only.
+      if (layout == 3 && solver == tr::SolverAlgorithm::kBcr) continue;
+      req.point.solver = solver;
+      om::EngineConfig rcfg;
+      rcfg.batch_tasks = false;
+      const auto ref = om::Engine(rcfg).run(req);
+      ASSERT_EQ(ref.charge.size(), static_cast<std::size_t>(cells));
+      EXPECT_EQ(ref.stats.tasks_greens, 5);
+      EXPECT_EQ(ref.t_matrix.empty(), layout == 2);
+      EXPECT_GT(std::accumulate(ref.transmission[0].begin(),
+                                ref.transmission[0].end(), 0.0),
+                0.0);
+      EXPECT_TRUE(std::any_of(ref.charge.begin(), ref.charge.end(),
+                              [](double q) { return q != 0.0; }));
+      if (layout == 3) {
+        double t_sum = 0.0;
+        for (const auto& row : ref.t_matrix[0])
+          for (const double t : row) t_sum += t;
+        EXPECT_GT(t_sum, 0.0);
+      }
+      for (const bool batch : {false, true}) {
+        for (const int ranks : {0, 1, 2}) {  // 0 = the flat loop
+          const std::string label =
+              "contacts=" + std::to_string(layout) +
+              " solver=" + omenx::solvers::algorithm_name(solver) +
+              " batch=" + std::to_string(batch) +
+              " ranks=" + std::to_string(ranks);
+          om::EngineConfig cfg;
+          cfg.batch_tasks = batch;
+          cfg.max_batch = 4;
+          cfg.num_ranks = std::max(1, ranks);
+          cfg.flat_single_rank = ranks == 0;
+          const auto got = om::Engine(cfg).run(req);
+          expect_same_outputs(got, ref, label);
+          // Only the block_lu pair batches.
+          const bool batched = batch && layout == 2 &&
+                               solver == tr::SolverAlgorithm::kBlockLU;
+          EXPECT_EQ(got.stats.batches_issued > 0, batched) << label;
+        }
+      }
+    }
+  }
 }
 
 TEST(Engine, ChargeDensityConsistentAcrossWorldSizes) {
@@ -439,25 +538,32 @@ TEST(Engine, SigmaOnlyObcDensityRequestFailsLoudlyAndDrains) {
   // Decimation provides no injection states: a charge-carrying sweep must
   // surface std::invalid_argument — from the flat loop and from every rank
   // topology — instead of silently integrating zero density (and the world
-  // must drain, not hang).
-  om::SimulationConfig cfg = chain_config(8, 1);
-  cfg.point.obc = tr::ObcAlgorithm::kDecimation;
-  om::Simulator reference(cfg);
-  const auto bands = reference.bands(9);
-  const auto window = tr::band_window(bands);
-  const double mu = 0.5 * (window.emin + window.emax);
-  const std::vector<double> grid{mu - 0.1, mu, mu + 0.1};
-  EXPECT_THROW(reference.charge_density(grid, mu, mu, nullptr),
-               std::invalid_argument);
-
-  for (const int ranks : {2, 4}) {
-    om::SimulationConfig dcfg = cfg;
-    dcfg.num_ranks = ranks;
-    if (ranks == 4) dcfg.ranks_per_energy_group = 2;
-    om::Simulator sim(dcfg);
-    EXPECT_THROW(sim.charge_density(grid, mu, mu, nullptr),
+  // must drain, not hang).  block_lu throws from inside a batched call;
+  // bcr (not batchable) from inside a per-task bucket on the thread pool —
+  // the flat loop's three tasks, and at least one leader's two of them.
+  for (const auto solver :
+       {tr::SolverAlgorithm::kBlockLU, tr::SolverAlgorithm::kBcr}) {
+    om::SimulationConfig cfg = chain_config(8, 1);
+    cfg.point.obc = tr::ObcAlgorithm::kDecimation;
+    cfg.point.solver = solver;
+    om::Simulator reference(cfg);
+    const auto bands = reference.bands(9);
+    const auto window = tr::band_window(bands);
+    const double mu = 0.5 * (window.emin + window.emax);
+    const std::vector<double> grid{mu - 0.1, mu, mu + 0.1};
+    EXPECT_THROW(reference.charge_density(grid, mu, mu, nullptr),
                  std::invalid_argument)
-        << "ranks=" << ranks;
+        << omenx::solvers::algorithm_name(solver);
+
+    for (const int ranks : {2, 4}) {
+      om::SimulationConfig dcfg = cfg;
+      dcfg.num_ranks = ranks;
+      if (ranks == 4) dcfg.ranks_per_energy_group = 2;
+      om::Simulator sim(dcfg);
+      EXPECT_THROW(sim.charge_density(grid, mu, mu, nullptr),
+                   std::invalid_argument)
+          << omenx::solvers::algorithm_name(solver) << " ranks=" << ranks;
+    }
   }
 }
 
@@ -557,7 +663,7 @@ TEST(Engine, ContactShiftChangeRekeysCache) {
   lt::DeviceRegions regions{3, 2, 3};
   omenx::poisson::ScfOptions scf;
   scf.max_iter = 2;
-  scf.contact_shift = 0.0;
+  scf.contact_shifts = {0.0, 0.0};
   const auto solves_before = omenx::obc::boundary_solve_count();
   const auto hits_before = sim.boundary_cache_stats().hits;
   sim.transfer_characteristics({0.0}, 0.05, regions, grid,

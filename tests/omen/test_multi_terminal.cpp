@@ -148,18 +148,15 @@ TEST(MultiTerminal, ExplicitSymmetricPairScfParity) {
   for (double e = mu_s - 0.4; e <= mu_s + 0.4; e += 0.08) grid.push_back(e);
   omenx::poisson::ScfOptions scf;
   scf.max_iter = 6;
-  scf.contact_shift = -0.05;
+  scf.contact_shifts = {-0.05, -0.05};
   const auto base =
       reference.transfer_characteristics(vgs, vds, regions, grid, mu_s, scf);
 
   om::SimulationConfig cfg = chain_config(12);
   cfg.contacts = explicit_pair();
   om::Simulator sim(cfg);
-  omenx::poisson::ScfOptions nscf = scf;
-  nscf.contact_shift = 0.0;
-  nscf.contact_shifts = {-0.05, -0.05};  // per-terminal spelling
   const auto iv =
-      sim.transfer_characteristics(vgs, vds, regions, grid, mu_s, nscf);
+      sim.transfer_characteristics(vgs, vds, regions, grid, mu_s, scf);
   ASSERT_EQ(iv.size(), base.size());
   for (std::size_t p = 0; p < base.size(); ++p) {
     EXPECT_EQ(iv[p].current, base[p].current) << "bias point " << p;

@@ -307,15 +307,17 @@ TEST(Scf, DualCriterionWaitsForChargeToSettle) {
   EXPECT_EQ(res2.iterations, 1);
 }
 
-// ------------------------------------- contact-shift spelling unification --
+// ------------------------------------------------ per-contact lead shifts --
 
-TEST(ScfOptions, ScalarShiftForwardsOntoEveryTerminal) {
+TEST(ScfOptions, EmptyShiftsAreZeroOnEveryTerminal) {
   ps::ScfOptions scf;
-  scf.contact_shift = -0.07;
+  EXPECT_EQ(scf.resolved_contact_shifts(3),
+            (std::vector<double>{0.0, 0.0, 0.0}));
+  // Classic no-contact layouts still read one uniform entry.
+  EXPECT_EQ(scf.resolved_contact_shifts(0), std::vector<double>{0.0});
+  scf.contact_shifts = {-0.07, -0.07, -0.07};
   EXPECT_EQ(scf.resolved_contact_shifts(3),
             (std::vector<double>{-0.07, -0.07, -0.07}));
-  // Classic no-contact layouts still read one uniform entry.
-  EXPECT_EQ(scf.resolved_contact_shifts(0), std::vector<double>{-0.07});
 }
 
 TEST(ScfOptions, VectorShiftsAreCanonical) {
@@ -325,11 +327,4 @@ TEST(ScfOptions, VectorShiftsAreCanonical) {
             (std::vector<double>{0.0, -0.1}));
   // One entry per configured contact, enforced.
   EXPECT_THROW(scf.resolved_contact_shifts(3), std::invalid_argument);
-}
-
-TEST(ScfOptions, BothShiftSpellingsAtOnceIsAmbiguous) {
-  ps::ScfOptions scf;
-  scf.contact_shift = -0.05;
-  scf.contact_shifts = {-0.05, -0.05};
-  EXPECT_THROW(scf.resolved_contact_shifts(2), std::invalid_argument);
 }
