@@ -35,7 +35,10 @@ std::vector<CMatrix> rgf_diagonal_blocks(const BlockTridiag& a);
 /// x = A^{-1} b for a general dense b (dim() x m): the downward-fold
 /// recursion of Algorithm 1 applied to an arbitrary right-hand side (block
 /// Thomas with per-block LU pivots).  This is the N-terminal path — RHS
-/// rows may be non-zero at any block, not just the corners.
+/// rows may be non-zero at any block, not just the corners.  Each column is
+/// folded from its first non-zero block row down, so a column attached at
+/// block b skips b rows of the forward sweep; every result bit equals that
+/// of a fold over all columns at every row.
 CMatrix rgf_solve(const BlockTridiag& a, const CMatrix& b);
 
 }  // namespace omenx::solvers

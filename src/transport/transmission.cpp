@@ -1,5 +1,6 @@
 #include "transport/transmission.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -380,6 +381,77 @@ ContactView contact_view(const obc::Boundary& bnd, idx block, idx nb) {
   return v;
 }
 
+// Re sum_ij a_ij conj(b_ij) over two sf x sf blocks with row strides lda/ldb.
+double re_dot(const cplx* a, idx lda, const cplx* b, idx ldb, idx sf) {
+  double sum = 0.0;
+  for (idx i = 0; i < sf; ++i)
+    for (idx j = 0; j < sf; ++j) {
+      const cplx u = a[i * lda + j];
+      const cplx v = b[i * ldb + j];
+      sum += u.real() * v.real() + u.imag() * v.imag();
+    }
+  return sum;
+}
+
+// Pairwise Caroli table T_pq = Tr[Gamma_p G_pq Gamma_q G_pq^H] (row-major
+// nc x nc, diagonal 0) from the identity column groups of x, where
+// G_pq = x.block(b_p*sf, q*sf, sf, sf).  With L = Gamma_p G_pq and
+// R = G_pq Gamma_q (Gamma Hermitian), T_pq = Re sum_ij L_ij conj(R_ij).
+// Gamma = i(Sigma - Sigma^H) is built once per lead contact p, and L for
+// every q is one GEMM over row block b_p of the identity columns; R is one
+// sf^3 product per lead q.  A probe's Gamma = 2*eta*I stays a scalar: its
+// operand is G_pq itself, so a probe-probe pair is
+// 4*eta_p*eta_q*||G_pq||_F^2 with no GEMM.
+std::vector<double> terminal_transmissions(const CMatrix& x,
+                                           const std::vector<ContactView>& view,
+                                           idx sf) {
+  const idx nc = static_cast<idx>(view.size());
+  const idx gcols = nc * sf;
+  const idx ldx = x.cols();
+  const auto g_at = [&](idx p, idx q) {
+    return x.data() + view[static_cast<std::size_t>(p)].block * sf * ldx +
+           q * sf;
+  };
+  std::vector<CMatrix> gamma(static_cast<std::size_t>(nc));
+  for (idx p = 0; p < nc; ++p) {
+    const ContactView& v = view[static_cast<std::size_t>(p)];
+    if (v.probe) continue;
+    const CMatrix& sg = *v.sigma;
+    CMatrix& gp = gamma[static_cast<std::size_t>(p)];
+    gp.resize_uninit(sf, sf);
+    for (idx i = 0; i < sf; ++i)
+      for (idx j = 0; j < sf; ++j)
+        gp(i, j) = cplx{0.0, 1.0} * (sg(i, j) - std::conj(sg(j, i)));
+  }
+  std::vector<double> t(static_cast<std::size_t>(nc * nc), 0.0);
+  CMatrix l, r(sf, sf);
+  for (idx p = 0; p < nc; ++p) {
+    const ContactView& vp = view[static_cast<std::size_t>(p)];
+    if (!vp.probe) {
+      l.resize_uninit(sf, gcols);
+      numeric::gemm_view('N', gamma[static_cast<std::size_t>(p)].data(), sf,
+                         'N', g_at(p, 0), ldx, sf, gcols, sf, cplx{1.0},
+                         cplx{0.0}, l.data(), gcols);
+    }
+    for (idx q = 0; q < nc; ++q) {
+      if (q == p) continue;
+      const ContactView& vq = view[static_cast<std::size_t>(q)];
+      const cplx* g = g_at(p, q);
+      if (!vq.probe)
+        numeric::gemm_view('N', g, ldx, 'N',
+                           gamma[static_cast<std::size_t>(q)].data(), sf, sf,
+                           sf, sf, cplx{1.0}, cplx{0.0}, r.data(), sf);
+      const double scale =
+          (vp.probe ? 2.0 * vp.eta : 1.0) * (vq.probe ? 2.0 * vq.eta : 1.0);
+      t[static_cast<std::size_t>(p * nc + q)] =
+          scale * re_dot(vp.probe ? g : l.data() + q * sf,
+                         vp.probe ? ldx : gcols, vq.probe ? g : r.data(),
+                         vq.probe ? ldx : sf, sf);
+    }
+  }
+  return t;
+}
+
 // Fetch every contact's boundary, one solve per *distinct* boundary: a
 // contact whose lead content + shift matches a lower-indexed contact reuses
 // that contact's Boundary (and its cache entry — representative() is the
@@ -602,18 +674,7 @@ EnergyPointResult solve_multi_terminal(EnergyPointContext& ctx,
   CMatrix& x = ctx.x;
   x = solver.solve_attached(a, attachments, rhs);
 
-  // --- Pairwise Caroli transmission T_pq = Tr[G_p G Gq G^H] ---
-  out.t_matrix.assign(static_cast<std::size_t>(nc * nc), 0.0);
-  for (idx p = 0; p < nc; ++p) {
-    const ContactView& vp = view[static_cast<std::size_t>(p)];
-    for (idx q = 0; q < nc; ++q) {
-      if (q == p) continue;
-      const ContactView& vq = view[static_cast<std::size_t>(q)];
-      const CMatrix g_pq = x.block(vp.block * sf, q * sf, sf, sf);
-      out.t_matrix[static_cast<std::size_t>(p * nc + q)] =
-          caroli_transmission(*vp.sigma, *vq.sigma, g_pq);
-    }
-  }
+  out.t_matrix = terminal_transmissions(x, view, sf);
   // Scalar fields stay meaningful for mixed consumers: T_01 is the
   // source->drain channel of the classic labeling.
   out.transmission_caroli = out.t_matrix[1];
@@ -624,27 +685,28 @@ EnergyPointResult solve_multi_terminal(EnergyPointContext& ctx,
     out.contact_density.assign(static_cast<std::size_t>(nc), {});
     for (idx p = 0; p < nc; ++p) {
       const ContactView& v = view[static_cast<std::size_t>(p)];
+      // d_i = sum_j w_j |x(i, off + j)|^2 over the contact's columns.  A
+      // probe reads its identity columns, already solved:
+      // [G Gamma_p G^H]_ii = 2*eta * sum_j |G(i, b_p*sf + j)|^2 — the same
+      // normalization the 1/flux mode weights of a lead contact's injected
+      // columns satisfy, so probe and contact densities add coherently in
+      // the charge assembly.  Row by row, each d_i sums in column order.
+      std::vector<double> w;
+      idx off = p * sf;
+      if (v.probe) {
+        w.assign(static_cast<std::size_t>(sf), 2.0 * v.eta);
+      } else {
+        off = inj_off[static_cast<std::size_t>(p)];
+        w.resize(static_cast<std::size_t>(v.n_modes));
+        for (std::size_t j = 0; j < w.size(); ++j)
+          w[j] = 1.0 / std::max((*v.inj_flux)[j], 1e-12);
+      }
       std::vector<double>& d = out.contact_density[static_cast<std::size_t>(p)];
       d.assign(static_cast<std::size_t>(a.dim()), 0.0);
-      if (v.probe) {
-        // Probe spectral injection from the identity columns already
-        // solved: [G Gamma_p G^H]_ii = 2*eta * sum_j |G(i, b_p*sf + j)|^2 —
-        // the same normalization the 1/flux mode weights satisfy, so probe
-        // and contact densities add coherently in the charge assembly.
-        const double g = 2.0 * v.eta;
-        for (idx j = 0; j < sf; ++j)
-          for (idx i = 0; i < a.dim(); ++i)
-            d[static_cast<std::size_t>(i)] +=
-                g * std::norm(x(i, p * sf + j));
-        continue;
-      }
-      for (idx j = 0; j < v.n_modes; ++j) {
-        const double w =
-            1.0 /
-            std::max((*v.inj_flux)[static_cast<std::size_t>(j)], 1e-12);
-        for (idx i = 0; i < a.dim(); ++i)
-          d[static_cast<std::size_t>(i)] +=
-              w * std::norm(x(i, inj_off[static_cast<std::size_t>(p)] + j));
+      for (idx i = 0; i < a.dim(); ++i) {
+        const cplx* xi = x.row_ptr(i) + off;
+        for (std::size_t j = 0; j < w.size(); ++j)
+          d[static_cast<std::size_t>(i)] += w[j] * std::norm(xi[j]);
       }
     }
   }

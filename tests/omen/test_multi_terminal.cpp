@@ -6,24 +6,40 @@
 //     {1, 2, 4} and with work stealing on and off;
 //   * 3-terminal sweeps — pairwise T_pq, Buettiker terminal currents with
 //     sum_p I_p = 0 to machine rounding, per-contact charge;
+//   * the T_pq table against the trace formula on seeded layouts (lead
+//     pairs plus probes, adjacent probes, an interior lead contact);
 //   * per-contact boundary caching — dissimilar leads cache independently
 //     and a one-contact shift change re-keys only that contact;
 //   * construction-time layout validation (std::invalid_argument before
 //     any engine world exists).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <random>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "dft/hamiltonian.hpp"
+#include "numeric/blas.hpp"
+#include "obc/strategy.hpp"
 #include "omen/simulator.hpp"
+#include "solvers/solver.hpp"
 #include "transport/bands.hpp"
 #include "transport/contacts.hpp"
+#include "transport/transmission.hpp"
 
+namespace df = omenx::dft;
 namespace lt = omenx::lattice;
+namespace nm = omenx::numeric;
+namespace ob = omenx::obc;
 namespace om = omenx::omen;
+namespace sv = omenx::solvers;
 namespace tr = omenx::transport;
+using nm::CMatrix;
+using nm::cplx;
 using omenx::numeric::idx;
 
 namespace {
@@ -396,6 +412,192 @@ TEST(MultiTerminal, DissimilarLeadsCacheIndependently) {
   EXPECT_EQ(per_run[0].misses, 0u);
   EXPECT_EQ(per_run[1].hits, ne);
   EXPECT_EQ(per_run[1].misses, 0u);
+}
+
+// ---------------------------------------------------------- T_pq table --
+
+namespace {
+
+// One terminal of a T_pq fixture: a lead contact (eta = 0) or a Buettiker
+// probe (eta > 0) on `block` (tr::kLastBlock = last).
+struct Terminal {
+  idx block;
+  double eta;
+};
+
+// T_pq = Tr[Gamma_p G_pq Gamma_q G_pq^H] evaluated as written: both Gammas
+// as dense matrices, three products, then the trace.
+double trace_formula(const CMatrix& sigma_p, const CMatrix& sigma_q,
+                     const CMatrix& g) {
+  const auto gamma = [](const CMatrix& s) {
+    CMatrix out = s - nm::dagger(s);
+    out *= cplx{0.0, 1.0};
+    return out;
+  };
+  const CMatrix m = nm::matmul(
+      gamma(sigma_p),
+      nm::matmul(g, nm::matmul(gamma(sigma_q), nm::dagger(g))));
+  cplx tr{0.0};
+  for (idx i = 0; i < m.rows(); ++i) tr += m(i, i);
+  return tr.real();
+}
+
+// Checks solve_energy_point's T_pq table against trace_formula on the same
+// G (the same rgf solve of the same identity columns) at up to 8 energies
+// from the bottom of the lead's band window: per energy, max_pq |T - T_ref| <= 1e-12 *
+// max_pq |T_ref|.  The device carries a seeded random on-site potential,
+// and each probe's eta is scaled by a seeded factor in [0.5, 1.5].  Also
+// checks the sum rule sum_{q != p} T_pq = sum_{q != p} T_qp (current
+// conservation of the Hermitian device plus the terminals' self-energies)
+// to 1e-12 of the largest row sum (rounding alone leaves ~1e-15).
+void check_t_table(const om::SimulationConfig& cfg,
+                   const std::vector<Terminal>& terminals, unsigned seed) {
+  const lt::Structure& structure = cfg.structure;
+  om::Simulator sim(cfg);
+  const df::LeadBlocks& lead = sim.lead_blocks();
+  const df::FoldedLead& folded = sim.folded_lead();
+
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> pot(-0.2, 0.2), scale(0.5, 1.5);
+  std::vector<double> cell_potential(
+      static_cast<std::size_t>(structure.num_cells));
+  for (double& v : cell_potential) v = pot(rng);
+  const df::DeviceMatrices dm =
+      df::assemble_device(lead, structure.num_cells, cell_potential);
+  const idx nb = dm.h.num_blocks();
+  const idx sf = dm.h.block_size();
+
+  std::vector<tr::Contact> cs;
+  for (const Terminal& t : terminals) {
+    tr::Contact c;
+    c.block = t.block;
+    if (t.eta > 0.0) {
+      c.probe_eta = t.eta * scale(rng);
+    } else {
+      c.lead = &lead;
+      c.folded = &folded;
+    }
+    cs.push_back(c);
+  }
+  const tr::ContactSet set(cs);
+  const idx nc = set.size();
+
+  tr::EnergyPointOptions opts;
+  opts.obc = tr::ObcAlgorithm::kShiftInvert;
+  opts.solver = tr::SolverAlgorithm::kRgf;
+  opts.want_density = false;
+  opts.want_current = false;
+
+  const auto strategy = ob::make_obc_strategy(opts.obc);
+  const auto solver = sv::make_solver(sv::SolverAlgorithm::kRgf);
+  const auto win = tr::band_window(sim.bands(9));
+  double worst = 0.0, worst_sum = 0.0;
+  int energies = 0;
+  for (double e = win.emin + 0.03; e < win.emax && energies < 8;
+       e += 0.19, ++energies) {
+    const tr::EnergyPointResult r = tr::solve_energy_point(dm, set, e, opts);
+    ASSERT_EQ(r.t_matrix.size(), static_cast<std::size_t>(nc * nc));
+
+    // The reference: the same rgf solve of the same identity columns.
+    omenx::blockmat::BlockTridiag a;
+    a.assign_es_minus_h(cplx{e, 0.0}, dm.s, dm.h);
+    const ob::Boundary bnd =
+        strategy->boundary(lead, folded, cplx{e, 0.0}, opts.obc_opts);
+    std::vector<CMatrix> sigma(static_cast<std::size_t>(nc));
+    std::vector<CMatrix> rhs_blocks(static_cast<std::size_t>(nc));
+    std::vector<sv::Attachment> attachments;
+    std::vector<sv::RhsBlock> rhs;
+    for (idx p = 0; p < nc; ++p) {
+      const idx b = set.resolve_block(p, nb);
+      CMatrix& sg = sigma[static_cast<std::size_t>(p)];
+      if (set[p].is_probe()) {
+        sg.resize(sf, sf);
+        for (idx i = 0; i < sf; ++i) sg(i, i) = cplx{0.0, -set[p].probe_eta};
+      } else {
+        sg = b == nb - 1 ? bnd.sigma_r : bnd.sigma_l;
+      }
+      CMatrix& rb = rhs_blocks[static_cast<std::size_t>(p)];
+      rb.resize(sf, nc * sf);
+      for (idx i = 0; i < sf; ++i) rb(i, p * sf + i) = cplx{1.0};
+      attachments.push_back({b, &sg});
+      rhs.push_back({b, &rb});
+    }
+    const CMatrix x = solver->solve_attached(a, attachments, rhs);
+
+    std::vector<double> ref(static_cast<std::size_t>(nc * nc), 0.0);
+    double ref_max = 0.0;
+    for (idx p = 0; p < nc; ++p)
+      for (idx q = 0; q < nc; ++q) {
+        if (p == q) continue;
+        const double t = trace_formula(
+            sigma[static_cast<std::size_t>(p)],
+            sigma[static_cast<std::size_t>(q)],
+            x.block(set.resolve_block(p, nb) * sf, q * sf, sf, sf));
+        ref[static_cast<std::size_t>(p * nc + q)] = t;
+        ref_max = std::max(ref_max, std::abs(t));
+      }
+    ASSERT_GT(ref_max, 0.0) << "E=" << e;
+    double dev = 0.0;
+    for (std::size_t k = 0; k < ref.size(); ++k)
+      dev = std::max(dev, std::abs(r.t_matrix[k] - ref[k]));
+    EXPECT_LE(dev, 1e-12 * ref_max) << "seed=" << seed << " E=" << e;
+    worst = std::max(worst, dev / ref_max);
+
+    double row_max = 0.0;
+    std::vector<double> out_sum(static_cast<std::size_t>(nc), 0.0);
+    std::vector<double> in_sum(static_cast<std::size_t>(nc), 0.0);
+    for (idx p = 0; p < nc; ++p)
+      for (idx q = 0; q < nc; ++q) {
+        out_sum[static_cast<std::size_t>(p)] +=
+            r.t_matrix[static_cast<std::size_t>(p * nc + q)];
+        in_sum[static_cast<std::size_t>(p)] +=
+            r.t_matrix[static_cast<std::size_t>(q * nc + p)];
+      }
+    for (idx p = 0; p < nc; ++p)
+      row_max = std::max(row_max, std::abs(out_sum[static_cast<std::size_t>(p)]));
+    for (idx p = 0; p < nc; ++p) {
+      const double gap = std::abs(out_sum[static_cast<std::size_t>(p)] -
+                                  in_sum[static_cast<std::size_t>(p)]);
+      EXPECT_LE(gap, 1e-12 * row_max)
+          << "seed=" << seed << " E=" << e << " terminal " << p;
+      worst_sum = std::max(worst_sum, gap / row_max);
+    }
+  }
+  EXPECT_GE(energies, 3);
+  std::printf("[ t_table ] %s, %d terminals, seed %u: %d energies, "
+              "max |T - T_ref| / max |T_ref| = %.3g, sum rule %.3g\n",
+              structure.name.c_str(), static_cast<int>(nc), seed, energies,
+              worst, worst_sum);
+}
+
+}  // namespace
+
+TEST(MultiTerminal, TTableMatchesTraceFormula) {
+  const om::SimulationConfig li = chain_config(12);  // 6 blocks of s = 2
+  om::SimulationConfig si2;  // 24 orbitals per cell
+  si2.structure.cell_atoms = {{lt::Species::kSi, {0.0, 0.0, 0.0}},
+                              {lt::Species::kSi, {0.235, 0.0, 0.0}}};
+  si2.structure.cell_length = 0.47;
+  si2.structure.num_cells = 12;
+  si2.structure.name = "Si2 chain";
+  const std::vector<std::vector<Terminal>> layouts{
+      // A lead pair plus probes of unequal eta.
+      {{0, 0.0}, {tr::kLastBlock, 0.0}, {2, 0.03}, {4, 0.08}},
+      // Probes on adjacent blocks.
+      {{0, 0.0}, {tr::kLastBlock, 0.0}, {2, 0.05}, {3, 0.05}},
+      // Three lead contacts, one interior: only the contact-contact route.
+      {{0, 0.0}, {2, 0.0}, {tr::kLastBlock, 0.0}},
+  };
+  for (unsigned seed = 1; seed <= 3; ++seed)
+    for (const auto& layout : layouts) check_t_table(li, layout, seed);
+  // Large blocks take the packed GEMM route, here serially: the lead
+  // solves' wide products would otherwise fork OpenMP threads, whose
+  // runtime ThreadSanitizer (the CI job running this suite) cannot see
+  // into.
+  const bool parallel = nm::thread_parallelism();
+  nm::set_thread_parallelism(false);
+  check_t_table(si2, layouts[0], 1);
+  nm::set_thread_parallelism(parallel);
 }
 
 // ------------------------------------------------------------- validation --

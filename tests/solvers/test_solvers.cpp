@@ -3,6 +3,10 @@
 // SplitSolve against the explicit (A - BC) system of Fig. 4.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "blockmat/block_tridiag.hpp"
 #include "numeric/blas.hpp"
 #include "numeric/lu.hpp"
@@ -115,6 +119,110 @@ TEST(Rgf, BothColumnsStacked) {
             1e-9);
   EXPECT_LT(nm::max_abs_diff(q.block(0, 2, a.dim(), 2),
                              ainv.block(0, a.dim() - 2, a.dim(), 2)),
+            1e-9);
+}
+
+namespace {
+
+// Dense block-Thomas solve folding every column at every block row: the
+// reference the column-skipping rgf_solve must match bit for bit.
+CMatrix full_width_rgf_solve(const bm::BlockTridiag& a, const CMatrix& b) {
+  const idx nb = a.num_blocks();
+  const idx s = a.block_size();
+  std::vector<CMatrix> c(static_cast<std::size_t>(nb));
+  std::vector<CMatrix> y(static_cast<std::size_t>(nb));
+  for (idx i = 0; i < nb; ++i) {
+    CMatrix m = a.diag(i);
+    CMatrix r = b.block(i * s, 0, s, b.cols());
+    if (i > 0) {
+      nm::gemm(a.lower(i - 1), c[static_cast<std::size_t>(i - 1)], m,
+               cplx{-1.0}, cplx{1.0});
+      nm::gemm(a.lower(i - 1), y[static_cast<std::size_t>(i - 1)], r,
+               cplx{-1.0}, cplx{1.0});
+    }
+    const nm::LUFactor lu(std::move(m));
+    if (i + 1 < nb) c[static_cast<std::size_t>(i)] = lu.solve(a.upper(i));
+    y[static_cast<std::size_t>(i)] = lu.solve(r);
+  }
+  CMatrix x(a.dim(), b.cols());
+  CMatrix xi = y[static_cast<std::size_t>(nb - 1)];
+  x.set_block((nb - 1) * s, 0, xi);
+  for (idx i = nb - 2; i >= 0; --i) {
+    CMatrix next = y[static_cast<std::size_t>(i)];
+    nm::gemm(c[static_cast<std::size_t>(i)], xi, next, cplx{-1.0},
+             cplx{1.0});
+    xi = std::move(next);
+    x.set_block(i * s, 0, xi);
+  }
+  return x;
+}
+
+// The N-terminal RHS layout: an identity group per attachment block, in
+// the given block order, then `modes` random columns per block occupying
+// only that block row (injected states), with a -0.0 entry in each.
+CMatrix terminal_rhs(idx nb, idx s, const std::vector<idx>& blocks,
+                     idx modes) {
+  const idx nc = static_cast<idx>(blocks.size());
+  CMatrix b(nb * s, nc * (s + modes));
+  for (idx p = 0; p < nc; ++p) {
+    const idx row = blocks[static_cast<std::size_t>(p)] * s;
+    for (idx i = 0; i < s; ++i) b(row + i, p * s + i) = cplx{1.0};
+    const CMatrix inj =
+        nm::random_cmatrix(s, modes, 500 + static_cast<unsigned>(p));
+    for (idx j = 0; j < modes; ++j) {
+      for (idx i = 0; i < s; ++i) b(row + i, nc * s + p * modes + j) = inj(i, j);
+      b(row, nc * s + p * modes + j) = cplx{-0.0, 0.5};
+    }
+  }
+  return b;
+}
+
+void expect_same_bits(const CMatrix& x, const CMatrix& ref) {
+  ASSERT_EQ(x.rows(), ref.rows());
+  ASSERT_EQ(x.cols(), ref.cols());
+  for (idx i = 0; i < x.rows(); ++i)
+    for (idx j = 0; j < x.cols(); ++j) {
+      std::uint64_t bits[4];
+      std::memcpy(&bits[0], &x(i, j), sizeof(cplx));
+      std::memcpy(&bits[2], &ref(i, j), sizeof(cplx));
+      EXPECT_EQ(bits[0], bits[2]) << "re (" << i << ", " << j << ")";
+      EXPECT_EQ(bits[1], bits[3]) << "im (" << i << ", " << j << ")";
+    }
+}
+
+}  // namespace
+
+TEST(Rgf, SolveSkipsZeroPrefixBitIdentically) {
+  // Columns folded from their first non-zero block row reproduce the
+  // full-width fold in every bit (signs of zeros included), in both GEMM
+  // routes: s = 3 keeps every product on the direct small-shape route,
+  // s = 20 with up to 4 * 26 columns takes the packed one.
+  for (const idx s : {3, 20}) {
+    const idx nb = 6;
+    const auto a = random_system(nb, s, 31 + static_cast<unsigned>(s));
+    // Attachment blocks in the order the N-terminal solve builds them:
+    // the lead pair first, then interior terminals.
+    CMatrix b = terminal_rhs(nb, s, {0, nb - 1, 1, 3}, 6);
+    expect_same_bits(sv::rgf_solve(a, b), full_width_rgf_solve(a, b));
+    // All-zero columns among them (one of +0.0, one of -0.0 entries), and
+    // one non-zero only in the last row.
+    for (idx i = 0; i < a.dim(); ++i) b(i, 2) = cplx{0.0};
+    for (idx i = 0; i < a.dim(); ++i) b(i, 3) = cplx{-0.0, -0.0};
+    for (idx i = 0; i < a.dim(); ++i)
+      b(i, 5) = i >= (nb - 1) * s ? cplx{0.25, -1.0} : cplx{0.0};
+    expect_same_bits(sv::rgf_solve(a, b), full_width_rgf_solve(a, b));
+    // A fully dense RHS.
+    const CMatrix dense = nm::random_cmatrix(a.dim(), 7, 77);
+    expect_same_bits(sv::rgf_solve(a, dense), full_width_rgf_solve(a, dense));
+  }
+  // A single block.
+  const auto a1 = random_system(1, 5, 41);
+  const CMatrix b1 = terminal_rhs(1, 5, {0}, 3);
+  expect_same_bits(sv::rgf_solve(a1, b1), full_width_rgf_solve(a1, b1));
+  // The fold is the solve: it still matches the dense reference.
+  const auto a = random_system(5, 4, 43);
+  const CMatrix b = terminal_rhs(5, 4, {0, 4, 2}, 2);
+  EXPECT_LT(nm::max_abs_diff(sv::rgf_solve(a, b), nm::solve(a.to_dense(), b)),
             1e-9);
 }
 
