@@ -81,22 +81,39 @@ QRResult qr_decompose(const CMatrix& a) {
 }
 
 CMatrix orthonormalize(const CMatrix& a, double rank_tol) {
-  QRResult qr = qr_decompose(a);
+  return orthonormalize(qr_decompose(a), rank_tol);
+}
+
+namespace {
+
+double max_r_diagonal(const QRResult& qr) {
   double max_diag = 0.0;
   for (idx i = 0; i < qr.r.rows(); ++i)
     max_diag = std::max(max_diag, std::abs(qr.r(i, i)));
-  if (max_diag == 0.0) return CMatrix(a.rows(), 0);
+  return max_diag;
+}
+
+}  // namespace
+
+idx numerical_rank(const QRResult& qr, double rank_tol) {
+  const double max_diag = max_r_diagonal(qr);
   idx rank = 0;
   for (idx i = 0; i < qr.r.rows(); ++i)
     if (std::abs(qr.r(i, i)) > rank_tol * max_diag) ++rank;
+  return rank;
+}
+
+CMatrix orthonormalize(const QRResult& qr, double rank_tol) {
+  const double max_diag = max_r_diagonal(qr);
+  if (max_diag == 0.0) return CMatrix(qr.q.rows(), 0);
   // Columns of Q with large R diagonal form the retained basis.  With
   // column-pivot-free QR the significant columns are not necessarily the
   // leading ones, so gather explicitly.
-  CMatrix out(a.rows(), rank);
+  CMatrix out(qr.q.rows(), numerical_rank(qr, rank_tol));
   idx c = 0;
   for (idx j = 0; j < qr.r.cols(); ++j) {
     if (std::abs(qr.r(j, j)) > rank_tol * max_diag) {
-      for (idx i = 0; i < a.rows(); ++i) out(i, c) = qr.q(i, j);
+      for (idx i = 0; i < qr.q.rows(); ++i) out(i, c) = qr.q(i, j);
       ++c;
     }
   }

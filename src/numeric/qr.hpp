@@ -21,4 +21,11 @@ QRResult qr_decompose(const CMatrix& a);
 /// FEAST subspace cleanup).
 CMatrix orthonormalize(const CMatrix& a, double rank_tol = 1e-10);
 
+/// The same basis from an existing factorization of `a`.
+CMatrix orthonormalize(const QRResult& qr, double rank_tol = 1e-10);
+
+/// Number of R diagonals above `rank_tol * max_diag`: the columns
+/// orthonormalize() keeps at that cut.
+idx numerical_rank(const QRResult& qr, double rank_tol);
+
 }  // namespace omenx::numeric

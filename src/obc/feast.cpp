@@ -97,9 +97,22 @@ LeadModes compute_modes_feast(const dft::LeadBlocks& lead, cplx e,
       pencil, detail::annulus_contour(options.annulus_r, options.num_points),
       options.parallel_points);
 
-  idx subspace = options.subspace > 0
-                     ? std::min(options.subspace, nbc)
-                     : std::min(nbc, std::max<idx>(8, nbc / 2));
+  // The probing block starts at 8 columns and doubles while the filtered
+  // random block of an attempt's first pass comes back at full numerical
+  // rank.  The rank of Q = P Y at a cut of kRankTol counts the eigenvalues
+  // the filter passes: those inside the annulus plus the quadrature
+  // leakage of those just outside it.  A block narrower than that count
+  // comes back full rank; a wider one comes back rank deficient and spans
+  // every enclosed mode.  This is Beyn's probe test (W.-J. Beyn, "An
+  // integral method for solving nonlinear eigenvalue problems", LAA 436
+  // (2012)) with BeynOptions' default cut.  Only the first pass filters a
+  // random block, so only its rank is a count.  Rayleigh-Ritz keeps the
+  // finer default cut of orthonormalize(): the leakage directions it adds
+  // let the Ritz values near the circles converge outside the annulus.
+  constexpr idx kStartSubspace = 8;
+  constexpr double kRankTol = 1e-7;
+  idx subspace = std::min(
+      nbc, options.subspace > 0 ? options.subspace : kStartSubspace);
 
   // Residuals ||A x - lambda B x|| / (||A x|| + |lambda| ||B x||) per pair.
   const auto residuals = [&](const numeric::EigResult& pairs) {
@@ -120,18 +133,27 @@ LeadModes compute_modes_feast(const dft::LeadBlocks& lead, cplx e,
 
   numeric::EigResult kept;
   std::vector<double> kept_residual;
-  idx iterations = 0;
+  std::vector<perf::FeastAttempt> attempts;
 
-  for (;;) {  // subspace-saturation restart loop
+  for (;;) {  // subspace-growth restart loop
     CMatrix y = numeric::random_cmatrix(nbc, subspace, options.seed);
+    attempts.push_back({subspace, {}});
+    std::vector<idx>& ranks = attempts.back().ranks;
     bool saturated = false;
     kept = numeric::EigResult{};
     kept_residual.clear();
 
     for (idx iter = 0; iter < options.max_refinement; ++iter) {
-      ++iterations;
-      const CMatrix qo = numeric::orthonormalize(filter.apply(y));
+      const numeric::QRResult qr = numeric::qr_decompose(filter.apply(y));
+      const CMatrix qo = numeric::orthonormalize(qr);
+      ranks.push_back(0);
       if (qo.cols() == 0) break;  // nothing inside the contour
+      if (iter == 0 && subspace < nbc &&
+          numeric::numerical_rank(qr, kRankTol) == subspace) {
+        saturated = true;  // the filter passes more than the block holds
+        break;
+      }
+      ranks.back() = qo.cols();
 
       // Rayleigh-Ritz on the projected pencil; shift-invert tolerates a
       // singular projected B and drops infinite Ritz values.
@@ -205,8 +227,7 @@ LeadModes compute_modes_feast(const dft::LeadBlocks& lead, cplx e,
 
   if (stats != nullptr) {
     stats->modes_found = static_cast<idx>(filtered.values.size());
-    stats->subspace_used = subspace;
-    stats->iterations = iterations;
+    stats->attempts = std::move(attempts);
     stats->factorizations = filter.factorizations();
     stats->max_residual = max_residual;
   }

@@ -8,8 +8,14 @@
 // are independent and run in parallel on the host threads — in the paper
 // this is the CPU-side work overlapped with SplitSolve on GPUs.
 //
+// The probing block starts at 8 columns.  It doubles when the filtered
+// random block of an attempt's first pass comes back at full numerical rank
+// (R diagonals above 1e-7 of the largest), or when the annulus yields as
+// many Ritz values as the block has columns.  That rank counts the
+// eigenvalues the filter passes, so a wider block spans every enclosed mode.
+//
 // Per call, each P(z_p) is factored once and the factor is reused by every
-// filter pass and subspace-saturation restart.  Per pass, the z-independent
+// filter pass and subspace-growth restart.  Per pass, the z-independent
 // products C_j r_i are formed once (CompanionPencil::shifted_rhs); a point
 // then costs a Horner sum of s x m blocks and one solve with its factor.
 // The filtered block Q is accumulated in point order from the points'
@@ -24,13 +30,15 @@
 #include "numeric/lu.hpp"
 #include "obc/companion.hpp"
 #include "obc/modes.hpp"
+#include "perf/flops.hpp"
 
 namespace omenx::obc {
 
 struct FeastOptions {
   double annulus_r = 20.0;   ///< keep modes with 1/R <= |lambda| <= R
   idx num_points = 16;       ///< trapezoid points per circle
-  idx subspace = 0;          ///< probing columns; 0 = auto (expand as needed)
+  idx subspace = 0;          ///< starting probing columns; 0 = auto (8);
+                             ///< doubled while the filtered block is full rank
   idx max_refinement = 4;    ///< subspace iteration count
   double residual_tol = 1e-8;
   double prop_tol = 1e-6;
@@ -47,10 +55,23 @@ struct FeastOptions {
 
 struct FeastStats {
   idx modes_found = 0;
-  idx subspace_used = 0;
-  idx iterations = 0;        ///< filter passes, over all restarts
+  /// Each attempt in order: its probing columns and, per filter pass, the
+  /// rank Rayleigh-Ritz ran at.  perf::feast_flops prices them.
+  std::vector<perf::FeastAttempt> attempts;
   idx factorizations = 0;    ///< LUs of P(z): 2 * num_points per call
   double max_residual = 0.0;
+
+  /// Probing columns of the last attempt.
+  idx subspace_used() const {
+    return attempts.empty() ? 0 : attempts.back().subspace;
+  }
+  /// Filter passes over all attempts.
+  idx iterations() const {
+    idx passes = 0;
+    for (const auto& attempt : attempts)
+      passes += static_cast<idx>(attempt.ranks.size());
+    return passes;
+  }
 };
 
 /// Lead modes inside the annulus at energy `e`.  `stats` (optional) reports

@@ -65,36 +65,39 @@ std::uint64_t block_lu_flops(idx nb, idx s, idx nrhs) {
   return factor + solve;
 }
 
-std::uint64_t feast_flops(idx s, idx degree, idx np, idx subspace,
-                          idx iterations) {
+std::uint64_t feast_flops(idx s, idx degree, idx np,
+                          const std::vector<FeastAttempt>& attempts) {
   // Once per call: one LU of P(z_p) per contour point (two circles => 2*np
-  // points), reused by every filter pass.  Per pass:
+  // points), reused by every filter pass of every attempt.  Per pass:
   //  - the d(d+1)/2 z-independent products C_j r_i (s x s x m GEMMs);
   //  - one m-column solve per point;
   //  - the QR of the N_BC x m filtered block;
-  //  - Rayleigh-Ritz: A_F Q and B_F Q from the companion structure (d + 1
-  //    GEMMs), the two projections Q^H (A_F Q), Q^H (B_F Q) and a
-  //    shift-invert eigensolve of the projected pencil (LU, solve,
-  //    Hessenberg, QR iteration and vectors: ~47 m^3).
-  // Rayleigh-Ritz runs at the rank of the filtered block, at most m, so
-  // that term is an upper bound.
-  const idx m = subspace;
+  //  - unless the pass ran none (r = 0: the block was empty, or full rank
+  //    and the call grew), Rayleigh-Ritz at the block's rank r: A_F Q and
+  //    B_F Q from the companion structure (d + 1 GEMMs), the two
+  //    projections Q^H (A_F Q), Q^H (B_F Q) and a shift-invert eigensolve
+  //    of the projected pencil (LU, solve, Hessenberg, QR iteration and
+  //    vectors: ~47 r^3).
   const idx nbc = degree * s;
   const std::uint64_t points = 2ull * static_cast<std::uint64_t>(np);
-  const std::uint64_t factor = points * lu_flops(s);
-  const std::uint64_t products =
-      static_cast<std::uint64_t>(degree * (degree + 1) / 2) *
-      gemm_flops(s, m, s);
-  const std::uint64_t solves = points * lu_solve_flops(s, m);
-  const std::uint64_t qr =
-      u(16.0 / 3.0 * static_cast<double>(m) * static_cast<double>(m) *
-        (3.0 * static_cast<double>(nbc) - static_cast<double>(m)));
-  const std::uint64_t rr =
-      static_cast<std::uint64_t>(degree + 1) * gemm_flops(s, m, s) +
-      2ull * gemm_flops(m, m, nbc) +
-      47ull * static_cast<std::uint64_t>(m) * m * m;
-  return factor +
-         static_cast<std::uint64_t>(iterations) * (products + solves + qr + rr);
+  std::uint64_t total = points * lu_flops(s);
+  for (const FeastAttempt& attempt : attempts) {
+    const idx m = attempt.subspace;
+    const std::uint64_t pass =
+        static_cast<std::uint64_t>(degree * (degree + 1) / 2) *
+            gemm_flops(s, m, s) +
+        points * lu_solve_flops(s, m) +
+        u(16.0 / 3.0 * static_cast<double>(m) * static_cast<double>(m) *
+          (3.0 * static_cast<double>(nbc) - static_cast<double>(m)));
+    for (const idx r : attempt.ranks) {
+      total += pass;
+      if (r == 0) continue;
+      total += static_cast<std::uint64_t>(degree + 1) * gemm_flops(s, r, s) +
+               2ull * gemm_flops(r, r, nbc) +
+               47ull * static_cast<std::uint64_t>(r) * r * r;
+    }
+  }
+  return total;
 }
 
 std::uint64_t shift_invert_flops(idx nbc) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "numeric/types.hpp"
 
@@ -39,12 +40,21 @@ std::uint64_t splitsolve_postprocess_flops(idx nb, idx s, idx nrhs);
 /// full solve for nrhs columns.
 std::uint64_t block_lu_flops(idx nb, idx s, idx nrhs);
 
-/// FEAST OBC cost of one call with `iterations` filter passes: one s-sized
-/// LU of the lead polynomial per contour point (np per circle), then per
-/// pass the z-independent companion products, a `subspace`-column solve per
-/// point, the subspace QR and the Rayleigh-Ritz reduction.
-std::uint64_t feast_flops(idx s, idx degree, idx np, idx subspace,
-                          idx iterations);
+/// One attempt of a FEAST call at a fixed probing-block size.
+struct FeastAttempt {
+  idx subspace = 0;        ///< probing columns m
+  /// Per filter pass, the rank of the filtered block that Rayleigh-Ritz ran
+  /// at; 0 for a pass that ran none (the block was empty, or full rank and
+  /// the call grew).
+  std::vector<idx> ranks;
+};
+
+/// FEAST OBC cost of one call: one s-sized LU of the lead polynomial per
+/// contour point (np per circle), then per filter pass of each attempt the
+/// z-independent companion products, a `subspace`-column solve per point,
+/// the subspace QR and the Rayleigh-Ritz reduction at the pass's rank.
+std::uint64_t feast_flops(idx s, idx degree, idx np,
+                          const std::vector<FeastAttempt>& attempts);
 
 /// Shift-and-invert baseline on the N_BC companion pencil: one LU of N_BC
 /// plus a dense QR eigensolve (~25 n^3 with our Hessenberg-QR iteration).

@@ -74,7 +74,8 @@ SolverComparisonModel::Times SolverComparisonModel::feast_mumps(
   // FEAST's contour points parallelize across the group's CPUs; only the
   // m slow modes inside the annulus are probed (subspace << N_BC).
   const double obc_flops = static_cast<double>(
-      feast_flops(s, degree, /*np=*/16, /*subspace=*/s / 4, /*iterations=*/2));
+      feast_flops(s, degree, /*np=*/16,  // s/4 columns, 2 passes
+                  {{s / 4, {s / 4, s / 4}}}));
   const double obc_s =
       seconds(obc_flops, machine.cpu_gflops * nodes, cpu_efficiency);
   const double solve_flops =
@@ -94,7 +95,8 @@ SolverComparisonModel::Times SolverComparisonModel::feast_splitsolve(
   const double solve_s =
       seconds(pre + post, machine.gpu_gflops * nodes, gpu_efficiency);
   const double obc_flops = static_cast<double>(
-      feast_flops(s, degree, /*np=*/16, /*subspace=*/s / 4, /*iterations=*/2));
+      feast_flops(s, degree, /*np=*/16,  // s/4 columns, 2 passes
+                  {{s / 4, {s / 4, s / 4}}}));
   const double obc_s =
       seconds(obc_flops, machine.cpu_gflops * nodes, cpu_efficiency);
   // FEAST on CPUs is hidden behind Step 1 on GPUs (Section 3C): only the

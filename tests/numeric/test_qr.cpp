@@ -105,6 +105,24 @@ TEST(QR, RankDeficientInputsKeepTheirRank) {
   EXPECT_EQ(nm::orthonormalize(dup).cols(), reference_rank(dup));
 }
 
+TEST(QR, NumericalRankCountsWhatOrthonormalizeKeeps) {
+  // Columns scaled 1, 1e-3, ..., 1e-15: each cut keeps the columns above it,
+  // from one factorization and from the matrix alike.
+  CMatrix a = nm::random_cmatrix(40, 6, 11);
+  for (idx j = 0; j < a.cols(); ++j)
+    for (idx i = 0; i < a.rows(); ++i)
+      a(i, j) *= std::pow(10.0, -3.0 * static_cast<double>(j));
+  const nm::QRResult qr = nm::qr_decompose(a);
+  for (const double tol : {1e-2, 1e-7, 1e-10, 1e-14}) {
+    EXPECT_EQ(nm::numerical_rank(qr, tol), reference_rank(a, tol)) << tol;
+    EXPECT_EQ(nm::orthonormalize(qr, tol).cols(), reference_rank(a, tol));
+    EXPECT_EQ(nm::max_abs_diff(nm::orthonormalize(qr, tol),
+                               nm::orthonormalize(a, tol)),
+              0.0);
+  }
+  EXPECT_EQ(nm::numerical_rank(qr, 1e-7), 3);
+}
+
 TEST(QR, ReconstructsInput) {
   const CMatrix a = nm::random_cmatrix(12, 7, 1);
   const auto [q, r] = nm::qr_decompose(a);

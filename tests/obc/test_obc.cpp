@@ -5,8 +5,13 @@
 // is Sigma(E) = E/2 - i sqrt(t^2 - E^2/4) inside the band.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dft/basis.hpp"
 #include "dft/hamiltonian.hpp"
@@ -20,6 +25,7 @@
 #include "obc/modes.hpp"
 #include "obc/self_energy.hpp"
 #include "obc/shift_invert.hpp"
+#include "test_leads.hpp"
 
 namespace nm = omenx::numeric;
 namespace ob = omenx::obc;
@@ -27,6 +33,8 @@ namespace df = omenx::dft;
 using nm::CMatrix;
 using nm::cplx;
 using nm::idx;
+using ob::test::random_lead_nbw;
+using ob::test::utb_lead;
 
 namespace {
 
@@ -66,30 +74,7 @@ df::LeadBlocks random_lead(idx s, unsigned seed) {
   return lead;
 }
 
-// Random Hermitian lead with NBW = nbw and a nonsingular farthest coupling.
-df::LeadBlocks random_lead_nbw(idx s, idx nbw, unsigned seed) {
-  df::LeadBlocks lead;
-  lead.h.resize(static_cast<std::size_t>(nbw + 1));
-  lead.s.resize(static_cast<std::size_t>(nbw + 1));
-  const CMatrix a = nm::random_cmatrix(s, s, seed);
-  lead.h[0] = a + nm::dagger(a);
-  lead.s[0] = CMatrix::identity(s);
-  for (idx l = 1; l <= nbw; ++l) {
-    auto& h = lead.h[static_cast<std::size_t>(l)];
-    h = nm::random_cmatrix(s, s, seed + static_cast<unsigned>(l));
-    h *= cplx{1.0 / static_cast<double>(l)};
-    if (l == nbw)
-      for (idx i = 0; i < s; ++i) h(i, i) += cplx{1.5};
-    lead.s[static_cast<std::size_t>(l)] = CMatrix(s, s);
-  }
-  return lead;
-}
 
-// The make_utb(0.2, 8) lead of the utb_kspace benchmark: s = 24, NBW = 2.
-df::LeadBlocks utb_lead() {
-  const df::BasisLibrary basis;
-  return df::build_lead_blocks(omenx::lattice::make_utb(0.2, 8), basis);
-}
 
 df::FoldedLead fold_of(const df::LeadBlocks& lead) { return df::fold_lead(lead); }
 
@@ -378,23 +363,30 @@ TEST(Feast, ContourFilterMatchesDensePencil) {
 
 TEST(Feast, FactorsEachContourPointOncePerCall) {
   // 2 * num_points factorizations per call however many filter passes and
-  // subspace-saturation restarts the call makes.
+  // subspace-growth restarts the call makes.
   const ob::FeastOptions fopt;
   bool multi_pass = false;
   const auto lead = utb_lead();
-  for (const double e : {0.4, 0.9, 1.2}) {  // 2, 4 and 3 passes
+  for (const double e : {0.4, 0.9, 1.2}) {  // 1 + 4 passes each
     ob::FeastStats stats;
     ob::compute_modes_feast(lead, cplx{e}, fopt, &stats);
     EXPECT_EQ(stats.factorizations, 2 * fopt.num_points);
-    multi_pass = multi_pass || stats.iterations > 1;
+    multi_pass = multi_pass || stats.iterations() > 1;
   }
   EXPECT_TRUE(multi_pass);
-  // A 2-column subspace saturates and restarts with a larger one.
+  // A 2-column subspace saturates and restarts with a larger one: every
+  // attempt but the last ends on a full-rank pass that ran no Rayleigh-Ritz.
   ob::FeastOptions narrow;
   narrow.subspace = 2;
   ob::FeastStats stats;
   ob::compute_modes_feast(random_lead(4, 44), cplx{0.3}, narrow, &stats);
-  EXPECT_GT(stats.subspace_used, 2);
+  EXPECT_GT(stats.subspace_used(), 2);
+  ASSERT_GT(stats.attempts.size(), 1u);
+  for (std::size_t a = 0; a + 1 < stats.attempts.size(); ++a) {
+    EXPECT_EQ(stats.attempts[a + 1].subspace, 2 * stats.attempts[a].subspace);
+    EXPECT_EQ(stats.attempts[a].ranks.back(), 0);
+  }
+  EXPECT_GT(stats.attempts.back().ranks.back(), 0);
   EXPECT_EQ(stats.factorizations, 2 * narrow.num_points);
 }
 

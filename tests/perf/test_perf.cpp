@@ -241,25 +241,30 @@ TEST(Flops, BlockedLUCountsStayAnalytic) {
 }
 
 // The FEAST model counts what compute_modes_feast does: one factor per
-// contour point per call, and per filter pass the companion products, the
-// per-point solves, the subspace QR and Rayleigh-Ritz.  Checked against the
-// instrumented count of one call on the utb_kspace lead (s = 24, NBW = 2).
+// contour point per call, and per filter pass of each attempt the companion
+// products, the per-point solves, the subspace QR and Rayleigh-Ritz.
+// Checked against the instrumented count of calls on the utb_kspace lead
+// (s = 24, NBW = 2): at E = 0.1 and 0.9 the 8-column probe comes back full
+// rank and the call restarts at 16 columns; at E = -18, near the band
+// bottom, it stays at 8.
 TEST(Flops, FeastModelTracksOneCall) {
   const omenx::dft::BasisLibrary basis;
   const auto lead = omenx::dft::build_lead_blocks(
       omenx::lattice::make_utb(0.2, 8), basis);
   ASSERT_EQ(lead.block_dim(), 24);
   ASSERT_EQ(lead.nbw(), 2);
-  for (const double e : {0.1, 0.9}) {
+  std::size_t grown = 0;
+  for (const double e : {0.1, 0.9, -18.0}) {
     const omenx::obc::FeastOptions opt;
     omenx::obc::FeastStats stats;
     const nm::FlopScope scope;
     omenx::obc::compute_modes_feast(lead, cplx{e}, opt, &stats);
     const double measured = static_cast<double>(scope.elapsed());
+    grown += stats.attempts.size() > 1 ? 1 : 0;
     const double model = static_cast<double>(
-        pf::feast_flops(24, 4, opt.num_points, stats.subspace_used,
-                        stats.iterations));
+        pf::feast_flops(24, 4, opt.num_points, stats.attempts));
     EXPECT_GT(measured / model, 0.5) << "E = " << e;
     EXPECT_LT(measured / model, 2.0) << "E = " << e;
   }
+  EXPECT_EQ(grown, 2u);
 }
