@@ -56,7 +56,7 @@ dft::LeadBlocks synthetic_lead(idx s, unsigned seed) {
 omen::SweepRequest throughput_request(const std::vector<dft::LeadBlocks>& leads,
                                       idx cells, int energies) {
   omen::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point.obc = transport::ObcAlgorithm::kDecimation;
@@ -74,7 +74,7 @@ omen::SweepRequest throughput_request(const std::vector<dft::LeadBlocks>& leads,
 omen::SweepRequest hot_k_request(const std::vector<dft::LeadBlocks>& leads,
                                  idx cells) {
   omen::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point.obc = transport::ObcAlgorithm::kDecimation;

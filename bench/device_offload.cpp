@@ -56,7 +56,7 @@ dft::LeadBlocks synthetic_lead(idx s, unsigned seed) {
 omen::SweepRequest sweep_request(const std::vector<dft::LeadBlocks>& leads,
                                  idx cells, int energies) {
   omen::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point.obc = transport::ObcAlgorithm::kDecimation;

@@ -67,7 +67,7 @@ int main() {
     leads.push_back(bench_lead(s, 11 + 7 * static_cast<unsigned>(k)));
 
   omen::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point.obc = transport::ObcAlgorithm::kDecimation;

@@ -158,7 +158,7 @@ int main() {
     const idx ls = 8, cells = 24;
     std::vector<dft::LeadBlocks> leads{synthetic_lead(ls, 57)};
     omen::SweepRequest req;
-    req.leads = &leads;
+    req.materials = {&leads};
     req.cells = cells;
     req.potential.assign(static_cast<std::size_t>(cells), 0.0);
     req.point.obc = transport::ObcAlgorithm::kDecimation;

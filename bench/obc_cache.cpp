@@ -180,7 +180,7 @@ int main() {
   std::vector<dft::LeadBlocks> leads;
   for (unsigned k = 0; k < 4; ++k) leads.push_back(hot_k_lead(s, 91 + 3 * k));
   omen::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point.obc = transport::ObcAlgorithm::kDecimation;

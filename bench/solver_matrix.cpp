@@ -81,7 +81,7 @@ int main() {
   for (const Device& dev : devices) {
     std::vector<dft::LeadBlocks> leads{bench_lead(dev.s, 131)};
     omen::SweepRequest req;
-    req.leads = &leads;
+    req.materials = {&leads};
     req.cells = dev.cells;
     req.potential.assign(static_cast<std::size_t>(dev.cells), 0.0);
     req.point.obc = transport::ObcAlgorithm::kDecimation;

@@ -24,6 +24,9 @@
 namespace omenx::obc {
 
 struct BeynOptions {
+  /// Keep modes whose per-block phase factor lambda has 1/R <= |lambda| <=
+  /// R — the FeastOptions::annulus_r convention: the folded values returned
+  /// (lambda^NBW) lie in 1/R^NBW <= |lambda^NBW| <= R^NBW.
   double annulus_r = 20.0;
   idx num_points = 48;     ///< trapezoid points per circle
   idx probe_columns = 0;   ///< columns of V; 0 = auto (s/2 + 8, capped at s)

@@ -35,7 +35,11 @@
 namespace omenx::obc {
 
 struct FeastOptions {
-  double annulus_r = 20.0;   ///< keep modes with 1/R <= |lambda| <= R
+  /// Keep modes whose per-block phase factor lambda (one unit cell, the
+  /// companion pencil's eigenvalue) has 1/R <= |lambda| <= R.  The modes
+  /// come back folded (LeadModes::lambda = lambda^NBW), so the kept folded
+  /// values lie in 1/R^NBW <= |lambda^NBW| <= R^NBW.
+  double annulus_r = 20.0;
   idx num_points = 16;       ///< trapezoid points per circle
   idx subspace = 0;          ///< starting probing columns; 0 = auto (8);
                              ///< doubled while the filtered block is full rank

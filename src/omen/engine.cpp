@@ -202,24 +202,49 @@ dft::LeadBlocks recv_lead_blocks(Comm& comm, int src) {
   return lead;
 }
 
-/// Lead materials that travel beside the per-k blocks: the rows of
-/// contact_leads, in material order.
-std::size_t num_materials(const SweepRequest& req) {
-  return req.contact_leads != nullptr ? req.contact_leads->size() : 0;
+/// Sends the blocks of every lead material at momentum k (root side), one
+/// stream per material in material order.
+void send_materials(Comm& comm, int dst, const SweepRequest& req,
+                    std::size_t k) {
+  for (const auto* row : req.materials) send_lead_blocks(comm, dst, (*row)[k]);
 }
 
-/// The terminal layout of one k.  `lead`/`folded` are this k's entry of
-/// `leads` (material -1); `extras`/`extra_folded` index the materials
-/// >= 0.  Lead content hashes are computed here, once per (k, material) per
-/// run, never per fetch.  Every referenced object must outlive the set.
+/// Receives what send_materials sent: `count` streams, material order.
+std::vector<dft::LeadBlocks> recv_materials(Comm& comm, int src,
+                                            std::size_t count) {
+  std::vector<dft::LeadBlocks> leads;
+  for (std::size_t m = 0; m < count; ++m)
+    leads.push_back(recv_lead_blocks(comm, src));
+  return leads;
+}
+
+/// The root's own copy of every material at momentum k.
+std::vector<dft::LeadBlocks> material_column(const SweepRequest& req,
+                                             std::size_t k) {
+  std::vector<dft::LeadBlocks> leads;
+  for (const auto* row : req.materials) leads.push_back((*row)[k]);
+  return leads;
+}
+
+/// The request's pre-folds of every material at momentum k — empty when
+/// the request carries none.  Only the root may read them.
+std::vector<const dft::FoldedLead*> pre_folds(const SweepRequest& req,
+                                              std::size_t k) {
+  std::vector<const dft::FoldedLead*> out;
+  for (const auto* row : req.folded) out.push_back(&(*row)[k]);
+  return out;
+}
+
+/// The terminal layout of one k over its materials (`leads`/`folded`,
+/// indexed by SweepContact::material).  Lead content hashes are computed
+/// here, once per (k, material) per run, never per fetch.  Every referenced
+/// object must outlive the set.
 transport::ContactSet build_contact_set(
-    const SweepRequest& req, const dft::LeadBlocks& lead,
-    const dft::FoldedLead& folded, const std::vector<dft::LeadBlocks>& extras,
-    const std::vector<dft::FoldedLead>& extra_folded) {
-  const std::uint64_t lead_hash = transport::lead_content_hash(lead);
-  std::vector<std::uint64_t> extra_hashes;
-  for (const dft::LeadBlocks& ex : extras)
-    extra_hashes.push_back(transport::lead_content_hash(ex));
+    const SweepRequest& req, const std::vector<dft::LeadBlocks>& leads,
+    const std::vector<dft::FoldedLead>& folded) {
+  std::vector<std::uint64_t> hashes;
+  for (const dft::LeadBlocks& lead : leads)
+    hashes.push_back(transport::lead_content_hash(lead));
   std::vector<transport::Contact> cs;
   cs.reserve(req.contacts.size());
   for (const SweepContact& sc : req.contacts) {
@@ -228,15 +253,11 @@ transport::ContactSet build_contact_set(
       // Büttiker probe: no lead material travels or caches for this
       // terminal — its self-energy is the local -i*eta*I.
       c.probe_eta = sc.probe_eta;
-    } else if (sc.material < 0) {
-      c.lead = &lead;
-      c.folded = &folded;
-      c.lead_hash = lead_hash;
     } else {
       const auto m = static_cast<std::size_t>(sc.material);
-      c.lead = &extras[m];
-      c.folded = &extra_folded[m];
-      c.lead_hash = extra_hashes[m];
+      c.lead = &leads[m];
+      c.folded = &folded[m];
+      c.lead_hash = hashes[m];
     }
     c.mu = sc.mu;
     c.shift = sc.shift;
@@ -260,12 +281,8 @@ void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
       const auto msg = comm.recv(Comm::kAnySource, kTagRequest, status);
       const int kind = static_cast<int>(msg.at(0));
       if (kind == 1) {  // a thief fetching the blocks of a k it never owned
-        const auto k = static_cast<std::size_t>(msg.at(1));
-        send_lead_blocks(comm, status.source, (*req.leads)[k]);
-        // Thieves expect the extra materials right behind the k's own
-        // blocks, in material order.
-        for (std::size_t m = 0; m < num_materials(req); ++m)
-          send_lead_blocks(comm, status.source, (*req.contact_leads)[m][k]);
+        send_materials(comm, status.source, req,
+                       static_cast<std::size_t>(msg.at(1)));
         continue;
       }
       const int color = static_cast<int>(msg.at(1));
@@ -292,27 +309,26 @@ void serve_queue(Comm comm, Coordinator& co, const SweepRequest& req,
       if (in_group % lay.width != 0) continue;
       comm.send({-1.0, -1.0, 0.0}, r, kTagAssign);
       // A thief mid-fetch waits on kTagBlocks, not kTagAssign: an
-      // empty-lead poison wakes it, its KData build fails on the empty
+      // empty-lead poison wakes it, its KData build refuses the empty
       // lead, and the leader's stage handler degrades to the drain path.
       // (A stream truncated mid-matrix still surfaces as an unpack error
-      // rather than a hang for the same reason.)  Thieves read 1 + M
-      // streams per fetch, so the poison matches that count.
-      for (std::size_t s = 0; s < 1 + num_materials(req); ++s)
+      // rather than a hang for the same reason.)  Thieves read one stream
+      // per material, so the poison matches that count.
+      for (std::size_t m = 0; m < req.materials.size(); ++m)
         comm.send({0.0}, r, kTagBlocks);
     }
   }
 }
 
-/// Everything one rank holds for a k point it solves: the lead blocks it
-/// received and the device assembled from them; on energy-group leaders
-/// also the folds and the k's terminals.
+/// Everything one rank holds for a k point it solves: the lead materials it
+/// received and the device assembled from material 0; on energy-group
+/// leaders also the folds and the k's terminals.
 struct KData {
-  dft::LeadBlocks lead;
-  dft::FoldedLead folded;  ///< leaders only; members never run the OBCs
-  /// Extra lead materials (SweepContact::material >= 0) and their folds —
-  /// leaders only; members keep them empty.
-  std::vector<dft::LeadBlocks> extra_leads;
-  std::vector<dft::FoldedLead> extra_folded;
+  /// The k's lead materials, indexed by SweepContact::material.  Spatial
+  /// members of a stolen k hold material 0 only.
+  std::vector<dft::LeadBlocks> leads;
+  /// One fold per material — leaders only; members never run the OBCs.
+  std::vector<dft::FoldedLead> folded;
   dft::DeviceMatrices dm;
   /// The k's terminals (leaders only), pointing at the members above: the
   /// engine holds KData by unique_ptr, so they never move.
@@ -324,24 +340,31 @@ struct KData {
   /// `leader` = false is the spatial-member variant: members only need the
   /// assembled device matrices to compute SPIKE partitions of A, so the
   /// lead folding, hashing and the terminals are skipped.  `pre_folded`
-  /// (may be null) replaces folding the lead.
-  KData(dft::LeadBlocks l, std::vector<dft::LeadBlocks> extras,
-        const SweepRequest& req, const dft::FoldedLead* pre_folded,
-        bool leader)
-      : lead(std::move(l)),
-        folded(leader ? (pre_folded != nullptr ? *pre_folded
-                                               : dft::fold_lead(lead))
-                      : dft::FoldedLead{}),
-        extra_leads(std::move(extras)),
-        dm(dft::assemble_device(lead, req.cells, req.potential)) {
+  /// (empty, or one fold per material) replaces folding the materials.
+  KData(std::vector<dft::LeadBlocks> l, const SweepRequest& req, bool leader,
+        const std::vector<const dft::FoldedLead*>& pre_folded = {})
+      : leads(checked(std::move(l))),
+        dm(dft::assemble_device(leads[0], req.cells, req.potential)) {
     if (!leader) return;
-    extra_folded.reserve(extra_leads.size());
-    for (const dft::LeadBlocks& ex : extra_leads)
-      extra_folded.push_back(dft::fold_lead(ex));
-    contacts = build_contact_set(req, lead, folded, extra_leads, extra_folded);
+    folded.reserve(leads.size());
+    for (std::size_t m = 0; m < leads.size(); ++m)
+      folded.push_back(pre_folded.empty() ? dft::fold_lead(leads[m])
+                                          : *pre_folded[m]);
+    contacts = build_contact_set(req, leads, folded);
   }
   KData(const KData&) = delete;
   KData& operator=(const KData&) = delete;
+
+ private:
+  /// An empty material (a failed root's poison stream) throws here
+  /// instead of reaching the assembly or the fold.
+  static std::vector<dft::LeadBlocks> checked(
+      std::vector<dft::LeadBlocks> leads) {
+    for (const dft::LeadBlocks& lead : leads)
+      if (lead.h.empty())
+        throw std::runtime_error("Engine: a lead material arrived empty");
+    return leads;
+  }
 };
 
 struct RankLocal {
@@ -499,14 +522,20 @@ obc::BoundaryCache::Stats Engine::contact_boundary_cache_stats(
 namespace {
 
 void validate_request(const SweepRequest& req) {
-  if (req.leads == nullptr)
-    throw std::invalid_argument("Engine: request.leads is null");
+  if (req.materials.empty())
+    throw std::invalid_argument("Engine: request has no lead materials");
   if (req.energies.empty())
     throw std::invalid_argument("Engine: request has no k points");
-  if (req.leads->size() < req.energies.size())
-    throw std::invalid_argument("Engine: fewer lead blocks than k grids");
-  if (req.folded != nullptr && req.folded->size() < req.energies.size())
-    throw std::invalid_argument("Engine: fewer folded leads than k grids");
+  for (const auto* row : req.materials)
+    if (row == nullptr || row->size() < req.energies.size())
+      throw std::invalid_argument(
+          "Engine: a lead-material row is null or shorter than the k grids");
+  if (!req.folded.empty() && req.folded.size() != req.materials.size())
+    throw std::invalid_argument("Engine: folded needs one row per material");
+  for (const auto* row : req.folded)
+    if (row == nullptr || row->size() < req.energies.size())
+      throw std::invalid_argument(
+          "Engine: a folded row is null or shorter than the k grids");
   if (!req.gf_nodes.empty()) {
     if (req.gf_nodes.size() != req.energies.size())
       throw std::invalid_argument("Engine: gf_nodes k-shape mismatch");
@@ -538,24 +567,20 @@ void validate_request(const SweepRequest& req) {
         "live on its contacts (SweepContact::shift)");
   if (req.contacts.size() < 2)
     throw std::invalid_argument("Engine: a sweep needs >= 2 contacts");
-  const int materials = static_cast<int>(num_materials(req));
+  const int materials = static_cast<int>(req.materials.size());
   for (const SweepContact& c : req.contacts) {
     if (!finite(c.shift))
       throw std::invalid_argument("Engine: non-finite contact shift");
-    if (c.material >= materials)
+    if (c.material < 0 || c.material >= materials)
       throw std::invalid_argument(
           "Engine: contact material index out of range");
     if (c.probe_eta < 0.0)
       throw std::invalid_argument("Engine: contact probe_eta is negative");
-    if (c.probe_eta > 0.0 && c.material >= 0)
+    if (c.probe_eta > 0.0 && c.material != 0)
       throw std::invalid_argument(
           "Engine: a Buettiker probe carries no lead material "
-          "(probe_eta > 0 requires material == -1)");
+          "(probe_eta > 0 requires the default material 0)");
   }
-  if (req.contact_leads != nullptr)
-    for (const auto& row : *req.contact_leads)
-      if (row.size() < req.energies.size())
-        throw std::invalid_argument("Engine: contact_leads k-shape mismatch");
   if (!req.density_weight.empty()) {
     if (req.density_weight.size() != req.contacts.size())
       throw std::invalid_argument(
@@ -703,9 +728,15 @@ transport::EnergyPointOptions sweep_options(const SweepRequest& req,
   transport::EnergyPointOptions popt = req.point;
   popt.spatial = spatial;
   popt.boundary_cache = cache;
-  // Only pay the drain-injection RHS columns when the request carries
-  // weights to fold them into.
-  popt.want_density_r = !req.density_weight.empty();
+  // Only pay the drain-injection RHS columns when a drain (a terminal off
+  // block 0) carries a nonzero weight: a zero row would fold an exact +0.0
+  // into the charge.  The contour bias window gives the lower-mu contact
+  // such a row.
+  popt.want_density_r = false;
+  for (std::size_t p = 0; p < req.density_weight.size(); ++p)
+    if (req.contacts[p].block != 0)
+      for (const auto& row : req.density_weight[p])
+        for (const double w : row) popt.want_density_r |= w != 0.0;
   return popt;
 }
 
@@ -750,11 +781,11 @@ class TaskRunner {
   TaskRunner& operator=(const TaskRunner&) = delete;
 
   /// A leader's inputs for one k, classified by the per-k batching rule.
-  std::unique_ptr<KData> load(dft::LeadBlocks lead,
-                              std::vector<dft::LeadBlocks> extras,
-                              const dft::FoldedLead* pre_folded) const {
-    auto kd = std::make_unique<KData>(std::move(lead), std::move(extras), req_,
-                                      pre_folded, /*leader=*/true);
+  std::unique_ptr<KData> load(
+      std::vector<dft::LeadBlocks> leads,
+      const std::vector<const dft::FoldedLead*>& pre_folded) const {
+    auto kd = std::make_unique<KData>(std::move(leads), req_,
+                                      /*leader=*/true, pre_folded);
     kd->batchable = may_batch(*kd);
     return kd;
   }
@@ -783,10 +814,9 @@ class TaskRunner {
   /// one point at a time), the terminals are a symmetric pair (the batched
   /// pipeline's one-boundary arithmetic), the scattering model attaches no
   /// probes (those would turn every task into a multi-terminal solve), and
-  /// the resolved solver is kBatchable (otherwise the per-task loop keeps
-  /// its across-task parallelism, which the scalar fallback inside
-  /// solve_energy_batch would forfeit).  The resolution sees the
-  /// configured max_batch, never the actual bucket fill.
+  /// the resolved solver is kBatchable — solve_energy_batch refuses
+  /// anything else.  The resolution sees the configured max_batch, never
+  /// the actual bucket fill.
   bool may_batch(const KData& kd) const {
     const idx nb = kd.dm.h.num_blocks();
     const idx s = kd.dm.h.block_size();
@@ -825,7 +855,8 @@ class TaskRunner {
         samples.push_back(i < res.t_matrix.size() ? res.t_matrix[i] : 0.0);
     }
     const auto per_cell =
-        weighted_task_charge(req_, t.kd->lead.block_dim(), t.ik, t.ie, res);
+        weighted_task_charge(req_, t.kd->leads[0].block_dim(), t.ik, t.ie,
+                             res);
     if (per_cell.empty()) return;
     charge.push_back(flat);
     charge.insert(charge.end(), per_cell.begin(), per_cell.end());
@@ -856,10 +887,8 @@ class TaskRunner {
           bctx_, chunk, popt_, pool_, backend, cfg_.max_batch, &bs);
       local.busy_seconds += now_seconds() - t0;
       local.tasks += static_cast<idx>(count);
-      if (bs.batched_solve) {
-        local.batches += bs.batches;
-        local.batched_tasks += bs.tasks;
-      }
+      local.batches += bs.batches;
+      local.batched_tasks += bs.tasks;
       local.prefetch_hits += bs.prefetch_hits;
       local.prefetch_misses += bs.prefetch_misses;
       local.device_batches += bs.device_batches;
@@ -896,7 +925,7 @@ class TaskRunner {
         rows[j].charge.reserve(1 + static_cast<std::size_t>(req_.cells));
         rows[j].charge.push_back(
             static_cast<double>(lay_.e_prefix[sk] + t.ie));
-        append_greens_charge(rows[j].charge, req_, t.kd->lead.block_dim(),
+        append_greens_charge(rows[j].charge, req_, t.kd->leads[0].block_dim(),
                              req_.gf_weights[sk][sg], diag);
         return;
       }
@@ -1067,13 +1096,9 @@ SweepResult Engine::run_flat(const SweepRequest& request) {
   std::vector<Task> tasks;
   tasks.reserve(static_cast<std::size_t>(lay.total_tasks));
   for (std::size_t k = 0; k < request.energies.size(); ++k) {
-    std::vector<dft::LeadBlocks> extras;
-    for (std::size_t m = 0; m < num_materials(request); ++m)
-      extras.push_back((*request.contact_leads)[m][k]);
     // Pre-folded leads from the request are reused as-is.
-    ks.push_back(runner.load(
-        (*request.leads)[k], std::move(extras),
-        request.folded != nullptr ? &(*request.folded)[k] : nullptr));
+    ks.push_back(
+        runner.load(material_column(request, k), pre_folds(request, k)));
     for (idx ie = 0; ie < lay.e_prefix[k + 1] - lay.e_prefix[k]; ++ie)
       tasks.push_back({static_cast<idx>(k), ie, ks.back().get()});
   }
@@ -1091,9 +1116,9 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
   const Layout lay(request, config_.num_ranks,
                    config_.ranks_per_energy_group);
   Coordinator co(lay, request, config_.work_stealing);
-  // Extra lead materials travel beside each k's own blocks; the count is
-  // read identically on every rank from the shared request.
-  const std::size_t m_count = num_materials(request);
+  // Every material travels per k; the count is read identically on every
+  // rank from the shared request.
+  const std::size_t m_count = request.materials.size();
 
   parallel::CommWorld world(config_.num_ranks);
   std::exception_ptr service_error;
@@ -1113,6 +1138,11 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
         wr - lay.group_first_rank[static_cast<std::size_t>(my_color)];
     const bool leader = in_group % lay.width == 0;
     bool protocol_done = !leader;  ///< non-leaders owe the coordinator nothing
+    // Only the root may read the request's pre-folds.
+    const auto root_pre_folds = [&](std::size_t k) {
+      return wr == 0 ? pre_folds(request, k)
+                     : std::vector<const dft::FoldedLead*>{};
+    };
 
     // --- input distribution (momentum level) ---------------------------
     // The root pushes each momentum-group leader the blocks of its owned
@@ -1123,17 +1153,8 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
       for (int c = 0; c < lay.num_groups; ++c) {
         const int lr = lay.group_first_rank[static_cast<std::size_t>(c)];
         if (lr == 0) continue;
-        for (const idx k : lay.owned[static_cast<std::size_t>(c)]) {
-          send_lead_blocks(comm, lr,
-                           (*request.leads)[static_cast<std::size_t>(k)]);
-          // The extra materials ride right behind the k's own blocks, in
-          // material order (the receiver loop below reads them back
-          // symmetrically).
-          for (std::size_t m = 0; m < m_count; ++m)
-            send_lead_blocks(
-                comm, lr,
-                (*request.contact_leads)[m][static_cast<std::size_t>(k)]);
-        }
+        for (const idx k : lay.owned[static_cast<std::size_t>(c)])
+          send_materials(comm, lr, request, static_cast<std::size_t>(k));
       }
       Comm service_comm = comm;  // same rank, shared mailboxes
       service = std::thread(
@@ -1223,43 +1244,32 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
       // device matrices to compute SPIKE partitions of A per task.
       std::map<idx, std::unique_ptr<KData>> cache;
       for (const idx k : lay.owned[static_cast<std::size_t>(my_color)]) {
-        dft::LeadBlocks lead;
-        std::vector<dft::LeadBlocks> extras(m_count);
+        const auto sk = static_cast<std::size_t>(k);
+        std::vector<dft::LeadBlocks> leads(m_count);
         if (k_comm.rank() == 0 && rank_error == nullptr) {
           try {
-            lead = wr == 0 ? (*request.leads)[static_cast<std::size_t>(k)]
-                           : recv_lead_blocks(comm, 0);
-            for (std::size_t m = 0; m < m_count; ++m)
-              extras[m] = wr == 0 ? (*request.contact_leads)[m]
-                                                            [static_cast<
-                                                                std::size_t>(k)]
-                                  : recv_lead_blocks(comm, 0);
+            leads = wr == 0 ? material_column(request, sk)
+                            : recv_materials(comm, 0, m_count);
           } catch (...) {
             rank_error = std::current_exception();
-            lead = dft::LeadBlocks{};
-            extras.assign(m_count, dft::LeadBlocks{});
+            leads.assign(m_count, dft::LeadBlocks{});
           }
         }
         // Collectives over the momentum group — always run, so members
         // never stall on a group whose inputs failed to arrive.  The
-        // extras broadcast count is symmetric on every rank (m_count comes
-        // from the shared request).
-        broadcast_lead_blocks(k_comm, lead);
-        for (auto& ex : extras) broadcast_lead_blocks(k_comm, ex);
+        // broadcast count is symmetric on every rank (m_count comes from
+        // the shared request).
+        for (auto& lead : leads) broadcast_lead_blocks(k_comm, lead);
         if ((!leader && !spatial_group) || rank_error != nullptr) continue;
         try {
           // The root folded its leads when the simulator was built (and
           // the SCF loop sweeps the same ones dozens of times); its leader
           // reuses them instead of re-folding per run.
-          const dft::FoldedLead* pre =
-              wr == 0 && request.folded != nullptr
-                  ? &(*request.folded)[static_cast<std::size_t>(k)]
-                  : nullptr;
-          cache.emplace(k, leader ? runner->load(std::move(lead),
-                                                 std::move(extras), pre)
+          cache.emplace(k, leader ? runner->load(std::move(leads),
+                                                 root_pre_folds(sk))
                                   : std::make_unique<KData>(
-                                        std::move(lead), std::move(extras),
-                                        request, nullptr, /*leader=*/false));
+                                        std::move(leads), request,
+                                        /*leader=*/false));
         } catch (...) {
           rank_error = std::current_exception();
         }
@@ -1315,18 +1325,11 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               // tasks land in the thief's cache under the owner's k and two
               // momenta sharing an energy can never alias.
               comm.send({1.0, static_cast<double>(ik)}, 0, kTagRequest);
-              const dft::FoldedLead* pre =
-                  wr == 0 && request.folded != nullptr
-                      ? &(*request.folded)[static_cast<std::size_t>(ik)]
-                      : nullptr;
-              dft::LeadBlocks stolen = recv_lead_blocks(comm, 0);
-              std::vector<dft::LeadBlocks> stolen_extras(m_count);
-              for (std::size_t m = 0; m < m_count; ++m)
-                stolen_extras[m] = recv_lead_blocks(comm, 0);
+              const auto sik = static_cast<std::size_t>(ik);
               it = cache
-                       .emplace(ik, runner->load(std::move(stolen),
-                                                 std::move(stolen_extras),
-                                                 pre))
+                       .emplace(ik, runner->load(recv_materials(comm, 0,
+                                                                m_count),
+                                                 root_pre_folds(sik)))
                        .first;
               fetched = true;
             }
@@ -1383,9 +1386,10 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
                   static_cast<double>(static_cast<int>(algo)), z.real(),
                   z.imag()};
               e_comm.bcast(announce, 0);
-              // A stolen k's blocks reach the members through the group,
-              // mirroring the owned-k broadcast at input distribution.
-              if (fetched) broadcast_lead_blocks(e_comm, it->second->lead);
+              // A stolen k's device lead reaches the members through the
+              // group: material 0 is all they assemble.
+              if (fetched)
+                broadcast_lead_blocks(e_comm, it->second->leads[0]);
             }
             const BucketKey key = runner->key(task);
             if (!pending.empty() && key != pending_key) flush_pending();
@@ -1411,14 +1415,13 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
           const auto algo = static_cast<solvers::SolverAlgorithm>(
               static_cast<int>(task[4]));
           if (fetched) {
-            dft::LeadBlocks lead;
-            broadcast_lead_blocks(e_comm, lead);
+            std::vector<dft::LeadBlocks> leads(1);
+            broadcast_lead_blocks(e_comm, leads[0]);
             if (rank_error == nullptr && cache.find(ik) == cache.end()) {
               try {
-                cache.emplace(ik, std::make_unique<KData>(
-                                      std::move(lead),
-                                      std::vector<dft::LeadBlocks>{}, request,
-                                      nullptr, /*leader=*/false));
+                cache.emplace(ik, std::make_unique<KData>(std::move(leads),
+                                                          request,
+                                                          /*leader=*/false));
               } catch (...) {
                 rank_error = std::current_exception();
               }

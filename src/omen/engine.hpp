@@ -18,12 +18,12 @@
 //     members compute their share of the SPIKE partitions on their own copy
 //     of A = E*S - H (solvers::spike_partition_owner) — one task, many
 //     ranks, bit-identical to the width-1 solve for equal partition counts.
-// Inputs travel once: the root sends each momentum-group leader its lead
-// blocks, the leader rebroadcasts inside the group (broadcast_lead_blocks);
-// a stolen k's blocks are fetched from the coordinator on first use and
-// cached.  Results return through the rooted collectives (gatherv /
-// reduce), assembled deterministically by flat task index, so the spectrum
-// is identical for any world size.
+// Inputs travel once: the root sends each momentum-group leader the blocks
+// of every lead material at its k points, the leader rebroadcasts inside
+// the group (broadcast_lead_blocks); a stolen k's blocks are fetched from
+// the coordinator on first use and cached.  Results return through the
+// rooted collectives (gatherv / reduce), assembled deterministically by
+// flat task index, so the spectrum is identical for any world size.
 #pragma once
 
 #include <cstdint>
@@ -114,14 +114,14 @@ struct SweepContact {
   /// Attachment block: 0, transport::kLastBlock, or an interior block
   /// (interior blocks need a kMultiTerminal solver: rgf/block_lu/auto).
   idx block = transport::kLastBlock;
-  /// Lead material: -1 = this k's entry of `leads`, m >= 0 = row m of
-  /// `contact_leads`.
-  int material = -1;
+  /// Lead material: row of SweepRequest::materials (0 = the device lead).
+  int material = 0;
   /// Büttiker-probe strength (eV).  > 0 marks this terminal as a lead-less
   /// phenomenological probe (transport::Contact::probe_eta): no lead blocks
   /// travel or cache for it, its self-energy is the local -i*eta*I, and
-  /// `material` must stay -1 (validate_request).  mu is the probe potential,
-  /// normally pre-tuned by the caller (scattering::tune_probe_potentials).
+  /// `material` must keep its default 0 (validate_request).  mu is the probe
+  /// potential, normally pre-tuned by the caller
+  /// (scattering::tune_probe_potentials).
   double probe_eta = 0.0;
 };
 
@@ -129,11 +129,16 @@ struct SweepContact {
 /// matrices; every other rank sees grid shapes and scalar options and
 /// receives matrices through the communicator.
 struct SweepRequest {
-  const std::vector<dft::LeadBlocks>* leads = nullptr;  ///< per k, root only
-  /// Optional pre-folded leads (same indexing as `leads`, root only): ranks
-  /// holding the originals reuse them instead of re-folding every run —
+  /// Lead materials, indexed [material][ik] with one pointer per material
+  /// row (root only): row 0 is the device lead, whose blocks assemble the
+  /// device, and every row holds >= one entry per k grid.  Referenced by
+  /// SweepContact::material.  `req.materials = {&leads};` is the classic
+  /// one-material device.
+  std::vector<const std::vector<dft::LeadBlocks>*> materials;
+  /// Optional pre-folded materials, empty or the same shape as `materials`
+  /// (root only): the root reuses them instead of re-folding every run —
   /// the SCF loop sweeps the same leads dozens of times.
-  const std::vector<dft::FoldedLead>* folded = nullptr;
+  std::vector<const std::vector<dft::FoldedLead>*> folded;
   std::vector<std::vector<double>> energies;            ///< per-k grids
   std::vector<double> potential;                        ///< per physical cell
   idx cells = 0;
@@ -160,17 +165,14 @@ struct SweepRequest {
   std::vector<std::vector<numeric::cplx>> gf_nodes;
   std::vector<std::vector<numeric::cplx>> gf_weights;  ///< same shape
   /// Terminal layout, >= 2 entries (run() rejects fewer).  The default is
-  /// the two-contact device: the k's own lead at block 0 and at the last
-  /// block, both unshifted.  Every k builds one transport::ContactSet from
-  /// this list; a set whose two end contacts share one boundary (the same
-  /// lead and shift, in either order) takes the batched and spatially
+  /// the two-contact device: material 0 at block 0 and at the last block,
+  /// both unshifted.  Every k builds one transport::ContactSet from this
+  /// list; a set whose two end contacts share one boundary (the same lead
+  /// and shift, in either order) takes the batched and spatially
   /// cooperative pipeline, anything else solves per task through the
   /// ContactSet entry points.
-  std::vector<SweepContact> contacts{SweepContact{0.0, 0.0, 0, -1, 0.0},
+  std::vector<SweepContact> contacts{SweepContact{0.0, 0.0, 0, 0, 0.0},
                                      SweepContact{}};
-  /// Extra lead materials, indexed [material][ik] (root only, like
-  /// `leads`).  Referenced by SweepContact::material.
-  const std::vector<std::vector<dft::LeadBlocks>>* contact_leads = nullptr;
 };
 
 struct EngineStats {

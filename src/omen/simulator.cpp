@@ -22,6 +22,39 @@ void require_finite_mu(const char* what, const std::vector<double>& mu) {
                                   std::to_string(p) + " is not finite");
 }
 
+/// Same grid contract as landauer_current: the charge quadratures assume a
+/// strictly increasing window of >= 2 points, and a violated contract must
+/// surface here — not as NaNs three SCF iterations later.
+void require_charge_grid(const std::vector<double>& energies) {
+  if (energies.size() < 2)
+    throw std::invalid_argument(
+        "charge_density: need at least two energy points");
+  for (std::size_t ie = 1; ie < energies.size(); ++ie)
+    if (!(energies[ie] > energies[ie - 1]))
+      throw std::invalid_argument(
+          "charge_density: energies must be strictly increasing");
+}
+
+std::vector<double> flat_or(const std::vector<double>* potential, idx cells) {
+  if (potential == nullptr)
+    return std::vector<double>(static_cast<std::size_t>(cells), 0.0);
+  if (static_cast<idx>(potential->size()) != cells)
+    throw std::invalid_argument("Simulator: potential size mismatch");
+  return *potential;
+}
+
+/// Trapezoidal Brillouin-zone weights of the closed uniform [0, pi] grid:
+/// the zone edges k = 0 and k = pi each bound only one interval, so they
+/// carry half the interior weight (a flat 1/nk average double-counts them).
+std::vector<double> bz_weights(idx nk) {
+  if (nk <= 1) return {1.0};
+  std::vector<double> w(static_cast<std::size_t>(nk),
+                        1.0 / static_cast<double>(nk - 1));
+  w.front() *= 0.5;
+  w.back() *= 0.5;
+  return w;
+}
+
 }  // namespace
 
 Simulator::Simulator(SimulationConfig config) : config_(std::move(config)) {
@@ -29,24 +62,31 @@ Simulator::Simulator(SimulationConfig config) : config_(std::move(config)) {
   const bool periodic =
       config_.structure.periodicity == lattice::Periodicity::kZ;
   const idx nk = periodic ? std::max<idx>(1, config_.num_k) : 1;
-  for (idx ik = 0; ik < nk; ++ik) {
-    dft::BuildOptions opts = config_.build;
-    // Uniform k grid over [0, pi] (time-reversal halves the zone).
-    const double k =
-        nk == 1 ? 0.0
-                : numeric::kPi * static_cast<double>(ik) /
-                      static_cast<double>(nk - 1);
-    opts.k_transverse = k;
-    k_values_.push_back(k);
-    lead_.push_back(dft::build_lead_blocks(config_.structure, basis, opts));
-    folded_.push_back(dft::fold_lead(lead_.back()));
-  }
+  // Uniform k grid over [0, pi] (time-reversal halves the zone).
+  for (idx ik = 0; ik < nk; ++ik)
+    k_values_.push_back(nk == 1 ? 0.0
+                                : numeric::kPi * static_cast<double>(ik) /
+                                      static_cast<double>(nk - 1));
+  // One row of the lead tables: `structure`'s lead at every k point.
+  const auto add_material = [&](const lattice::Structure& structure) {
+    std::vector<dft::LeadBlocks> row;
+    std::vector<dft::FoldedLead> frow;
+    for (const double k : k_values_) {
+      dft::BuildOptions opts = config_.build;
+      opts.k_transverse = k;
+      row.push_back(dft::build_lead_blocks(structure, basis, opts));
+      frow.push_back(dft::fold_lead(row.back()));
+    }
+    leads_.push_back(std::move(row));
+    folded_.push_back(std::move(frow));
+  };
+  add_material(config_.structure);  // material 0: the device's own lead
   // The device's block count is fixed by the supercell fold of
   // assemble_device — resolve it once: contact attachment blocks validate
   // against it, and the scattering model's probe layout is built from it.
   {
     const auto assembled = dft::assemble_device(
-        lead_.front(), config_.structure.num_cells,
+        leads_[0].front(), config_.structure.num_cells,
         std::vector<double>(
             static_cast<std::size_t>(config_.structure.num_cells), 0.0));
     device_blocks_ = assembled.h.num_blocks();
@@ -71,25 +111,16 @@ Simulator::Simulator(SimulationConfig config) : config_(std::move(config)) {
         "empty for the default source/drain pair)");
   for (const ContactConfig& cc : config_.contacts) {
     if (!cc.material.has_value()) {
-      contact_material_.push_back(-1);
+      contact_material_.push_back(0);
       continue;
     }
-    contact_material_.push_back(static_cast<int>(contact_leads_.size()));
-    std::vector<dft::LeadBlocks> row;
-    std::vector<dft::FoldedLead> frow;
-    for (idx ik = 0; ik < nk; ++ik) {
-      dft::BuildOptions opts = config_.build;
-      opts.k_transverse = k_values_[static_cast<std::size_t>(ik)];
-      row.push_back(dft::build_lead_blocks(*cc.material, basis, opts));
-      frow.push_back(dft::fold_lead(row.back()));
-    }
-    if (row.front().block_dim() != lead_.front().block_dim())
+    contact_material_.push_back(static_cast<int>(leads_.size()));
+    add_material(*cc.material);
+    if (leads_.back().front().block_dim() != leads_[0].front().block_dim())
       throw std::invalid_argument(
           "Simulator: contact lead material must match the device's "
           "orbitals per cell (the self-energy block must fit the device "
           "diagonal)");
-    contact_leads_.push_back(std::move(row));
-    contact_folded_.push_back(std::move(frow));
   }
   // Resolve the attachment blocks against the actual folded device.
   for (const ContactConfig& cc : config_.contacts) {
@@ -123,7 +154,7 @@ Simulator::Simulator(SimulationConfig config) : config_(std::move(config)) {
   // where cosine-like bands take their extrema; charge_density folds in the
   // device potential, the contact shifts, and a safety margin per call.
   lead_band_min_ =
-      transport::band_window(transport::lead_band_structure(folded_.front()))
+      transport::band_window(transport::lead_band_structure(folded_[0][0]))
           .emin;
   rebuild_probe_sites();
 }
@@ -176,32 +207,40 @@ obc::BoundaryCache::Stats Simulator::contact_boundary_cache_stats(
   return engine_->contact_boundary_cache_stats(static_cast<int>(contact));
 }
 
-void Simulator::attach_contacts(SweepRequest& req,
-                                const std::vector<double>* mu) const {
+SweepResult Simulator::sweep(SweepRequest req, bool density, bool caroli,
+                             const std::vector<double>* potential,
+                             const std::vector<double>* mu) {
+  req.potential = flat_or(potential, config_.structure.num_cells);
+  req.cells = config_.structure.num_cells;
+  req.point = config_.point;
+  req.point.want_density = density;
+  req.point.want_current = false;
+  req.point.want_caroli = caroli;
+  for (std::size_t m = 0; m < leads_.size(); ++m) {
+    req.materials.push_back(&leads_[m]);
+    req.folded.push_back(&folded_[m]);
+  }
+  // The terminals: the configured contacts, then the probes.
+  const auto mu_of = [&](std::size_t t) {
+    return mu != nullptr && t < mu->size() ? (*mu)[t] : 0.0;
+  };
   req.contacts.clear();
-  req.contacts.reserve(config_.contacts.size() + probe_sites_.size());
-  for (std::size_t i = 0; i < config_.contacts.size(); ++i) {
-    SweepContact sc;
-    sc.mu = mu != nullptr && i < mu->size() ? (*mu)[i] : 0.0;
-    sc.shift = config_.contacts[i].shift;
-    sc.block = config_.contacts[i].block;
-    sc.material = contact_material_[i];
-    req.contacts.push_back(sc);
-  }
-  for (std::size_t p = 0; p < probe_sites_.size(); ++p) {
-    SweepContact sc;
-    const std::size_t t = req.contacts.size();
-    sc.mu = mu != nullptr && t < mu->size() ? (*mu)[t] : 0.0;
-    sc.block = probe_sites_[p].block;
-    sc.probe_eta = probe_sites_[p].eta;
-    req.contacts.push_back(sc);
-  }
+  for (std::size_t i = 0; i < config_.contacts.size(); ++i)
+    req.contacts.push_back({mu_of(i), config_.contacts[i].shift,
+                            config_.contacts[i].block, contact_material_[i],
+                            0.0});
+  for (const scattering::ProbeSite& site : probe_sites_)
+    req.contacts.push_back(
+        {mu_of(req.contacts.size()), 0.0, site.block, 0, site.eta});
   // Probes are materialized into the terminal list: clear the per-point
   // spec so the transport-layer provider assembly cannot attach them a
   // second time (it already skips sets carrying probes — clearing keeps
   // the request self-describing).
   if (!probe_sites_.empty()) req.point.scattering = {};
-  if (!contact_leads_.empty()) req.contact_leads = &contact_leads_;
+  SweepResult res = engine_->run(req);
+  stats_ = res.stats;
+  total_tasks_ += res.stats.tasks_total;
+  return res;
 }
 
 std::size_t Simulator::source_terminal() const noexcept {
@@ -219,50 +258,25 @@ std::vector<double> Simulator::pair_mu(const char* what, double mu_l,
 }
 
 const dft::LeadBlocks& Simulator::lead_blocks(idx ik) const {
-  return lead_.at(static_cast<std::size_t>(ik));
+  return leads_[0].at(static_cast<std::size_t>(ik));
 }
 
 const dft::FoldedLead& Simulator::folded_lead(idx ik) const {
-  return folded_.at(static_cast<std::size_t>(ik));
+  return folded_[0].at(static_cast<std::size_t>(ik));
 }
 
 transport::BandStructure Simulator::bands(idx nk) const {
-  return transport::lead_band_structure(folded_.front(), nk);
+  return transport::lead_band_structure(folded_[0][0], nk);
 }
 
 idx Simulator::hamiltonian_dimension() const {
   return config_.structure.orbitals_per_cell() * config_.structure.num_cells;
 }
 
-namespace {
-
-std::vector<double> flat_or(const std::vector<double>* potential, idx cells) {
-  if (potential == nullptr)
-    return std::vector<double>(static_cast<std::size_t>(cells), 0.0);
-  if (static_cast<idx>(potential->size()) != cells)
-    throw std::invalid_argument("Simulator: potential size mismatch");
-  return *potential;
-}
-
-/// Trapezoidal Brillouin-zone weights of the closed uniform [0, pi] grid:
-/// the zone edges k = 0 and k = pi each bound only one interval, so they
-/// carry half the interior weight (a flat 1/nk average double-counts them).
-std::vector<double> bz_weights(idx nk) {
-  if (nk <= 1) return {1.0};
-  std::vector<double> w(static_cast<std::size_t>(nk),
-                        1.0 / static_cast<double>(nk - 1));
-  w.front() *= 0.5;
-  w.back() *= 0.5;
-  return w;
-}
-
-}  // namespace
-
 Spectrum Simulator::transmission_spectrum(
     const std::vector<double>& energies,
     const std::vector<double>* cell_potential) {
-  const idx cells = config_.structure.num_cells;
-  const idx nk = static_cast<idx>(lead_.size());
+  const idx nk = static_cast<idx>(k_values_.size());
   const idx ne = static_cast<idx>(energies.size());
 
   // The (k, E) sweep runs on the distribution engine (Fig. 9 levels 1-2):
@@ -270,18 +284,10 @@ Spectrum Simulator::transmission_spectrum(
   // from the shared queue.  With num_ranks = 1 this degenerates to the
   // flat in-process thread-pool loop.
   SweepRequest req;
-  req.leads = &lead_;
-  req.folded = &folded_;
   req.energies.assign(static_cast<std::size_t>(nk), energies);
-  req.potential = flat_or(cell_potential, cells);
-  req.cells = cells;
-  req.point = config_.point;
-  req.point.want_density = false;
-  req.point.want_current = false;
-  attach_contacts(req, nullptr);
-  const SweepResult res = engine_->run(req);
-  stats_ = res.stats;
-  total_tasks_ += res.stats.tasks_total;
+  const SweepResult res =
+      sweep(std::move(req), /*density=*/false, config_.point.want_caroli,
+            cell_potential, nullptr);
 
   Spectrum out;
   out.energies = energies;
@@ -290,7 +296,7 @@ Spectrum Simulator::transmission_spectrum(
   // Sigma-only OBC backends (no kProvidesInjection) report no incident
   // channels; their transmission is the Green's-function (Caroli) trace.
   const bool caroli_fallback =
-      (obc::obc_algorithm_capabilities(req.point.obc) &
+      (obc::obc_algorithm_capabilities(config_.point.obc) &
        obc::kProvidesInjection) == 0;
   const std::vector<double> wk = bz_weights(nk);
   for (idx ik = 0; ik < nk; ++ik) {
@@ -309,8 +315,8 @@ Spectrum Simulator::transmission_spectrum(
   // >= 3-terminal layouts carry the full pairwise table, k-averaged with
   // the same BZ weights as the scalar transmission.  Probe materialization
   // counts: a classic pair plus attached probes sweeps as >= 3 terminals,
-  // so the effective count is the request's, not the configured one.
-  const std::size_t ncon = req.contacts.size();
+  // so the effective count is the swept one, not the configured one.
+  const std::size_t ncon = config_.contacts.size() + probe_sites_.size();
   if (ncon >= 3 && !res.t_matrix.empty()) {
     out.t_matrix.assign(static_cast<std::size_t>(ne),
                         std::vector<double>(ncon * ncon, 0.0));
@@ -329,17 +335,14 @@ transport::EnergyPointResult Simulator::solve_point(
     double energy, const std::vector<double>* cell_potential) {
   const idx cells = config_.structure.num_cells;
   const std::vector<double> pot = flat_or(cell_potential, cells);
-  const auto dm = dft::assemble_device(lead_.front(), cells, pot);
+  const auto dm = dft::assemble_device(leads_[0].front(), cells, pot);
   // Direct solve at the first k point: the ContactSet points at the
   // simulator-owned lead tables, so the set is cheap to rebuild per call.
   std::vector<transport::Contact> cs(config_.contacts.size());
   for (std::size_t i = 0; i < cs.size(); ++i) {
-    const int m = contact_material_[i];
-    cs[i].lead = m < 0 ? &lead_.front()
-                       : &contact_leads_[static_cast<std::size_t>(m)].front();
-    cs[i].folded = m < 0
-                       ? &folded_.front()
-                       : &contact_folded_[static_cast<std::size_t>(m)].front();
+    const auto m = static_cast<std::size_t>(contact_material_[i]);
+    cs[i].lead = &leads_[m].front();
+    cs[i].folded = &folded_[m].front();
     cs[i].shift = config_.contacts[i].shift;
     cs[i].block = config_.contacts[i].block;
     cs[i].lead_hash = transport::lead_content_hash(*cs[i].lead);
@@ -364,16 +367,7 @@ std::vector<double> Simulator::charge_density(
         "charge_density(mu_l, mu_r): the two-reservoir weights assume "
         "contacts at the device ends — interior probes need the "
         "per-terminal overload");
-  // Same grid contract as landauer_current: the quadrature backends assume
-  // a strictly increasing window of >= 2 points, and a violated contract
-  // must surface here — not as NaNs three SCF iterations later.
-  if (energies.size() < 2)
-    throw std::invalid_argument(
-        "charge_density: need at least two energy points");
-  for (std::size_t ie = 1; ie < energies.size(); ++ie)
-    if (!(energies[ie] > energies[ie - 1]))
-      throw std::invalid_argument(
-          "charge_density: energies must be strictly increasing");
+  require_charge_grid(energies);
   const std::vector<double> mu = pair_mu("charge_density", mu_l, mu_r);
 
   if (!probe_sites_.empty()) {
@@ -424,15 +418,7 @@ std::vector<double> Simulator::charge_density(
   // nodes fold Im(w * G_ii) — the assembly stage reduce()s both to the
   // root in deterministic flat-task order.
   SweepRequest req;
-  req.leads = &lead_;
-  req.folded = &folded_;
   req.energies = {nodes.energies};
-  req.potential = flat_or(potential, cells);
-  req.cells = cells;
-  req.point = config_.point;
-  req.point.want_density = true;
-  req.point.want_current = false;
-  req.point.want_caroli = false;
   if (!nodes.energies.empty()) {
     // weight_l occupies the source (the contact at block 0), weight_r the
     // drain.
@@ -445,10 +431,8 @@ std::vector<double> Simulator::charge_density(
     req.gf_nodes = {nodes.gf_nodes};
     req.gf_weights = {nodes.gf_weights};
   }
-  attach_contacts(req, &mu);
-  const SweepResult res = engine_->run(req);
-  stats_ = res.stats;
-  total_tasks_ += res.stats.tasks_total;
+  const SweepResult res = sweep(std::move(req), /*density=*/true,
+                                /*caroli=*/false, potential, &mu);
   // An empty plan (occupied window entirely below the band bottom at
   // equilibrium) carries no charge at all.
   if (res.charge.empty())
@@ -481,40 +465,30 @@ std::vector<double> Simulator::charge_density(
     throw std::invalid_argument(
         "charge_density: >= 3-terminal charge supports the real_grid "
         "quadrature only");
-  const idx cells = config_.structure.num_cells;
-  if (energies.size() < 2)
-    throw std::invalid_argument(
-        "charge_density: need at least two energy points");
-  for (std::size_t ie = 1; ie < energies.size(); ++ie)
-    if (!(energies[ie] > energies[ie - 1]))
-      throw std::invalid_argument(
-          "charge_density: energies must be strictly increasing");
+  require_charge_grid(energies);
   if (!probe_sites_.empty())
     return dissipative_charge(energies, mu, potential);
+  return terminal_charge(energies, mu, potential);
+}
+
+std::vector<double> Simulator::terminal_charge(
+    const std::vector<double>& energies, const std::vector<double>& mu,
+    const std::vector<double>* potential) {
   const std::vector<double> w = transport::trapezoid_weights(energies);
   SweepRequest req;
-  req.leads = &lead_;
-  req.folded = &folded_;
   req.energies = {energies};
-  req.potential = flat_or(potential, cells);
-  req.cells = cells;
-  req.point = config_.point;
-  req.point.want_density = true;
-  req.point.want_current = false;
-  req.point.want_caroli = false;
-  req.density_weight.resize(ncon);
-  for (std::size_t p = 0; p < ncon; ++p) {
+  req.density_weight.resize(mu.size());
+  for (std::size_t p = 0; p < mu.size(); ++p) {
     std::vector<double> wp(w.size());
     for (std::size_t ie = 0; ie < w.size(); ++ie)
       wp[ie] = w[ie] * transport::fermi(energies[ie], mu[p], kt_);
     req.density_weight[p] = {std::move(wp)};
   }
-  attach_contacts(req, &mu);
-  const SweepResult res = engine_->run(req);
-  stats_ = res.stats;
-  total_tasks_ += res.stats.tasks_total;
+  const SweepResult res = sweep(std::move(req), /*density=*/true,
+                                /*caroli=*/false, potential, &mu);
   if (res.charge.empty())
-    return std::vector<double>(static_cast<std::size_t>(cells), 0.0);
+    return std::vector<double>(
+        static_cast<std::size_t>(config_.structure.num_cells), 0.0);
   return res.charge;
 }
 
@@ -559,36 +533,11 @@ std::vector<double> Simulator::dissipative_charge(
   // injected states with its own Fermi weight, the probes at their tuned
   // mu_p (a probe both absorbs and re-injects carriers; its occupation is
   // what the zero-current condition fixes).
-  const idx cells = config_.structure.num_cells;
-  const std::vector<double> w = transport::trapezoid_weights(energies);
-  SweepRequest req;
-  req.leads = &lead_;
-  req.folded = &folded_;
-  req.energies = {energies};
-  req.potential = flat_or(potential, cells);
-  req.cells = cells;
-  req.point = config_.point;
-  req.point.want_density = true;
-  req.point.want_current = false;
-  req.point.want_caroli = false;
-  req.density_weight.resize(mu_full.size());
-  for (std::size_t p = 0; p < mu_full.size(); ++p) {
-    std::vector<double> wp(w.size());
-    for (std::size_t ie = 0; ie < w.size(); ++ie)
-      wp[ie] = w[ie] * transport::fermi(energies[ie], mu_full[p], kt_);
-    req.density_weight[p] = {std::move(wp)};
-  }
-  attach_contacts(req, &mu_full);
-  const SweepResult res = engine_->run(req);
-  const scattering::ProbeTuneResult tune = last_tune_;
-  stats_ = res.stats;
+  std::vector<double> charge = terminal_charge(energies, mu_full, potential);
   stats_.probe_terminals = static_cast<idx>(probe_sites_.size());
-  stats_.probe_iterations = tune.iterations;
-  stats_.probe_residual = tune.max_residual;
-  total_tasks_ += res.stats.tasks_total;
-  if (res.charge.empty())
-    return std::vector<double>(static_cast<std::size_t>(cells), 0.0);
-  return res.charge;
+  stats_.probe_iterations = last_tune_.iterations;
+  stats_.probe_residual = last_tune_.max_residual;
+  return charge;
 }
 
 std::vector<double> Simulator::terminal_currents(
@@ -632,32 +581,19 @@ std::vector<double> Simulator::terminal_currents(
 std::vector<double> Simulator::adaptive_energy_grid(
     std::vector<double> base, const std::vector<double>* cell_potential,
     double tol, double min_spacing) {
-  const idx cells = config_.structure.num_cells;
-  const std::vector<double> pot = flat_or(cell_potential, cells);
   // Each refinement pass becomes one engine sweep over the pass's points.
   // The indicator is the transmission itself (Caroli under decimation):
   // unlike the lead's propagating-mode count it sees the *device* potential,
   // so the refinement clusters where the potential pushes band edges and
   // barrier steps — which is what moves between SCF iterations.
+  const bool caroli = (obc::obc_algorithm_capabilities(config_.point.obc) &
+                       obc::kProvidesInjection) == 0;
   const transport::BatchEvaluator indicator =
       [&](const std::vector<double>& points) {
         SweepRequest req;
-        req.leads = &lead_;
-        req.folded = &folded_;
         req.energies = {points};
-        req.potential = pot;
-        req.cells = cells;
-        req.point = config_.point;
-        req.point.want_density = false;
-        req.point.want_current = false;
-        const bool caroli =
-            (obc::obc_algorithm_capabilities(req.point.obc) &
-             obc::kProvidesInjection) == 0;
-        req.point.want_caroli = caroli;
-        attach_contacts(req, nullptr);
-        const SweepResult res = engine_->run(req);
-        stats_ = res.stats;
-        total_tasks_ += res.stats.tasks_total;
+        const SweepResult res = sweep(std::move(req), /*density=*/false,
+                                      caroli, cell_potential, nullptr);
         std::vector<double> out(points.size());
         for (std::size_t ie = 0; ie < points.size(); ++ie)
           out[ie] = res.propagating[0][ie] > 0

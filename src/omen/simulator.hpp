@@ -297,10 +297,22 @@ class Simulator {
   obc::BoundaryCache::Stats contact_boundary_cache_stats(idx contact) const;
 
  private:
-  /// Builds the SweepContact list (contacts, then probes) and the lead-table
-  /// pointer for one request.  `mu` (terminal order, optional) fills the
-  /// per-contact chemical potentials.
-  void attach_contacts(SweepRequest& req, const std::vector<double>* mu) const;
+  /// One engine sweep over the lead tables: `req` brings the grids and any
+  /// charge weights or contour nodes; this fills in the device at
+  /// `potential` (flat when null), config_.point computing no current, the
+  /// injected density only when `density` and the Caroli term only when
+  /// `caroli`, and the terminals — contacts, then probes — at `mu`
+  /// (terminal order; null or missing entries = 0).  Records the sweep's
+  /// stats and task count.
+  SweepResult sweep(SweepRequest req, bool density, bool caroli,
+                    const std::vector<double>* potential,
+                    const std::vector<double>* mu);
+
+  /// Real-grid charge with every terminal (probes included) occupying its
+  /// injected states under trapezoid-times-Fermi weights at mu[p].
+  std::vector<double> terminal_charge(const std::vector<double>& energies,
+                                      const std::vector<double>& mu,
+                                      const std::vector<double>* potential);
 
   /// Terminal index of the source — the contact attached at block 0 — of a
   /// two-contact layout; the drain is 1 - source_terminal().
@@ -332,16 +344,14 @@ class Simulator {
                                          const std::vector<double>* potential);
 
   SimulationConfig config_;
-  std::vector<dft::LeadBlocks> lead_;    ///< one per k point
-  std::vector<dft::FoldedLead> folded_;  ///< one per k point
+  /// Lead blocks per material and k point, [material][ik] — the table
+  /// SweepRequest::materials points at.  Row 0 is the device's own lead,
+  /// then one row per configured contact with a material override, in
+  /// contact order.
+  std::vector<std::vector<dft::LeadBlocks>> leads_;
+  std::vector<std::vector<dft::FoldedLead>> folded_;  ///< leads_, folded
   std::vector<double> k_values_;
-  /// Lead blocks of the distinct contact materials: [material][ik], the
-  /// table SweepRequest::contact_leads points at.  One row per configured
-  /// contact with a material override, in contact order.
-  std::vector<std::vector<dft::LeadBlocks>> contact_leads_;
-  std::vector<std::vector<dft::FoldedLead>> contact_folded_;
-  /// Per contact: row index into contact_leads_, or -1 for the device's
-  /// own lead material.
+  /// Per contact: its row of leads_ (0 = the device's own lead).
   std::vector<int> contact_material_;
   /// Resolved attachment block per contact (kLastBlock -> last), validated
   /// in-range and pairwise distinct at construction.

@@ -145,17 +145,12 @@ CMatrix Solver::solve_attached(const BlockTridiag& a,
 
 std::vector<CMatrix> Solver::solve_boundary_batched(
     const std::vector<BoundaryProblem>& problems, numeric::Backend& backend) {
-  std::vector<CMatrix> xs(problems.size());
-  if ((capabilities() & kBatchable) == 0) {
-    // Scalar fallback: the instance is stateful, so problems run one at a
-    // time, trivially bit-identical to the unbatched path.
-    for (std::size_t p = 0; p < problems.size(); ++p)
-      xs[p] = solve_boundary(*problems[p].a, *problems[p].sigma_l,
-                             *problems[p].sigma_r, *problems[p].b_top,
-                             *problems[p].b_bot);
-    return xs;
-  }
+  if ((capabilities() & kBatchable) == 0)
+    throw std::invalid_argument(std::string(name()) +
+                                ": solve_boundary_batched needs a kBatchable "
+                                "backend");
   check_batch_shapes(problems);
+  std::vector<CMatrix> xs(problems.size());
   // Lanes run the same scalar kernels whether rows or problems are grouped,
   // so a batch goes out by problem: one dispatch, each lane solving whole
   // problems on its own scratch.

@@ -184,8 +184,8 @@ class Solver {
   /// order; problem i is bit-identical to solve_boundary(*a, *sigma_l,
   /// *sigma_r, *b_top, *b_bot) on problem i's operands.  The default runs a
   /// kBatchable backend as one backend.dispatch, each lane solving whole
-  /// problems through solve_boundary_problem, and any other backend as the
-  /// scalar solve_boundary loop.  Backends whose offload shape differs
+  /// problems through solve_boundary_problem; any other backend throws
+  /// std::invalid_argument.  Backends whose offload shape differs
   /// (stage-wise fused kernels) override it for offloading backends.
   virtual std::vector<CMatrix> solve_boundary_batched(
       const std::vector<BoundaryProblem>& problems, numeric::Backend& backend);

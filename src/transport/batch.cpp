@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "numeric/backend.hpp"
@@ -74,35 +75,6 @@ std::vector<EnergyPointResult> solve_energy_batch(
           "(two end contacts sharing one boundary)");
   }
 
-  if (options.scattering.algorithm != scattering::ScatteringAlgorithm::kNone) {
-    // Provider assembly can grow the terminal set beyond the pair, and the
-    // batched two-contact arithmetic then no longer applies.
-    // Degrade to per-task scalar solves — each routes through the
-    // ContactSet multi-terminal path with the probes attached.  A model
-    // that attaches nothing (buttiker_probe at eta <= 0) falls through to
-    // the batched pipeline below, bit-identically.
-    const idx nb0 = tasks[0].dm->h.num_blocks();
-    const std::vector<scattering::ProbeSite> sites =
-        scattering::assemble_probes(options.scattering, nb0, {0, nb0 - 1});
-    if (!sites.empty()) {
-      for (std::size_t i = 0; i < n; ++i) {
-        EnergyPointOptions task_options = options;
-        task_options.k_index = tasks[i].k_index;
-        results[i] = solve_energy_point(ctx.point, *tasks[i].dm,
-                                        *tasks[i].contacts, tasks[i].energy,
-                                        task_options, pool);
-      }
-      if (stats != nullptr) {
-        BatchStats local;
-        local.batches = 1;
-        local.tasks = static_cast<idx>(n);
-        local.batched_solve = false;
-        *stats += local;
-      }
-      return results;
-    }
-  }
-
   // --- Solver + OBC resolution ------------------------------------------
   const idx nb = tasks[0].dm->h.num_blocks();
   const idx sf = tasks[0].dm->h.block_size();
@@ -110,6 +82,14 @@ std::vector<EnergyPointResult> solve_energy_batch(
     if (task.dm->h.num_blocks() != nb || task.dm->h.block_size() != sf)
       throw std::invalid_argument(
           "solve_energy_batch: mixed block structures in one batch");
+  // Probes grow the terminal set beyond the pair, where the batched
+  // two-contact arithmetic no longer applies.  A model that attaches
+  // nothing (buttiker_probe at eta <= 0) runs batched, bit-identically.
+  if (!scattering::assemble_probes(options.scattering, nb, {0, nb - 1})
+           .empty())
+    throw std::invalid_argument(
+        "solve_energy_batch: the scattering model attaches probes — those "
+        "tasks solve one point at a time");
   solvers::SolverContext binding;
   binding.pool = pool;
   binding.partitions = options.partitions;
@@ -120,14 +100,15 @@ std::vector<EnergyPointResult> solve_energy_batch(
   const bool have_injection =
       (obc_strategy.capabilities() & obc::kProvidesInjection) != 0;
   detail::require_injection_support(obc_strategy, have_injection, options);
-  const bool batched = (solver.capabilities() & solvers::kBatchable) != 0;
+  if ((solver.capabilities() & solvers::kBatchable) == 0)
+    throw std::invalid_argument(std::string("solve_energy_batch: solver '") +
+                                solver.name() + "' is not kBatchable");
 
   BatchStats local;
   local.batches = 1;
   local.tasks = static_cast<idx>(n);
-  local.batched_solve = batched;
 
-  if (batched && !backend.offloads()) {
+  if (!backend.offloads()) {
     // --- Host lanes: one dispatch, each lane one task end to end --------
     // Lanes run the same scalar kernels whichever way the work is grouped,
     // so a host batch needs no stages: lane i fetches task i's boundary,
@@ -200,7 +181,7 @@ std::vector<EnergyPointResult> solve_energy_batch(
     for (std::size_t i = 0; i < n; ++i)
       ctx.a[i].assign_es_minus_h(cplx{tasks[i].energy, 0.0}, tasks[i].dm->s,
                                  tasks[i].dm->h);
-    if (batched && rhs_known_nonempty) {
+    if (rhs_known_nonempty) {
       std::vector<const BlockTridiag*> systems(n);
       for (std::size_t i = 0; i < n; ++i) systems[i] = &ctx.a[i];
       const parallel::TraceScope trace("batch_device_phase",
@@ -230,7 +211,7 @@ std::vector<EnergyPointResult> solve_energy_batch(
   if (prefetch_error != nullptr) std::rethrow_exception(prefetch_error);
 
   // Past the host-lane route, a batched solve is an offloaded one.
-  local.device_batches = batched ? 1 : 0;
+  local.device_batches = 1;
   for (const detail::FetchedBoundary& f : boundaries)
     (f.hit ? local.prefetch_hits : local.prefetch_misses) += 1;
 
@@ -260,39 +241,36 @@ std::vector<EnergyPointResult> solve_energy_batch(
   // Id 0 is reserved for "stream, do not cache" (Backend::stage_operand).
   // The A blocks are deliberately *not* staged — their traffic is accounted
   // by the batched calls themselves and re-streams every iteration.
-  if (batched) {
-    for (const std::size_t i : solvable) {
-      const obc::Boundary& bnd = boundaries[i].get();
-      obc::BoundaryKey key =
-          detail::boundary_key((*tasks[i].contacts)[0], 0,
-                               cplx{tasks[i].energy, 0.0}, options);
-      key.k = tasks[i].k_index;
-      const std::uint64_t key_digest = key.digest();
-      const CMatrix* operands[4] = {&bnd.sigma_l, &bnd.sigma_r, &ctx.b_top[i],
-                                    &ctx.b_bot[i]};
-      for (std::uint64_t tag = 0; tag < 4; ++tag) {
-        const CMatrix& op = *operands[tag];
-        if (op.rows() == 0 || op.cols() == 0) continue;
-        const std::uint64_t h =
-            numeric::Fnv1a().add(key_digest).add(tag + 1).value();
-        const std::uint64_t id = h == 0 ? 1 : h;
-        (backend.stage_operand(id, operand_bytes(op)) ? local.residency_hits
-                                                      : local.residency_misses)
-            += 1;
-      }
+  for (const std::size_t i : solvable) {
+    const obc::Boundary& bnd = boundaries[i].get();
+    obc::BoundaryKey key = detail::boundary_key(
+        (*tasks[i].contacts)[0], 0, cplx{tasks[i].energy, 0.0}, options);
+    key.k = tasks[i].k_index;
+    const std::uint64_t key_digest = key.digest();
+    const CMatrix* operands[4] = {&bnd.sigma_l, &bnd.sigma_r, &ctx.b_top[i],
+                                  &ctx.b_bot[i]};
+    for (std::uint64_t tag = 0; tag < 4; ++tag) {
+      const CMatrix& op = *operands[tag];
+      if (op.rows() == 0 || op.cols() == 0) continue;
+      const std::uint64_t h =
+          numeric::Fnv1a().add(key_digest).add(tag + 1).value();
+      const std::uint64_t id = h == 0 ? 1 : h;
+      (backend.stage_operand(id, operand_bytes(op)) ? local.residency_hits
+                                                    : local.residency_misses)
+          += 1;
     }
   }
 
   // --- Stage 2: the device phase ----------------------------------------
+  std::vector<BoundaryProblem> problems;
+  problems.reserve(solvable.size());
+  for (const std::size_t i : solvable) {
+    const obc::Boundary& bnd = boundaries[i].get();
+    problems.push_back({&ctx.a[i], &bnd.sigma_l, &bnd.sigma_r, &ctx.b_top[i],
+                        &ctx.b_bot[i]});
+  }
   std::vector<CMatrix> xs;
-  if (batched) {
-    std::vector<BoundaryProblem> problems;
-    problems.reserve(solvable.size());
-    for (const std::size_t i : solvable) {
-      const obc::Boundary& bnd = boundaries[i].get();
-      problems.push_back({&ctx.a[i], &bnd.sigma_l, &bnd.sigma_r,
-                          &ctx.b_top[i], &ctx.b_bot[i]});
-    }
+  {
     const parallel::TraceScope trace("batch_device_phase", /*device_id=*/-1);
     if (!rhs_known_nonempty && !solvable.empty()) {
       // Deferred Step 1: prepare exactly the solvable subset so the
@@ -304,23 +282,11 @@ std::vector<EnergyPointResult> solve_energy_batch(
       solver.prepare_batched(solvable_systems, backend);
     }
     xs = solver.solve_boundary_batched(problems, backend);
-    if (solvable.size() != n && rhs_known_nonempty) {
-      // Unreachable by construction (rhs_known_nonempty => every task is
-      // solvable), kept as a guard against future shape changes.
-      throw std::logic_error("solve_energy_batch: prepared/solved mismatch");
-    }
-  } else {
-    // Scalar loop: the solver instance is stateful (prepare/solve pairs),
-    // so non-batchable backends execute sequentially — still behind the
-    // asynchronous OBC prefetch above.
-    xs.resize(solvable.size());
-    for (std::size_t j = 0; j < solvable.size(); ++j) {
-      const std::size_t i = solvable[j];
-      const obc::Boundary& bnd = boundaries[i].get();
-      solver.prepare(ctx.a[i]);
-      xs[j] = solver.solve_boundary(ctx.a[i], bnd.sigma_l, bnd.sigma_r,
-                                    ctx.b_top[i], ctx.b_bot[i]);
-    }
+  }
+  if (solvable.size() != n && rhs_known_nonempty) {
+    // Unreachable by construction (rhs_known_nonempty => every task is
+    // solvable), kept as a guard against future shape changes.
+    throw std::logic_error("solve_energy_batch: prepared/solved mismatch");
   }
 
   // --- Stage 3: observables, one task per lane --------------------------

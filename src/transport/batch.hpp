@@ -21,8 +21,8 @@
 //        for device residency and block-LU in its row lockstep (one
 //        batched left-solve, GEMM and LU per elimination row).
 //     3. Observables finalize on backend lanes, one task per lane.
-//   * A solver without kBatchable runs the offload pipeline's stages with
-//     a scalar solve loop (the instance is stateful).
+// Only kBatchable solvers and probe-free pairs batch: anything else solves
+// one point at a time (solve_energy_point), and this call refuses it.
 // Every route runs the same scalar arithmetic as transport::
 // solve_energy_point (the shared detail:: helpers), so results are
 // bit-identical to the unbatched path, task by task.
@@ -59,7 +59,6 @@ struct BatchStats {
                             ///< offload backend (Backend::offloads())
   idx residency_hits = 0;   ///< staged operands already device-resident
   idx residency_misses = 0;  ///< staged operands that paid an H2D transfer
-  bool batched_solve = false;  ///< false = solver lacked kBatchable, scalar loop
 
   void operator+=(const BatchStats& other) {
     batches += other.batches;
@@ -69,7 +68,6 @@ struct BatchStats {
     device_batches += other.device_batches;
     residency_hits += other.residency_hits;
     residency_misses += other.residency_misses;
-    batched_solve = batched_solve || other.batched_solve;
   }
 };
 
@@ -86,11 +84,10 @@ struct BatchContext {
 /// Solve a bucket of same-shape tasks through the batched pipeline.
 /// `nominal_batch` feeds SolverContext::batch for kAuto resolution — pass a
 /// rank-invariant value (the engine's configured max_batch), never the
-/// actual bucket fill, so every rank resolves the same backend.  When the
-/// resolved solver lacks kBatchable the call degrades to the scalar loop
-/// (still with asynchronous OBC prefetch when a cache is bound).  Results
+/// actual bucket fill, so every rank resolves the same backend.  Results
 /// are in task order.  Throws std::invalid_argument when a task's set is
-/// not a symmetric pair.
+/// not a symmetric pair, when the scattering model attaches probes, or
+/// when the resolved solver lacks kBatchable.
 std::vector<EnergyPointResult> solve_energy_batch(
     BatchContext& ctx, const std::vector<BatchTask>& tasks,
     const EnergyPointOptions& options, parallel::DevicePool* pool,

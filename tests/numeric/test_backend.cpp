@@ -384,7 +384,6 @@ TEST(Backend, HostEnergyBatchIsOneDispatchOfWholeTasks) {
     EXPECT_EQ(counting.lu_factors, 0) << name;
     EXPECT_EQ(counting.lu_solves, 0) << name;
     EXPECT_EQ(counting.lu_solve_lefts, 0) << name;
-    EXPECT_TRUE(stats.batched_solve) << name;
     EXPECT_EQ(stats.batches, 1) << name;
     EXPECT_EQ(stats.device_batches, 0) << name;
     EXPECT_EQ(stats.prefetch_misses, static_cast<idx>(energies.size()))
@@ -466,14 +465,19 @@ TEST(Backend, SplitSolveSolverBatchedParity) {
   solver_batched_parity("splitsolve", ctx);
 }
 
-TEST(Backend, DefaultBatchedPathMatchesScalarForNonBatchable) {
-  // A solver without kBatchable still honors the batched entry points via
-  // the base-class scalar loop (the engine never calls them in that case,
-  // but the contract holds).
+TEST(Backend, BatchedEntryPointRefusesNonBatchable) {
+  // A solver without kBatchable has no batched path: the engine solves its
+  // tasks one point at a time, and a direct batched call is refused.
   EXPECT_EQ(sv::algorithm_capabilities(sv::SolverAlgorithm::kBcr) &
                 sv::kBatchable,
             0u);
-  solver_batched_parity("bcr");
+  const auto solver = sv::make_solver("bcr", {});
+  const bm::BlockTridiag a = random_system(5, 4, 1100);
+  const CMatrix sigma = nm::random_cmatrix(4, 4, 1200);
+  const CMatrix b = nm::random_cmatrix(4, 3, 1400);
+  EXPECT_THROW(solver->solve_boundary_batched({{&a, &sigma, &sigma, &b, &b}},
+                                              nm::host_backend()),
+               std::invalid_argument);
 }
 
 TEST(Backend, RegisterAndFindCustomBackend) {

@@ -55,7 +55,7 @@ tr::EnergyPointOptions cheap_options() {
 om::SweepRequest hot_k_request(const std::vector<df::LeadBlocks>& leads,
                                idx cells) {
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point = cheap_options();
@@ -153,7 +153,7 @@ TEST(EngineBatch, PrefetchHitsCachedBoundariesOnRepeatSweeps) {
   const idx s = 4, cells = 8;
   std::vector<df::LeadBlocks> leads{synthetic_lead(s, 91)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point = cheap_options();
@@ -178,7 +178,7 @@ TEST(EngineBatch, NonBatchableSolverDegradesToUnbatchedPath) {
   const idx s = 4, cells = 8;
   std::vector<df::LeadBlocks> leads{synthetic_lead(s, 33)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point = cheap_options();
@@ -285,4 +285,19 @@ TEST(EngineBatch, BatchRefusesTasksWhoseContactsAreNotASymmetricPair) {
   tr::ContactSet interior = pair;
   interior.at(1).block = 1;
   EXPECT_THROW(run(interior), std::invalid_argument);
+
+  // The engine batches only probe-free pairs under a kBatchable solver;
+  // anything else solves one point at a time and is refused here.
+  tr::EnergyPointOptions probes = cheap_options();
+  probes.scattering.algorithm =
+      omenx::scattering::ScatteringAlgorithm::kButtikerProbe;
+  probes.scattering.options.buttiker.eta = 0.05;
+  EXPECT_THROW(tr::solve_energy_batch(ctx, {{0, 0.3, &dm, &pair}}, probes,
+                                      nullptr, nm::host_backend(), 4),
+               std::invalid_argument);
+  tr::EnergyPointOptions scalar = cheap_options();
+  scalar.solver = tr::SolverAlgorithm::kBcr;
+  EXPECT_THROW(tr::solve_energy_batch(ctx, {{0, 0.3, &dm, &pair}}, scalar,
+                                      nullptr, nm::host_backend(), 4),
+               std::invalid_argument);
 }

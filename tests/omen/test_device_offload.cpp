@@ -57,7 +57,7 @@ tr::EnergyPointOptions cheap_options() {
 om::SweepRequest hot_k_request(const std::vector<df::LeadBlocks>& leads,
                                idx cells) {
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point = cheap_options();
@@ -142,7 +142,7 @@ TEST(DeviceOffload, ResidencyHitsOnRepeatSweepsAndH2dDrops) {
   const idx s = 5, cells = 10;
   std::vector<df::LeadBlocks> leads{synthetic_lead(s, 201)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point = cheap_options();
@@ -178,7 +178,7 @@ TEST(DeviceOffload, LeadChangeInvalidatesDeviceResidency) {
   const idx s = 4, cells = 8;
   std::vector<df::LeadBlocks> leads{synthetic_lead(s, 211)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point = cheap_options();
@@ -193,7 +193,7 @@ TEST(DeviceOffload, LeadChangeInvalidatesDeviceResidency) {
   EXPECT_EQ(warm.stats.residency_misses, 0);
 
   std::vector<df::LeadBlocks> other{synthetic_lead(s, 212)};
-  req.leads = &other;
+  req.materials = {&other};
   const auto swapped = engine.run(req);
   EXPECT_GT(swapped.stats.residency_misses, 0);
   EXPECT_EQ(swapped.stats.residency_hits, 0);
@@ -250,7 +250,7 @@ TEST(DeviceOffload, DeviceWithoutPoolDegradesToHost) {
   const idx s = 4, cells = 8;
   std::vector<df::LeadBlocks> leads{synthetic_lead(s, 231)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point = cheap_options();
@@ -272,7 +272,7 @@ TEST(DeviceOffload, DeviceWithoutPoolDegradesToHost) {
 TEST(DeviceOffload, UnknownBackendNameThrows) {
   std::vector<df::LeadBlocks> leads{synthetic_lead(4, 241)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = 8;
   req.potential.assign(8, 0.0);
   req.point = cheap_options();

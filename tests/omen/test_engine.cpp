@@ -141,7 +141,7 @@ TEST(Engine, WorkStealingBalancesImbalancedGrids) {
   for (unsigned k = 0; k < 4; ++k) leads.push_back(synthetic_lead(s, 31 + 7 * k));
 
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point = cheap_options();
@@ -228,10 +228,10 @@ TEST(Engine, ForcedProtocolMatchesFlatLoop) {
   const idx s = 5, cells = 10;
   std::vector<df::LeadBlocks> leads{synthetic_lead(s, 77),
                                     synthetic_lead(s, 83)};
-  const std::vector<std::vector<df::LeadBlocks>> probe_rows{
-      {synthetic_lead(s, 89), synthetic_lead(s, 97)}};
+  const std::vector<df::LeadBlocks> probe_row{synthetic_lead(s, 89),
+                                             synthetic_lead(s, 97)};
   om::SweepRequest base;
-  base.leads = &leads;
+  base.materials = {&leads};
   base.cells = cells;
   base.potential.assign(static_cast<std::size_t>(cells), 0.0);
   base.point = cheap_options();
@@ -246,8 +246,8 @@ TEST(Engine, ForcedProtocolMatchesFlatLoop) {
   for (const int layout : {2, 3}) {
     om::SweepRequest req = base;
     if (layout == 3) {
-      req.contacts.push_back(om::SweepContact{0.0, 0.0, 4, 0, 0.0});
-      req.contact_leads = &probe_rows;
+      req.contacts.push_back(om::SweepContact{0.0, 0.0, 4, 1, 0.0});
+      req.materials.push_back(&probe_row);
     }
     req.density_weight.resize(req.contacts.size());
     for (std::size_t p = 0; p < req.contacts.size(); ++p)
@@ -418,7 +418,7 @@ TEST(Engine, RankErrorsPropagateWithoutDeadlock) {
   std::vector<df::LeadBlocks> leads{synthetic_lead(4, 11),
                                     synthetic_lead(4, 12)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = 1;
   req.potential.assign(1, 0.0);
   req.point = cheap_options();
@@ -500,7 +500,7 @@ TEST(Engine, CachedSweepsBitIdenticalAcrossWorldSizesAndStealing) {
   for (unsigned k = 0; k < 4; ++k)
     leads.push_back(synthetic_lead(s, 51 + 3 * k));
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point = cheap_options();
@@ -575,7 +575,7 @@ TEST(Engine, ObcOptionChangeRekeysPersistentCaches) {
   // Nothing is ever invalidated.
   std::vector<df::LeadBlocks> leads{synthetic_lead(4, 71)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = 8;
   req.potential.assign(8, 0.0);
   req.point = cheap_options();
@@ -604,13 +604,13 @@ TEST(Engine, ObcOptionChangeRekeysPersistentCaches) {
 
   // Different lead Hamiltonians under the same (k, E): new keys again.
   std::vector<df::LeadBlocks> other_leads{synthetic_lead(4, 72)};
-  req.leads = &other_leads;
+  req.materials = {&other_leads};
   expect_fresh(engine.run(req), "swapped leads");
   EXPECT_EQ(engine.boundary_cache_stats().hits, ne);
   EXPECT_EQ(engine.boundary_cache_stats().misses, 3 * ne);
 
   // Back to the first configuration: every boundary is still cached.
-  req.leads = &leads;
+  req.materials = {&leads};
   req.point.obc_opts.decimation.eta = cheap_options().obc_opts.decimation.eta;
   const auto back = engine.run(req);
   EXPECT_EQ(engine.boundary_cache_stats().hits, 2 * ne);
@@ -680,7 +680,7 @@ TEST(Engine, NonFiniteInputsAreRejectedAndNeverPoisonTheCache) {
   // every key, so the next sweep's lookups all "found" the NaN boundary.
   std::vector<df::LeadBlocks> leads{synthetic_lead(4, 71)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = 8;
   req.potential.assign(8, 0.0);
   req.point = cheap_options();
@@ -788,8 +788,6 @@ TEST(Engine, RandomizedCacheFreshnessMatchesUncachedSweeps) {
   for (unsigned m = 0; m < 2; ++m)
     for (unsigned k = 0; k < 2; ++k)
       lead_sets[m].push_back(synthetic_lead(s, 301 + 10 * m + 3 * k));
-  const std::vector<std::vector<df::LeadBlocks>> drain_rows[2] = {
-      {lead_sets[1]}, {lead_sets[0]}};
   const double shifts[2] = {0.0, 0.15};
 
   // Configuration: {algorithm, eta, annulus, ridge, lead set, pair mode,
@@ -797,7 +795,7 @@ TEST(Engine, RandomizedCacheFreshnessMatchesUncachedSweeps) {
   using Config = std::array<int, 8>;
   const auto request_for = [&](const Config& c) {
     om::SweepRequest req;
-    req.leads = &lead_sets[static_cast<std::size_t>(c[4])];
+    req.materials = {&lead_sets[static_cast<std::size_t>(c[4])]};
     req.cells = cells;
     req.potential.assign(static_cast<std::size_t>(cells), 0.0);
     req.point = cheap_options();
@@ -815,8 +813,8 @@ TEST(Engine, RandomizedCacheFreshnessMatchesUncachedSweeps) {
       req.contacts[0].shift = shifts[c[6]];
       req.contacts[1].block = tr::kLastBlock;
       req.contacts[1].shift = shifts[c[7]];
-      req.contacts[1].material = 0;
-      req.contact_leads = &drain_rows[c[4]];
+      req.contacts[1].material = 1;
+      req.materials.push_back(&lead_sets[static_cast<std::size_t>(1 - c[4])]);
     }
     req.energies = {{-1.0, -0.5, 0.0, 0.5}, {-0.75, 0.25}};
     return req;
@@ -883,9 +881,9 @@ TEST(Engine, RejectsBadRequests) {
   req.point = cheap_options();
   req.cells = 8;
   req.potential.assign(8, 0.0);
-  EXPECT_THROW(engine.run(req), std::invalid_argument);  // null leads
+  EXPECT_THROW(engine.run(req), std::invalid_argument);  // no materials
   std::vector<df::LeadBlocks> leads{synthetic_lead(4, 3)};
-  req.leads = &leads;
+  req.materials = {&leads};
   EXPECT_THROW(engine.run(req), std::invalid_argument);  // no k grids
   req.energies = {{0.0}, {0.0}};
   EXPECT_THROW(engine.run(req), std::invalid_argument);  // fewer leads
@@ -900,6 +898,27 @@ TEST(Engine, RejectsBadRequests) {
   rejects(bad);
   bad.contacts.clear();
   rejects(bad);
+
+  // Materials: a contact names a row of the table, a probe names none, and
+  // every row (pre-folded ones too) covers every k grid.
+  const std::vector<df::LeadBlocks> other{synthetic_lead(4, 5)};
+  const std::vector<df::LeadBlocks> no_rows;
+  const std::vector<df::FoldedLead> folded{df::fold_lead(leads[0])};
+  bad = req;
+  bad.contacts[1].material = -2;
+  rejects(bad);
+  bad.contacts[1].material = 1;  // past the last row
+  rejects(bad);
+  bad = req;
+  bad.materials.push_back(&other);
+  bad.contacts.push_back(om::SweepContact{0.0, 0.0, 1, 1, 0.05});
+  rejects(bad);  // a probe naming material 1
+  bad = req;
+  bad.materials.push_back(&no_rows);
+  rejects(bad);  // a material row shorter than `energies`
+  bad = req;
+  bad.folded = {&folded, &folded};
+  rejects(bad);  // a pre-folded table of another shape
 
   // The weight table is [contact][ik][ie].
   bad = req;
@@ -922,6 +941,7 @@ TEST(Engine, RejectsBadRequests) {
 
   // The well-formed request runs.
   req.density_weight = {{{1.0, 1.0}}, {{0.5, 0.5}}};
+  req.folded = {&folded};
   EXPECT_NO_THROW(engine.run(req));
   EXPECT_THROW(om::Engine(om::EngineConfig{0, 1, true, true}),
                std::invalid_argument);
@@ -936,7 +956,7 @@ TEST(Engine, GreensTasksBitIdenticalAcrossWorldSizesAndStealing) {
   for (unsigned k = 0; k < 4; ++k)
     leads.push_back(synthetic_lead(s, 91 + 3 * k));
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = cells;
   req.potential.assign(static_cast<std::size_t>(cells), 0.0);
   req.point = cheap_options();

@@ -62,7 +62,7 @@ WidthRun run_width(tr::SolverAlgorithm solver, int partitions, int ranks,
                    int width, pp::DevicePool* pool) {
   std::vector<df::LeadBlocks> leads{synthetic_lead(4, 91)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = 12;
   req.potential.assign(12, 0.0);
   req.energies = {{-1.1, -0.6, -0.2, 0.3, 0.7, 1.2}};
@@ -184,7 +184,7 @@ TEST(SolverParity, SpatialWidthWithWorkStealingStaysBitIdentical) {
   std::vector<df::LeadBlocks> leads{synthetic_lead(3, 55),
                                     synthetic_lead(3, 66)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = 10;
   req.potential.assign(10, 0.0);
   req.energies.resize(2);
@@ -221,7 +221,7 @@ TEST(SolverParity, SkippedPointsKeepSpatialProtocolAligned) {
        {tr::SolverAlgorithm::kSpike, tr::SolverAlgorithm::kSplitSolve}) {
     std::vector<df::LeadBlocks> leads{synthetic_lead(3, 77)};
     om::SweepRequest req;
-    req.leads = &leads;
+    req.materials = {&leads};
     req.cells = 12;
     req.potential.assign(12, 0.0);
     req.energies = {{-10.0, -0.4, 10.0, 0.0, 0.4}};  // skip, solve, skip...
@@ -268,7 +268,7 @@ TEST(SolverParity, SpatialErrorsSurfaceWithoutDeadlock) {
   // error must surface on the caller.
   std::vector<df::LeadBlocks> leads{synthetic_lead(3, 12)};
   om::SweepRequest req;
-  req.leads = &leads;
+  req.materials = {&leads};
   req.cells = 1;
   req.potential.assign(1, 0.0);
   req.point.obc = tr::ObcAlgorithm::kDecimation;
