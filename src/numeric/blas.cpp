@@ -388,12 +388,4 @@ CMatrix random_cmatrix(idx rows, idx cols, unsigned seed) {
   return out;
 }
 
-RMatrix random_rmatrix(idx rows, idx cols, unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  RMatrix out(rows, cols);
-  for (idx i = 0; i < out.size(); ++i) out.data()[i] = dist(rng);
-  return out;
-}
-
 }  // namespace omenx::numeric

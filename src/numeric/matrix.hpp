@@ -393,9 +393,8 @@ inline CMatrix to_complex(const RMatrix& a) {
   return out;
 }
 
-/// Deterministically seeded random matrix with entries in [-1, 1] (+i[-1,1]
-/// for complex), used for FEAST probing vectors and tests.
+/// Deterministically seeded random matrix with entries in [-1, 1] + i[-1, 1],
+/// used for FEAST probing vectors and tests.
 CMatrix random_cmatrix(idx rows, idx cols, unsigned seed);
-RMatrix random_rmatrix(idx rows, idx cols, unsigned seed);
 
 }  // namespace omenx::numeric

@@ -20,15 +20,4 @@ inline constexpr double kPi = 3.14159265358979323846;
 /// Default relative tolerance for iterative numeric algorithms.
 inline constexpr double kDefaultTol = 1e-12;
 
-/// True if |a-b| <= atol + rtol*max(|a|,|b|).
-inline bool almost_equal(double a, double b, double rtol = 1e-10,
-                         double atol = 1e-13) {
-  return std::abs(a - b) <= atol + rtol * std::max(std::abs(a), std::abs(b));
-}
-
-inline bool almost_equal(cplx a, cplx b, double rtol = 1e-10,
-                         double atol = 1e-13) {
-  return std::abs(a - b) <= atol + rtol * std::max(std::abs(a), std::abs(b));
-}
-
 }  // namespace omenx::numeric

@@ -378,15 +378,9 @@ struct RankLocal {
   double busy_seconds = 0.0;
   idx tasks = 0;
   idx greens_tasks = 0;  ///< contour-node solves among `tasks`
-  // Batched-execution accounting (stays zero when the leader ran the
-  // unbatched scalar path, a spatial group, or a non-batchable solver).
-  idx batches = 0;          ///< fused backend calls issued
-  idx batched_tasks = 0;    ///< tasks that went through those calls
-  idx prefetch_hits = 0;    ///< boundary-cache hits during OBC prefetch
-  idx prefetch_misses = 0;  ///< prefetch misses (or caching disabled)
-  idx device_batches = 0;   ///< batches offloaded to the device backend
-  idx residency_hits = 0;   ///< staged operands already device-resident
-  idx residency_misses = 0;  ///< staged operands that paid an H2D transfer
+  /// Batched-execution accounting (stays zero when the leader ran the
+  /// unbatched scalar path, a spatial group, or a non-batchable solver).
+  transport::BatchStats batch;
 };
 
 /// Doubles per real-axis sample on the gather wire: the classic 4 plus, for
@@ -809,25 +803,17 @@ class TaskRunner {
   }
 
  private:
-  /// The per-k batching rule: a k's wave-function tasks fuse only when
+  /// The per-k batching rule: a k's wave-function tasks fuse when
   /// batching is on, the group is not spatial (those solve cooperatively,
-  /// one point at a time), the terminals are a symmetric pair (the batched
-  /// pipeline's one-boundary arithmetic), the scattering model attaches no
-  /// probes (those would turn every task into a multi-terminal solve), and
-  /// the resolved solver is kBatchable — solve_energy_batch refuses
-  /// anything else.  The resolution sees the configured max_batch, never
-  /// the actual bucket fill.
+  /// one point at a time), and the resolved solver is kBatchable —
+  /// solve_energy_batch refuses anything else.  Any terminal set batches.
+  /// The resolution sees the configured max_batch, never the actual bucket
+  /// fill.
   bool may_batch(const KData& kd) const {
     const idx nb = kd.dm.h.num_blocks();
     const idx s = kd.dm.h.block_size();
-    if (!cfg_.batch_tasks || popt_.spatial != nullptr ||
-        !kd.contacts.symmetric_pair(nb) ||
-        !scattering::assemble_probes(popt_.scattering, nb, {0, nb - 1})
-             .empty())
-      return false;
-    solvers::SolverContext binding;
-    binding.pool = pool_;
-    binding.partitions = popt_.partitions;
+    if (!cfg_.batch_tasks || popt_.spatial != nullptr) return false;
+    solvers::SolverContext binding{pool_, popt_.partitions};
     binding.batch = std::max(1, cfg_.max_batch);
     binding.backend = &arbiter_.choose(nb, s);
     const auto algo =
@@ -881,19 +867,11 @@ class TaskRunner {
                                       [static_cast<std::size_t>(t.ie)],
                          &t.kd->dm, &t.kd->contacts});
       }
-      transport::BatchStats bs;
       const double t0 = now_seconds();
       const auto res = transport::solve_energy_batch(
-          bctx_, chunk, popt_, pool_, backend, cfg_.max_batch, &bs);
+          bctx_, chunk, popt_, pool_, backend, cfg_.max_batch, &local.batch);
       local.busy_seconds += now_seconds() - t0;
       local.tasks += static_cast<idx>(count);
-      local.batches += bs.batches;
-      local.batched_tasks += bs.tasks;
-      local.prefetch_hits += bs.prefetch_hits;
-      local.prefetch_misses += bs.prefetch_misses;
-      local.device_batches += bs.device_batches;
-      local.residency_hits += bs.residency_hits;
-      local.residency_misses += bs.residency_misses;
       for (std::size_t j = 0; j < count; ++j)
         wave_rows(bucket[base + j], res[j], local.samples,
                   local.charge_samples);
@@ -967,14 +945,14 @@ constexpr std::size_t kStatsStride = 10;
 std::vector<double> stats_row(const RankLocal& l) {
   return {l.busy_seconds,
           static_cast<double>(l.tasks),
-          static_cast<double>(l.batches),
-          static_cast<double>(l.batched_tasks),
-          static_cast<double>(l.prefetch_hits),
-          static_cast<double>(l.prefetch_misses),
+          static_cast<double>(l.batch.batches),
+          static_cast<double>(l.batch.tasks),
+          static_cast<double>(l.batch.prefetch_hits),
+          static_cast<double>(l.batch.prefetch_misses),
           static_cast<double>(l.greens_tasks),
-          static_cast<double>(l.device_batches),
-          static_cast<double>(l.residency_hits),
-          static_cast<double>(l.residency_misses)};
+          static_cast<double>(l.batch.device_batches),
+          static_cast<double>(l.batch.residency_hits),
+          static_cast<double>(l.batch.residency_misses)};
 }
 
 /// Root-side assembly, shared by the flat loop (its own rows) and the rank
@@ -1356,26 +1334,17 @@ SweepResult Engine::run_distributed(const SweepRequest& request) {
               const transport::ContactSet& contacts = task.kd->contacts;
               const idx nbb = task.kd->dm.h.num_blocks();
               const idx sbb = task.kd->dm.h.block_size();
-              solvers::SolverContext binding;
-              binding.pool = my_pool;
-              binding.partitions = popt.partitions;
-              binding.spatial = &e_comm;
+              const solvers::SolverContext binding{my_pool, popt.partitions,
+                                                   &e_comm};
               // GF nodes announce the (non-cooperative) RGF diagonal: the
               // members run the fetched-blocks broadcast and skip the
               // solve, exactly like a statically requested RGF task.  So
-              // do multi-terminal attachments (>= 3 contacts, interior
-              // blocks, or probes): solve_attached never splits spatially,
-              // and the members must not wait to serve a cooperative solve
-              // the leader runs solo.  A dissimilar end pair still routes
-              // through solve_boundary and may cooperate — unless the
-              // scattering model attaches probes to it, which delegates
-              // the solve to the multi-terminal path as well.
+              // does every task off the pair route: solve_attached never
+              // splits spatially, and the members must not wait to serve a
+              // cooperative solve the leader runs solo.
               const bool solo =
-                  is_gf || !contacts.classic_pair(nbb) ||
-                  contacts.has_probes() ||
-                  !scattering::assemble_probes(popt.scattering, nbb,
-                                               {0, nbb - 1})
-                       .empty();
+                  is_gf ||
+                  !transport::pair_route(contacts, nbb, popt.scattering);
               const auto algo =
                   solo ? solvers::SolverAlgorithm::kRgf
                        : solvers::resolve_algorithm(popt.solver, nbb, sbb,

@@ -69,12 +69,13 @@ struct EngineConfig {
   /// Fuse same-shape (k, E) tasks into batched numeric::Backend calls
   /// (transport::solve_energy_batch) inside the one task executor, whichever
   /// source feeds it: the flat loop's whole sweep or a leader's pulled
-  /// tasks.  A k batches when its contacts are a symmetric pair, the
-  /// scattering model attaches no probes, and the resolved solver
-  /// advertises kBatchable; spatial groups (width > 1) always solve
-  /// cooperatively, one point at a time.  Bit-identical to the unbatched
-  /// path, task by task.  Off = solve_energy_point per task, and a leader
-  /// solves each task as it pulls it (benchmark baseline).
+  /// tasks.  A k batches whenever the resolved solver advertises
+  /// kBatchable, whatever its terminals: pair-route tasks and N-terminal
+  /// ones (>= 3 contacts, interior blocks, Büttiker probes) alike.  Spatial
+  /// groups (width > 1) always solve cooperatively, one point at a time.
+  /// Bit-identical to the unbatched path, task by task.  Off =
+  /// solve_energy_point per task, and a leader solves each task as it
+  /// pulls it (benchmark baseline).
   bool batch_tasks = true;
   /// Batch capacity — the chunk size of a batched call, and how many
   /// pulled tasks one leader queues before handing them to the executor.
@@ -167,10 +168,9 @@ struct SweepRequest {
   /// Terminal layout, >= 2 entries (run() rejects fewer).  The default is
   /// the two-contact device: material 0 at block 0 and at the last block,
   /// both unshifted.  Every k builds one transport::ContactSet from this
-  /// list; a set whose two end contacts share one boundary (the same lead
-  /// and shift, in either order) takes the batched and spatially
-  /// cooperative pipeline, anything else solves per task through the
-  /// ContactSet entry points.
+  /// list.  Every set takes the batched pipeline; only a pair-route set
+  /// (transport::pair_route: a probe-free end pair) solves spatially
+  /// cooperatively.
   std::vector<SweepContact> contacts{SweepContact{0.0, 0.0, 0, 0, 0.0},
                                      SweepContact{}};
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -53,6 +54,17 @@ std::vector<double> bz_weights(idx nk) {
   w.front() *= 0.5;
   w.back() *= 0.5;
   return w;
+}
+
+/// `row` once per k point, scaled by that k's BZ weight (bit for bit `row`
+/// at a single k, whose weight is 1).
+template <class T>
+std::vector<std::vector<T>> bz_rows(const std::vector<T>& row,
+                                    const std::vector<double>& wk) {
+  std::vector<std::vector<T>> out(wk.size(), row);
+  for (std::size_t k = 0; k < wk.size(); ++k)
+    for (T& x : out[k]) x *= wk[k];
+  return out;
 }
 
 }  // namespace
@@ -149,13 +161,6 @@ Simulator::Simulator(SimulationConfig config) : config_(std::move(config)) {
   engine_cfg.backend = config_.backend;
   engine_ = std::make_unique<Engine>(engine_cfg, pool_.get());
   kt_ = 8.617e-5 * config_.temperature_k;
-  // Contour anchor ingredient: the lead's spectral minimum (zero-potential,
-  // first k).  The coarse band sampler is exact at the zone endpoints,
-  // where cosine-like bands take their extrema; charge_density folds in the
-  // device potential, the contact shifts, and a safety margin per call.
-  lead_band_min_ =
-      transport::band_window(transport::lead_band_structure(folded_[0][0]))
-          .emin;
   rebuild_probe_sites();
 }
 
@@ -408,28 +413,43 @@ std::vector<double> Simulator::charge_density(
   for (const ContactConfig& cc : config_.contacts)
     shift_min = std::min(shift_min, cc.shift);
   const double depth = std::min(0.0, pot_min) + shift_min;
+  // Anchor ingredient: the lead's spectral minimum over every k (zero
+  // potential), scanned on the first charge evaluation — the coarse band
+  // sampler is exact at the zone endpoints, where cosine-like bands take
+  // their extrema.
+  if (!lead_band_min_.has_value()) {
+    lead_band_min_ = std::numeric_limits<double>::infinity();
+    for (const dft::FoldedLead& folded : folded_[0])
+      lead_band_min_ = std::min(
+          *lead_band_min_,
+          transport::band_window(transport::lead_band_structure(folded))
+              .emin);
+  }
   window.band_bottom =
-      lead_band_min_ + 0.5 * std::floor(depth / 0.5) - 0.5;
+      *lead_band_min_ + 0.5 * std::floor(depth / 0.5) - 0.5;
   const charge::NodeSet nodes =
       charge::make_quadrature(quadrature)->build(window, quadrature_options);
 
-  // One engine sweep executes both task kinds: real-axis wave-function
-  // points fold weight * density into the per-cell accumulator, contour
-  // nodes fold Im(w * G_ii) — the assembly stage reduce()s both to the
-  // root in deterministic flat-task order.
+  // One engine sweep executes both task kinds at every k: real-axis
+  // wave-function points fold weight * density into the per-cell
+  // accumulator, contour nodes fold Im(w * G_ii) — the assembly stage
+  // reduce()s both to the root in deterministic flat-task order.  Each k's
+  // weights carry its BZ weight, as the transmission average does.
+  const std::vector<double> wk =
+      bz_weights(static_cast<idx>(k_values_.size()));
   SweepRequest req;
-  req.energies = {nodes.energies};
+  req.energies.assign(wk.size(), nodes.energies);
   if (!nodes.energies.empty()) {
     // weight_l occupies the source (the contact at block 0), weight_r the
     // drain.
     const std::size_t src = source_terminal();
     req.density_weight.resize(2);
-    req.density_weight[src] = {nodes.weight_l};
-    req.density_weight[1 - src] = {nodes.weight_r};
+    req.density_weight[src] = bz_rows(nodes.weight_l, wk);
+    req.density_weight[1 - src] = bz_rows(nodes.weight_r, wk);
   }
   if (!nodes.gf_nodes.empty()) {
-    req.gf_nodes = {nodes.gf_nodes};
-    req.gf_weights = {nodes.gf_weights};
+    req.gf_nodes.assign(wk.size(), nodes.gf_nodes);
+    req.gf_weights = bz_rows(nodes.gf_weights, wk);
   }
   const SweepResult res = sweep(std::move(req), /*density=*/true,
                                 /*caroli=*/false, potential, &mu);
@@ -475,14 +495,16 @@ std::vector<double> Simulator::terminal_charge(
     const std::vector<double>& energies, const std::vector<double>& mu,
     const std::vector<double>* potential) {
   const std::vector<double> w = transport::trapezoid_weights(energies);
+  const std::vector<double> wk =
+      bz_weights(static_cast<idx>(k_values_.size()));
   SweepRequest req;
-  req.energies = {energies};
+  req.energies.assign(wk.size(), energies);
   req.density_weight.resize(mu.size());
   for (std::size_t p = 0; p < mu.size(); ++p) {
     std::vector<double> wp(w.size());
     for (std::size_t ie = 0; ie < w.size(); ++ie)
       wp[ie] = w[ie] * transport::fermi(energies[ie], mu[p], kt_);
-    req.density_weight[p] = {std::move(wp)};
+    req.density_weight[p] = bz_rows(wp, wk);
   }
   const SweepResult res = sweep(std::move(req), /*density=*/true,
                                 /*caroli=*/false, potential, &mu);

@@ -69,8 +69,8 @@ struct SimulationConfig {
   /// construction fills in source (block 0) and drain (last block), both
   /// the device's lead material at `point.obc_opts.contact_shift`, and then
   /// zeroes that option — every sweep carries its shifts on the contacts.
-  /// The two identical end contacts, in either order, share one boundary
-  /// per (k, E) and run the batched pipeline.
+  /// Any layout runs the batched pipeline; two identical end contacts, in
+  /// either order, share one boundary per (k, E).
   std::vector<ContactConfig> contacts;
   idx num_k = 1;          ///< transverse momentum points (z-periodic only)
   int num_devices = 2;    ///< emulated accelerators
@@ -92,8 +92,10 @@ struct SimulationConfig {
   bool cache_boundaries = true;
   /// Batched execution: fuse queued same-shape (k, E) tasks into batched
   /// numeric::Backend calls with the OBC stage prefetching asynchronously
-  /// ahead of the device phase.  Bit-identical to the unbatched path.
-  /// Benchmarks turn it off for the single-point baseline.
+  /// ahead of the device phase — for every contact layout and scattering
+  /// model, whenever the resolved solver is kBatchable.  Bit-identical to
+  /// the unbatched path.  Benchmarks turn it off for the single-point
+  /// baseline.
   bool batch_tasks = true;
   /// Tasks per batched call (also the nominal batch for kAuto resolution).
   int max_batch = 16;
@@ -147,7 +149,8 @@ class Simulator {
   /// — bit-identical to the pre-registry charge path.  kContour sweeps the
   /// equilibrium window below min(mu_l, mu_r) on the complex contour
   /// (Green's-function nodes solved by the same engine sweep) and keeps
-  /// only the non-equilibrium window of `energies` on the real axis.
+  /// only the non-equilibrium window of `energies` on the real axis.  Every
+  /// k point enters with the BZ weights of transmission_spectrum.
   /// `energies` must hold >= 2 strictly increasing points (it anchors the
   /// spectral window even when the contour replaces it); throws
   /// std::invalid_argument otherwise.
@@ -367,10 +370,10 @@ class Simulator {
   EngineStats stats_;
   idx total_tasks_ = 0;  ///< cumulative solves (see total_tasks_issued)
   double kt_ = 0.0259;
-  /// Lead spectral minimum at k = 0 (eV, zero potential), computed once at
-  /// construction: the contour quadrature anchors below
+  /// Lead spectral minimum over every k (eV, zero potential), scanned once
+  /// by the first charge_density: the contour quadrature anchors below
   /// band_min + min(0, potential) + min(0, contact shifts) - margin.
-  double lead_band_min_ = 0.0;
+  std::optional<double> lead_band_min_;
 };
 
 }  // namespace omenx::omen

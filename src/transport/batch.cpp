@@ -22,30 +22,19 @@ std::uint64_t operand_bytes(const CMatrix& m) {
   return std::uint64_t(m.rows()) * std::uint64_t(m.cols()) * sizeof(cplx);
 }
 
-/// The OBC stage of one task ("obc_prefetch" trace span): its own strategy
-/// instance, so concurrent fetches share nothing but the BoundaryCache,
-/// whose first-insert-wins discipline makes concurrent misses on one key
-/// converge on a single canonical Boundary.
-detail::FetchedBoundary fetch_task_boundary(const BatchTask& task,
-                                            const EnergyPointOptions& options) {
-  const parallel::TraceScope trace("obc_prefetch", /*device_id=*/-1);
-  EnergyPointOptions task_options = options;
-  task_options.k_index = task.k_index;
-  auto strategy = obc::make_obc_strategy(task_options.obc);
-  return detail::fetch_boundary(*strategy, (*task.contacts)[0], 0,
-                                cplx{task.energy, 0.0}, task_options);
+/// The batch's options at one task's momentum (the boundary-cache key's k).
+EnergyPointOptions task_options(const BatchTask& task,
+                                const EnergyPointOptions& options) {
+  EnergyPointOptions out = options;
+  out.k_index = task.k_index;
+  return out;
 }
 
-/// One host lane's scratch for a whole task — A = E*S - H and the sparse
-/// RHS blocks — kept warm across the tasks and batches the lane runs.
-struct LaneScratch {
-  BlockTridiag a;
-  CMatrix b_top, b_bot;
-};
-
-LaneScratch& lane_scratch() {
-  static thread_local LaneScratch scratch;
-  return scratch;
+/// Residency id of one staged operand: the digest of the boundary keys it
+/// derives from, salted with the operand tag.  Id 0 is reserved.
+std::uint64_t operand_id(std::uint64_t key_digest, std::uint64_t tag) {
+  const std::uint64_t h = numeric::Fnv1a().add(key_digest).add(tag).value();
+  return h == 0 ? 1 : h;
 }
 
 }  // namespace
@@ -67,32 +56,17 @@ std::vector<EnergyPointResult> solve_energy_batch(
   for (const BatchTask& task : tasks) {
     if (task.dm == nullptr || task.contacts == nullptr)
       throw std::invalid_argument("solve_energy_batch: null task operand");
-    const idx task_nb = task.dm->h.num_blocks();
-    task.contacts->validate(task_nb);
-    if (!task.contacts->symmetric_pair(task_nb))
+    if (task.dm->h.num_blocks() != tasks[0].dm->h.num_blocks() ||
+        task.dm->h.block_size() != tasks[0].dm->h.block_size())
       throw std::invalid_argument(
-          "solve_energy_batch: a task's contacts are not a symmetric pair "
-          "(two end contacts sharing one boundary)");
+          "solve_energy_batch: mixed block structures in one batch");
+    task.contacts->validate(task.dm->h.num_blocks());
   }
 
   // --- Solver + OBC resolution ------------------------------------------
   const idx nb = tasks[0].dm->h.num_blocks();
   const idx sf = tasks[0].dm->h.block_size();
-  for (const BatchTask& task : tasks)
-    if (task.dm->h.num_blocks() != nb || task.dm->h.block_size() != sf)
-      throw std::invalid_argument(
-          "solve_energy_batch: mixed block structures in one batch");
-  // Probes grow the terminal set beyond the pair, where the batched
-  // two-contact arithmetic no longer applies.  A model that attaches
-  // nothing (buttiker_probe at eta <= 0) runs batched, bit-identically.
-  if (!scattering::assemble_probes(options.scattering, nb, {0, nb - 1})
-           .empty())
-    throw std::invalid_argument(
-        "solve_energy_batch: the scattering model attaches probes — those "
-        "tasks solve one point at a time");
-  solvers::SolverContext binding;
-  binding.pool = pool;
-  binding.partitions = options.partitions;
+  solvers::SolverContext binding{pool, options.partitions};
   binding.batch = std::max(1, nominal_batch);
   binding.backend = &backend;
   solvers::Solver& solver = ctx.point.solver(options.solver, binding, nb, sf);
@@ -104,51 +78,53 @@ std::vector<EnergyPointResult> solve_energy_batch(
     throw std::invalid_argument(std::string("solve_energy_batch: solver '") +
                                 solver.name() + "' is not kBatchable");
 
-  BatchStats local;
-  local.batches = 1;
-  local.tasks = static_cast<idx>(n);
+  BatchStats local{/*batches=*/1, /*tasks=*/static_cast<idx>(n)};
 
-  if (!backend.offloads()) {
-    // --- Host lanes: one dispatch, each lane one task end to end --------
-    // Lanes run the same scalar kernels whichever way the work is grouped,
-    // so a host batch needs no stages: lane i fetches task i's boundary,
-    // assembles A_i, solves it through the solver's per-problem kernel and
-    // finalizes its observables.  Tasks overlap one another's OBC and
-    // solve phases across lanes; nothing waits on a batch-wide barrier.
-    std::vector<char> hits(n, 0);
-    backend.dispatch("energy_batch", n, [&](std::size_t i) {
-      const BatchTask& task = tasks[i];
-      const detail::FetchedBoundary fetched =
-          fetch_task_boundary(task, options);
-      hits[i] = fetched.hit ? 1 : 0;
-      const obc::Boundary& bnd = fetched.get();
-      LaneScratch& lane = lane_scratch();
-      lane.a.assign_es_minus_h(cplx{task.energy, 0.0}, task.dm->s,
-                               task.dm->h);
-      results[i].energy = task.energy;
-      CMatrix x;
-      detail::solve_task(
-          results[i], lane.a, bnd, bnd, have_injection, options, lane.b_top,
-          lane.b_bot, x, [&](const CMatrix& b_top, const CMatrix& b_bot) {
-            const parallel::TraceScope trace("batch_device_phase",
-                                             /*device_id=*/-1);
-            return solver.solve_boundary_problem(
-                {&lane.a, &bnd.sigma_l, &bnd.sigma_r, &b_top, &b_bot});
-          });
+  // An offloading backend stages the pair-route tasks; every other task —
+  // and every task on a host backend — runs on a host lane.
+  std::vector<std::size_t> staged, laned;
+  for (std::size_t i = 0; i < n; ++i)
+    (backend.offloads() &&
+             pair_route(*tasks[i].contacts, nb, options.scattering)
+         ? staged
+         : laned)
+        .push_back(i);
+
+  // --- Host lanes: one dispatch, each lane one task end to end ----------
+  // Lanes run the same scalar kernels whichever way the work is grouped,
+  // so tasks overlap one another's OBC and solve phases across lanes and
+  // nothing waits on a batch-wide barrier.
+  if (!laned.empty()) {
+    numeric::Backend& lanes =
+        backend.offloads() ? numeric::host_backend() : backend;
+    std::vector<detail::FetchTally> tally(laned.size());
+    lanes.dispatch("energy_batch", laned.size(), [&](std::size_t j) {
+      const BatchTask& task = tasks[laned[j]];
+      results[laned[j]] = detail::solve_point(
+          detail::thread_context(), *task.dm, *task.contacts, task.energy,
+          task_options(task, options), pool, &solver, &tally[j]);
     });
-    for (const char hit : hits)
-      (hit != 0 ? local.prefetch_hits : local.prefetch_misses) += 1;
+    for (const detail::FetchTally& t : tally) {
+      local.prefetch_hits += t.hits;
+      local.prefetch_misses += t.misses;
+    }
+  }
+  if (staged.empty()) {
     if (stats != nullptr) *stats += local;
     return results;
   }
+  const std::size_t m = staged.size();
 
   // --- Stage 1: asynchronous OBC prefetch -------------------------------
-  // Every task's boundary goes to the process thread pool *before* the
-  // device phase is issued, so the lead stage runs ahead of (and
+  // Every task's two end boundaries go to the process thread pool *before*
+  // the device phase is issued, so the lead stage runs ahead of (and
   // interleaved with) Step 1 — the paper's CPU/GPU overlap at batch scope.
+  // Each job uses its own strategy instance, so concurrent fetches share
+  // nothing but the BoundaryCache, whose first-insert-wins discipline makes
+  // concurrent misses on one key converge on a single canonical Boundary.
   auto& threads = parallel::ThreadPool::global();
-  std::vector<std::future<detail::FetchedBoundary>> prefetch;
-  prefetch.reserve(n);
+  std::vector<std::future<detail::ContactBoundaries>> prefetch;
+  prefetch.reserve(m);
   // Any exit between the submissions and the await must settle the jobs
   // first: they reference the caller's tasks, and a future destroyed while
   // its job runs would leave the job touching freed state.
@@ -161,12 +137,16 @@ std::vector<EnergyPointResult> solve_energy_batch(
         }
       }
   };
-  for (std::size_t i = 0; i < n; ++i) {
+  for (const std::size_t i : staged) {
     const BatchTask& task = tasks[i];
     prefetch.push_back(threads.submit([&options, &task] {
       static thread_local numeric::Workspace prefetch_workspace;
       const numeric::WorkspaceScope ws(prefetch_workspace);
-      return fetch_task_boundary(task, options);
+      const parallel::TraceScope trace("obc_prefetch", /*device_id=*/-1);
+      const auto strategy = obc::make_obc_strategy(options.obc);
+      return detail::fetch_contact_boundaries(*strategy, *task.contacts,
+                                              cplx{task.energy, 0.0},
+                                              task_options(task, options));
     }));
   }
 
@@ -177,13 +157,15 @@ std::vector<EnergyPointResult> solve_energy_batch(
   const bool rhs_known_nonempty = options.want_caroli || !have_injection;
   try {
     // --- Assemble every task's A = E*S - H ------------------------------
-    ctx.a.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      ctx.a[i].assign_es_minus_h(cplx{tasks[i].energy, 0.0}, tasks[i].dm->s,
-                                 tasks[i].dm->h);
+    ctx.a.resize(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      const BatchTask& task = tasks[staged[j]];
+      ctx.a[j].assign_es_minus_h(cplx{task.energy, 0.0}, task.dm->s,
+                                 task.dm->h);
+    }
     if (rhs_known_nonempty) {
-      std::vector<const BlockTridiag*> systems(n);
-      for (std::size_t i = 0; i < n; ++i) systems[i] = &ctx.a[i];
+      std::vector<const BlockTridiag*> systems(m);
+      for (std::size_t j = 0; j < m; ++j) systems[j] = &ctx.a[j];
       const parallel::TraceScope trace("batch_device_phase",
                                        /*device_id=*/-1);
       solver.prepare_batched(systems, backend);
@@ -196,8 +178,8 @@ std::vector<EnergyPointResult> solve_energy_batch(
   // --- Await the boundaries ---------------------------------------------
   // A throwing fetch must not abandon its siblings: settle every future,
   // then surface the first error.
-  std::vector<detail::FetchedBoundary> boundaries;
-  boundaries.reserve(n);
+  std::vector<detail::ContactBoundaries> boundaries;
+  boundaries.reserve(m);
   std::exception_ptr prefetch_error;
   for (auto& fut : prefetch) {
     try {
@@ -210,53 +192,70 @@ std::vector<EnergyPointResult> solve_energy_batch(
   }
   if (prefetch_error != nullptr) std::rethrow_exception(prefetch_error);
 
-  // Past the host-lane route, a batched solve is an offloaded one.
   local.device_batches = 1;
-  for (const detail::FetchedBoundary& f : boundaries)
-    (f.hit ? local.prefetch_hits : local.prefetch_misses) += 1;
+  detail::FetchTally tally;
+  for (const detail::ContactBoundaries& b : boundaries) tally.add(b);
+  local.prefetch_hits += tally.hits;
+  local.prefetch_misses += tally.misses;
+  std::vector<const obc::Boundary*> left(m), right(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const ContactSet& contacts = *tasks[staged[j]].contacts;
+    left[j] = boundaries[j].of[static_cast<std::size_t>(contacts.left(nb))];
+    right[j] = boundaries[j].of[static_cast<std::size_t>(contacts.right(nb))];
+  }
 
   // --- Shapes + RHS ------------------------------------------------------
-  std::vector<detail::RhsShape> shapes(n);
+  std::vector<detail::RhsShape> shapes(m);
   std::vector<std::size_t> solvable;
-  solvable.reserve(n);
-  ctx.b_top.resize(n);
-  ctx.b_bot.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const obc::Boundary& bnd = boundaries[i].get();
-    results[i].energy = tasks[i].energy;
-    shapes[i] = detail::task_rhs(results[i], bnd, bnd, have_injection, sf,
-                                 options, ctx.b_top[i], ctx.b_bot[i]);
-    if (shapes[i].m == 0) continue;  // nothing propagates at this energy
-    solvable.push_back(i);
+  solvable.reserve(m);
+  ctx.b_top.resize(m);
+  ctx.b_bot.resize(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    EnergyPointResult& out = results[staged[j]];
+    out.energy = tasks[staged[j]].energy;
+    shapes[j] = detail::task_rhs(out, *left[j], *right[j], have_injection, sf,
+                                 options, ctx.b_top[j], ctx.b_bot[j]);
+    if (shapes[j].m == 0) continue;  // nothing propagates at this energy
+    solvable.push_back(j);
   }
 
   // --- Stage operands for device residency ------------------------------
   // The boundary products consumed by Stage 2 — the two lead self-energies
-  // and the injection RHS blocks — are bit-stable for a fixed BoundaryKey
+  // and the injection RHS blocks — are bit-stable for fixed BoundaryKeys
   // across SCF iterations (only A = E*S - H changes with the potential), so
-  // on an offload backend they are staged under ids hashed from the task's
-  // key and an operand tag: iteration 1 pays the H2D transfer and pins
-  // device residency, every later iteration hits, and a changed lead,
-  // shift, or option set is a new id — residency never needs invalidating.
-  // Id 0 is reserved for "stream, do not cache" (Backend::stage_operand).
+  // on an offload backend they are staged under ids hashed from the keys
+  // they derive from and an operand tag: iteration 1 pays the H2D transfer
+  // and pins device residency, every later iteration hits, and a changed
+  // lead, shift, or option set is a new id — residency never needs
+  // invalidating.  Each self-energy keys on its end contact's
+  // representative; the RHS blocks, whose layout reads both ends, on the
+  // pair (one key when both ends share a boundary).
   // The A blocks are deliberately *not* staged — their traffic is accounted
   // by the batched calls themselves and re-streams every iteration.
-  for (const std::size_t i : solvable) {
-    const obc::Boundary& bnd = boundaries[i].get();
-    obc::BoundaryKey key = detail::boundary_key(
-        (*tasks[i].contacts)[0], 0, cplx{tasks[i].energy, 0.0}, options);
-    key.k = tasks[i].k_index;
-    const std::uint64_t key_digest = key.digest();
-    const CMatrix* operands[4] = {&bnd.sigma_l, &bnd.sigma_r, &ctx.b_top[i],
-                                  &ctx.b_bot[i]};
-    for (std::uint64_t tag = 0; tag < 4; ++tag) {
-      const CMatrix& op = *operands[tag];
-      if (op.rows() == 0 || op.cols() == 0) continue;
-      const std::uint64_t h =
-          numeric::Fnv1a().add(key_digest).add(tag + 1).value();
-      const std::uint64_t id = h == 0 ? 1 : h;
-      (backend.stage_operand(id, operand_bytes(op)) ? local.residency_hits
-                                                    : local.residency_misses)
+  for (const std::size_t j : solvable) {
+    const BatchTask& task = tasks[staged[j]];
+    const ContactSet& contacts = *task.contacts;
+    const EnergyPointOptions topt = task_options(task, options);
+    const cplx e{task.energy, 0.0};
+    const auto key_digest = [&](idx c) {
+      return detail::boundary_key(
+                 contacts[c], static_cast<int>(contacts.representative(c)),
+                 e, topt)
+          .digest();
+    };
+    const std::uint64_t kl = key_digest(contacts.left(nb));
+    const std::uint64_t kr = key_digest(contacts.right(nb));
+    const std::uint64_t kp =
+        kl == kr ? kl : numeric::Fnv1a().add(kl).add(kr).value();
+    const std::pair<const CMatrix*, std::uint64_t> operands[4] = {
+        {&left[j]->sigma_l, operand_id(kl, 1)},
+        {&right[j]->sigma_r, operand_id(kr, 2)},
+        {&ctx.b_top[j], operand_id(kp, 3)},
+        {&ctx.b_bot[j], operand_id(kp, 4)}};
+    for (const auto& [op, id] : operands) {
+      if (op->rows() == 0 || op->cols() == 0) continue;
+      (backend.stage_operand(id, operand_bytes(*op)) ? local.residency_hits
+                                                     : local.residency_misses)
           += 1;
     }
   }
@@ -264,11 +263,9 @@ std::vector<EnergyPointResult> solve_energy_batch(
   // --- Stage 2: the device phase ----------------------------------------
   std::vector<BoundaryProblem> problems;
   problems.reserve(solvable.size());
-  for (const std::size_t i : solvable) {
-    const obc::Boundary& bnd = boundaries[i].get();
-    problems.push_back({&ctx.a[i], &bnd.sigma_l, &bnd.sigma_r, &ctx.b_top[i],
-                        &ctx.b_bot[i]});
-  }
+  for (const std::size_t j : solvable)
+    problems.push_back({&ctx.a[j], &left[j]->sigma_l, &right[j]->sigma_r,
+                        &ctx.b_top[j], &ctx.b_bot[j]});
   std::vector<CMatrix> xs;
   {
     const parallel::TraceScope trace("batch_device_phase", /*device_id=*/-1);
@@ -277,24 +274,19 @@ std::vector<EnergyPointResult> solve_energy_batch(
       // prepared state matches the problem list element for element.
       std::vector<const BlockTridiag*> solvable_systems;
       solvable_systems.reserve(solvable.size());
-      for (const std::size_t i : solvable)
-        solvable_systems.push_back(&ctx.a[i]);
+      for (const std::size_t j : solvable)
+        solvable_systems.push_back(&ctx.a[j]);
       solver.prepare_batched(solvable_systems, backend);
     }
     xs = solver.solve_boundary_batched(problems, backend);
   }
-  if (solvable.size() != n && rhs_known_nonempty) {
-    // Unreachable by construction (rhs_known_nonempty => every task is
-    // solvable), kept as a guard against future shape changes.
-    throw std::logic_error("solve_energy_batch: prepared/solved mismatch");
-  }
 
   // --- Stage 3: observables, one task per lane --------------------------
-  backend.dispatch("batch_finalize", solvable.size(), [&](std::size_t j) {
-    const std::size_t i = solvable[j];
-    detail::finalize_observables(results[i], ctx.a[i], boundaries[i].get(),
-                                 boundaries[i].get(), have_injection, shapes[i],
-                                 xs[j], options);
+  backend.dispatch("batch_finalize", solvable.size(), [&](std::size_t s) {
+    const std::size_t j = solvable[s];
+    detail::finalize_observables(results[staged[j]], ctx.a[j], *left[j],
+                                 *right[j], have_injection, shapes[j], xs[s],
+                                 options);
   });
 
   if (stats != nullptr) *stats += local;

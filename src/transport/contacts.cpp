@@ -55,10 +55,6 @@ bool ContactSet::classic_pair(idx nb) const {
   return (b0 == 0 && b1 == nb - 1) || (b1 == 0 && b0 == nb - 1);
 }
 
-bool ContactSet::symmetric_pair(idx nb) const {
-  return classic_pair(nb) && representative(1) == 0;
-}
-
 idx ContactSet::left(idx nb) const { return resolve_block(0, nb) == 0 ? 0 : 1; }
 
 idx ContactSet::right(idx nb) const {

@@ -9,10 +9,13 @@
 // attachment block index on the device diagonal (previously hardwired to
 // {0, nb-1} as the sigma_l/sigma_r pair in every solver).
 //
-// The symmetric two-identical-contacts limit is routed through *literally*
-// the same arithmetic as the pre-refactor pipeline (one boundary fetch, the
-// same sigma_l/sigma_r solve), so it stays bit-identical — the parity suite
-// and BENCH_contact.json gate on EXPECT_EQ, not a tolerance.
+// Every set runs through one pipeline: transport::pair_route sends a
+// probe-free end pair to the 2-terminal solve and everything else to the
+// multi-terminal one, in solve_energy_point and the batched pipeline
+// alike.  The symmetric two-identical-contacts limit fetches one boundary
+// for both ends and runs the same sigma_l/sigma_r solve as the pre-
+// refactor pipeline, so it stays bit-identical — the parity suite and
+// BENCH_contact.json gate on EXPECT_EQ, not a tolerance.
 #pragma once
 
 #include <cstdint>
@@ -106,12 +109,6 @@ class ContactSet {
   /// meaningful when classic_pair().
   idx left(idx nb) const;
   idx right(idx nb) const;
-
-  /// True when the set is a classic_pair() whose two contacts share one
-  /// representative (same lead content and shift, hence no probes): one
-  /// Boundary, fetched under contact id 0, serves both ends — the shape
-  /// the batched pipeline (transport::solve_energy_batch) runs.
-  bool symmetric_pair(idx nb) const;
 
   /// True when contacts i and j share boundary data: same lead content
   /// (identical pointer, or equal nonzero hashes) and the same shift.

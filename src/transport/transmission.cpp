@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -10,6 +11,7 @@
 #include "numeric/lu.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/thread_pool.hpp"
+#include "parallel/tracer.hpp"
 #include "solvers/spike.hpp"
 #include "transport/energy_grid.hpp"
 
@@ -37,21 +39,23 @@ double caroli_transmission(const CMatrix& sigma_l, const CMatrix& sigma_r,
 
 // Provider assembly: the contacts are always provider #0; an active
 // scattering model appends its probe pseudo-terminals as lead-less
-// contacts.  Returns false when the model contributes nothing — kNone, a
-// disabled model (buttiker_probe at eta <= 0), or a set whose probes were
-// already materialized upstream (omen::Simulator) — and the caller then
-// proceeds on the unmodified set/path, bit-identically.
-bool assemble_providers(const ContactSet& contacts, idx nb,
-                        const scattering::Spec& spec, ContactSet& out) {
-  if (spec.algorithm == scattering::ScatteringAlgorithm::kNone) return false;
-  if (contacts.has_probes()) return false;
+// contacts into `out` and returns it.  Returns `contacts` itself when the
+// model contributes nothing — kNone, a disabled model (buttiker_probe at
+// eta <= 0), or a set whose probes were already materialized upstream
+// (omen::Simulator) — so that set runs unchanged, bit-identically.
+const ContactSet& assemble_providers(const ContactSet& contacts, idx nb,
+                                     const scattering::Spec& spec,
+                                     ContactSet& out) {
+  if (spec.algorithm == scattering::ScatteringAlgorithm::kNone ||
+      contacts.has_probes())
+    return contacts;
   std::vector<idx> occupied;
   occupied.reserve(static_cast<std::size_t>(contacts.size()));
   for (idx i = 0; i < contacts.size(); ++i)
     occupied.push_back(contacts.resolve_block(i, nb));
   const std::vector<scattering::ProbeSite> sites =
       scattering::assemble_probes(spec, nb, occupied);
-  if (sites.empty()) return false;
+  if (sites.empty()) return contacts;
   std::vector<Contact> cs = contacts.contacts();
   cs.reserve(cs.size() + sites.size());
   for (const scattering::ProbeSite& site : sites) {
@@ -61,7 +65,7 @@ bool assemble_providers(const ContactSet& contacts, idx nb,
     cs.push_back(p);
   }
   out = ContactSet(std::move(cs));
-  return true;
+  return out;
 }
 
 }  // namespace
@@ -311,18 +315,13 @@ solvers::Solver& EnergyPointContext::greens_solver() {
   return *greens_solver_;
 }
 
-namespace {
-
-// Thread-local context: every pool worker that sweeps energies keeps its
-// own warm workspace, so steady-state points are allocation-free.  Shared
-// between the wave-function and Green's-function entry points, so a worker
-// interleaving contour and real-axis tasks reuses one workspace.
-EnergyPointContext& thread_context() {
+// Every pool worker keeps one warm workspace, so steady-state points are
+// allocation-free — shared by the wave-function and Green's-function
+// entry points, so interleaved contour and real-axis tasks reuse it.
+EnergyPointContext& detail::thread_context() {
   static thread_local EnergyPointContext ctx;
   return ctx;
 }
-
-}  // namespace
 
 EnergyPointResult solve_energy_point(const dft::DeviceMatrices& dm,
                                      const dft::LeadBlocks& lead,
@@ -330,7 +329,7 @@ EnergyPointResult solve_energy_point(const dft::DeviceMatrices& dm,
                                      double energy,
                                      const EnergyPointOptions& options,
                                      parallel::DevicePool* pool) {
-  return solve_energy_point(thread_context(), dm, lead, folded, energy,
+  return solve_energy_point(detail::thread_context(), dm, lead, folded, energy,
                             options, pool);
 }
 
@@ -452,35 +451,6 @@ std::vector<double> terminal_transmissions(const CMatrix& x,
   return t;
 }
 
-// Fetch every contact's boundary, one solve per *distinct* boundary: a
-// contact whose lead content + shift matches a lower-indexed contact reuses
-// that contact's Boundary (and its cache entry — representative() is the
-// canonical cache id).  `fetched` must be reserved to nc: FetchedBoundary
-// may own its Boundary by value, so reallocation would dangle the pointers.
-void fetch_contact_boundaries(obc::Strategy& strategy,
-                              const ContactSet& contacts, cplx energy,
-                              const EnergyPointOptions& options,
-                              std::vector<detail::FetchedBoundary>& fetched,
-                              std::vector<const obc::Boundary*>& bnd) {
-  const idx nc = contacts.size();
-  fetched.clear();
-  fetched.reserve(static_cast<std::size_t>(nc));
-  bnd.assign(static_cast<std::size_t>(nc), nullptr);
-  for (idx i = 0; i < nc; ++i) {
-    // Probes have no lead boundary: their -i*eta*I self-energy is built
-    // locally by the caller, and their bnd slot stays null.
-    if (contacts[i].is_probe()) continue;
-    const idx rep = contacts.representative(i);
-    if (rep == i) {
-      fetched.push_back(detail::fetch_boundary(
-          strategy, contacts[i], static_cast<int>(i), energy, options));
-      bnd[static_cast<std::size_t>(i)] = &fetched.back().get();
-    } else {
-      bnd[static_cast<std::size_t>(i)] = bnd[static_cast<std::size_t>(rep)];
-    }
-  }
-}
-
 // Backend choice for the interior-attachment solve: the resolved algorithm
 // must advertise kMultiTerminal.  kAuto falls back deterministically to the
 // cheaper of rgf/block_lu under the same cost model the 2-terminal
@@ -509,15 +479,16 @@ solvers::SolverAlgorithm multi_terminal_algorithm(
 }
 
 // Two contacts at {0, last}: the 2-terminal solve with the left contact's
-// (sigma_l, inj) and the right contact's (sigma_r, inj_r, mode basis), each
-// fetched under its own per-contact key — every solver backend works.
-// Contacts sharing a representative (the symmetric pair) fetch once, and
-// both sides read the one Boundary.
+// (sigma_l, inj) and the right contact's (sigma_r, inj_r, mode basis) —
+// every solver backend works.  A batch lane solves through the batch's
+// shared `lane_solver`; a point resolves its own solver in ctx.
 EnergyPointResult solve_pair(EnergyPointContext& ctx,
                              const dft::DeviceMatrices& dm,
                              const ContactSet& contacts, double energy,
                              const EnergyPointOptions& options,
-                             parallel::DevicePool* pool) {
+                             parallel::DevicePool* pool,
+                             const solvers::Solver* lane_solver,
+                             detail::FetchTally* tally) {
   const numeric::WorkspaceScope scope(ctx.workspace);
   EnergyPointResult out;
   out.energy = energy;
@@ -525,19 +496,15 @@ EnergyPointResult solve_pair(EnergyPointContext& ctx,
   ctx.a.assign_es_minus_h(e, dm.s, dm.h);
   const BlockTridiag& a = ctx.a;
   const idx sf = a.block_size();
-  const idx cl = contacts.left(a.num_blocks());
-  const idx cr = contacts.right(a.num_blocks());
 
   // --- strategy lookups (registries + deterministic kAuto resolution) -----
-  solvers::SolverContext binding;
-  binding.pool = pool;
-  binding.partitions = options.partitions;
-  binding.spatial =
-      options.spatial != nullptr && options.spatial->size() > 1
-          ? options.spatial
-          : nullptr;
-  solvers::Solver& solver =
-      ctx.solver(options.solver, binding, a.num_blocks(), sf);
+  solvers::Solver* own = nullptr;
+  if (lane_solver == nullptr) {
+    solvers::SolverContext binding{pool, options.partitions};
+    if (options.spatial != nullptr && options.spatial->size() > 1)
+      binding.spatial = options.spatial;
+    own = &ctx.solver(options.solver, binding, a.num_blocks(), sf);
+  }
   obc::Strategy& obc_strategy = ctx.obc_strategy(options.obc);
   const bool have_injection =
       (obc_strategy.capabilities() & obc::kProvidesInjection) != 0;
@@ -545,32 +512,43 @@ EnergyPointResult solve_pair(EnergyPointContext& ctx,
 
   // kOverlapPrepare backends (SplitSolve Step 1) start work here — before
   // the boundary conditions exist.
-  solver.prepare(a);
+  if (own != nullptr) own->prepare(a);
 
   // --- Open boundary conditions (CPU side, overlapping with Step 1) ---
-  const int rep_l = static_cast<int>(contacts.representative(cl));
-  const int rep_r = static_cast<int>(contacts.representative(cr));
-  const detail::FetchedBoundary fl =
-      detail::fetch_boundary(obc_strategy, contacts[cl], rep_l, e, options);
-  detail::FetchedBoundary fr;
-  if (rep_r != rep_l)
-    fr = detail::fetch_boundary(obc_strategy, contacts[cr], rep_r, e, options);
-  const obc::Boundary& left = fl.get();
-  const obc::Boundary& right = rep_r != rep_l ? fr.get() : left;
+  std::optional<parallel::TraceScope> fetch_trace;
+  if (lane_solver != nullptr) fetch_trace.emplace("obc_prefetch", -1);
+  const detail::ContactBoundaries bnd =
+      detail::fetch_contact_boundaries(obc_strategy, contacts, e, options);
+  fetch_trace.reset();
+  if (tally != nullptr) tally->add(bnd);
+  const obc::Boundary& left =
+      *bnd.of[static_cast<std::size_t>(contacts.left(a.num_blocks()))];
+  const obc::Boundary& right =
+      *bnd.of[static_cast<std::size_t>(contacts.right(a.num_blocks()))];
 
   // --- Solve: Green's-function columns (for Caroli) + injected waves ---
   // RHS layout: [e_first I (s), e_last I (s), Inj (n_inc), Inj_r] so one
   // solve covers both formalisms.
-  const bool solved = detail::solve_task(
-      out, a, left, right, have_injection, options, ctx.b_top, ctx.b_bot,
-      ctx.x, [&](const CMatrix& b_top, const CMatrix& b_bot) {
-        return solver.solve_boundary(a, left.sigma_l, right.sigma_r, b_top,
-                                     b_bot);
-      });
-  // Nothing to solve at this energy — but cooperative/asynchronous
-  // backends may have outstanding work (spatial members' partitions,
-  // SplitSolve's Step 1) that must be settled before the next point.
-  if (!solved) solver.discard();
+  const detail::RhsShape shape = detail::task_rhs(
+      out, left, right, have_injection, sf, options, ctx.b_top, ctx.b_bot);
+  if (shape.m == 0) {
+    // Nothing to solve at this energy — but cooperative/asynchronous
+    // backends may have outstanding work (spatial members' partitions,
+    // SplitSolve's Step 1) that must be settled before the next point.
+    if (own != nullptr) own->discard();
+    return out;
+  }
+  CMatrix x;  // not ctx.x: the last point's columns would double the peak
+  if (own != nullptr) {
+    x = own->solve_boundary(a, left.sigma_l, right.sigma_r, ctx.b_top,
+                            ctx.b_bot);
+  } else {
+    const parallel::TraceScope trace("batch_device_phase", -1);
+    x = lane_solver->solve_boundary_problem(
+        {&a, &left.sigma_l, &right.sigma_r, &ctx.b_top, &ctx.b_bot});
+  }
+  detail::finalize_observables(out, a, left, right, have_injection, shape, x,
+                               options);
   return out;
 }
 
@@ -584,7 +562,8 @@ EnergyPointResult solve_multi_terminal(EnergyPointContext& ctx,
                                        const ContactSet& contacts,
                                        double energy,
                                        const EnergyPointOptions& options,
-                                       parallel::DevicePool* pool) {
+                                       parallel::DevicePool* pool,
+                                       detail::FetchTally* tally) {
   const numeric::WorkspaceScope scope(ctx.workspace);
   EnergyPointResult out;
   out.energy = energy;
@@ -595,9 +574,7 @@ EnergyPointResult solve_multi_terminal(EnergyPointContext& ctx,
   const idx nb = a.num_blocks();
   const idx nc = contacts.size();
 
-  solvers::SolverContext binding;
-  binding.pool = pool;
-  binding.partitions = options.partitions;
+  const solvers::SolverContext binding{pool, options.partitions};
   const solvers::SolverAlgorithm algo =
       multi_terminal_algorithm(options.solver, nb, sf, nc * sf, binding);
   solvers::Solver& solver = ctx.solver(algo, binding, nb, sf);
@@ -608,9 +585,9 @@ EnergyPointResult solve_multi_terminal(EnergyPointContext& ctx,
 
   solver.prepare(a);
 
-  std::vector<detail::FetchedBoundary> fetched;
-  std::vector<const obc::Boundary*> bnd;
-  fetch_contact_boundaries(obc_strategy, contacts, e, options, fetched, bnd);
+  const detail::ContactBoundaries bnd =
+      detail::fetch_contact_boundaries(obc_strategy, contacts, e, options);
+  if (tally != nullptr) tally->add(bnd);
 
   // Probe self-energies are built locally — Sigma_p = -i*eta*I on the
   // attachment block, so Gamma_p = i(Sigma - Sigma^H) = 2*eta*I.  The
@@ -632,7 +609,7 @@ EnergyPointResult solve_multi_terminal(EnergyPointContext& ctx,
       view[static_cast<std::size_t>(p)] = v;
     } else {
       view[static_cast<std::size_t>(p)] =
-          contact_view(*bnd[static_cast<std::size_t>(p)],
+          contact_view(*bnd.of[static_cast<std::size_t>(p)],
                        contacts.resolve_block(p, nb), nb);
     }
   }
@@ -671,8 +648,7 @@ EnergyPointResult solve_multi_terminal(EnergyPointContext& ctx,
     rhs.push_back({v.block, &rb});
   }
 
-  CMatrix& x = ctx.x;
-  x = solver.solve_attached(a, attachments, rhs);
+  const CMatrix x = solver.solve_attached(a, attachments, rhs);
 
   out.t_matrix = terminal_transmissions(x, view, sf);
   // Scalar fields stay meaningful for mixed consumers: T_01 is the
@@ -715,46 +691,85 @@ EnergyPointResult solve_multi_terminal(EnergyPointContext& ctx,
 
 }  // namespace
 
+bool pair_route(const ContactSet& contacts, idx nb,
+                const scattering::Spec& scattering) {
+  ContactSet assembled;
+  return contacts.classic_pair(nb) && !contacts.has_probes() &&
+         &assemble_providers(contacts, nb, scattering, assembled) == &contacts;
+}
+
+detail::ContactBoundaries detail::fetch_contact_boundaries(
+    obc::Strategy& strategy, const ContactSet& contacts, cplx energy,
+    const EnergyPointOptions& options) {
+  const auto nc = static_cast<std::size_t>(contacts.size());
+  ContactBoundaries out;
+  out.fetched.reserve(nc);  // `of` points into it: no reallocation
+  out.of.assign(nc, nullptr);
+  for (idx i = 0; i < contacts.size(); ++i) {
+    if (contacts[i].is_probe()) continue;
+    const idx rep = contacts.representative(i);
+    if (rep == i) {
+      out.fetched.push_back(fetch_boundary(
+          strategy, contacts[i], static_cast<int>(i), energy, options));
+      out.of[static_cast<std::size_t>(i)] = &out.fetched.back().get();
+    } else {
+      out.of[static_cast<std::size_t>(i)] =
+          out.of[static_cast<std::size_t>(rep)];
+    }
+  }
+  return out;
+}
+
+EnergyPointResult detail::solve_point(EnergyPointContext& ctx,
+                                      const dft::DeviceMatrices& dm,
+                                      const ContactSet& contacts,
+                                      double energy,
+                                      const EnergyPointOptions& options,
+                                      parallel::DevicePool* pool,
+                                      const solvers::Solver* lane_solver,
+                                      FetchTally* tally) {
+  const idx nb = dm.h.num_blocks();
+  // Provider assembly: when the scattering model attaches probes, the
+  // point becomes a multi-terminal solve over the contacts plus the probe
+  // pseudo-terminals.  When it attaches nothing the set runs unchanged.
+  ContactSet assembled;
+  const ContactSet& terminals =
+      assemble_providers(contacts, nb, options.scattering, assembled);
+  terminals.validate(nb);
+  if (pair_route(terminals, nb, options.scattering))
+    return solve_pair(ctx, dm, terminals, energy, options, pool, lane_solver,
+                      tally);
+  EnergyPointResult r =
+      solve_multi_terminal(ctx, dm, terminals, energy, options, pool, tally);
+  // An end pair with attached probes maps its per-contact densities back
+  // onto the source/drain slots as well.  Probe-injected charge has no slot
+  // there — charge consumers weighting every terminal read contact_density.
+  if (&terminals != &contacts && contacts.classic_pair(nb) &&
+      !r.contact_density.empty()) {
+    const auto src = static_cast<std::size_t>(contacts.left(nb));
+    const auto drn = static_cast<std::size_t>(contacts.right(nb));
+    r.orbital_density = r.contact_density[src];
+    if (options.want_density_r && r.contact_density.size() > drn)
+      r.orbital_density_r = r.contact_density[drn];
+  }
+  return r;
+}
+
 EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
                                      const dft::DeviceMatrices& dm,
                                      const ContactSet& contacts, double energy,
                                      const EnergyPointOptions& options,
                                      parallel::DevicePool* pool) {
-  const idx nb = dm.h.num_blocks();
-  {
-    // Provider assembly: when the scattering model attaches probes, the
-    // point becomes a multi-terminal solve over the contacts plus the probe
-    // pseudo-terminals.  When it attaches nothing the set runs unchanged.
-    ContactSet assembled;
-    if (assemble_providers(contacts, nb, options.scattering, assembled)) {
-      EnergyPointResult r =
-          solve_energy_point(ctx, dm, assembled, energy, options, pool);
-      // An end pair maps its per-contact densities back onto the
-      // source/drain slots as well.  Probe-injected charge has no slot
-      // there — charge consumers weighting every terminal read
-      // contact_density.
-      if (contacts.classic_pair(nb) && !r.contact_density.empty()) {
-        const auto src = static_cast<std::size_t>(contacts.left(nb));
-        const auto drn = static_cast<std::size_t>(contacts.right(nb));
-        r.orbital_density = r.contact_density[src];
-        if (options.want_density_r && r.contact_density.size() > drn)
-          r.orbital_density_r = r.contact_density[drn];
-      }
-      return r;
-    }
-  }
-  contacts.validate(nb);
-  if (contacts.classic_pair(nb) && !contacts.has_probes())
-    return solve_pair(ctx, dm, contacts, energy, options, pool);
-  return solve_multi_terminal(ctx, dm, contacts, energy, options, pool);
+  return detail::solve_point(ctx, dm, contacts, energy, options, pool,
+                             nullptr, nullptr);
 }
 
 EnergyPointResult solve_energy_point(const dft::DeviceMatrices& dm,
                                      const ContactSet& contacts, double energy,
                                      const EnergyPointOptions& options,
                                      parallel::DevicePool* pool) {
-  return solve_energy_point(thread_context(), dm, contacts, energy, options,
-                            pool);
+  return solve_energy_point(detail::thread_context(), dm, contacts, energy,
+                            options, pool);
 }
 
 std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
@@ -774,8 +789,8 @@ std::vector<cplx> solve_greens_diagonal(const dft::DeviceMatrices& dm,
                                         const dft::FoldedLead& folded,
                                         cplx energy,
                                         const EnergyPointOptions& options) {
-  return solve_greens_diagonal(thread_context(), dm, lead, folded, energy,
-                               options);
+  return solve_greens_diagonal(detail::thread_context(), dm, lead, folded,
+                               energy, options);
 }
 
 std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
@@ -783,21 +798,18 @@ std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
                                         const ContactSet& contacts, cplx energy,
                                         const EnergyPointOptions& options) {
   const idx nb = dm.h.num_blocks();
-  {
-    ContactSet assembled;
-    if (assemble_providers(contacts, nb, options.scattering, assembled))
-      return solve_greens_diagonal(ctx, dm, assembled, energy, options);
-  }
-  contacts.validate(nb);
+  ContactSet assembled;
+  const ContactSet& terminals =
+      assemble_providers(contacts, nb, options.scattering, assembled);
+  terminals.validate(nb);
   const numeric::WorkspaceScope scope(ctx.workspace);
   ctx.a.assign_es_minus_h(energy, dm.s, dm.h);
   BlockTridiag& a = ctx.a;
   const idx sf = a.block_size();
 
   obc::Strategy& strategy = ctx.obc_strategy(options.obc);
-  std::vector<detail::FetchedBoundary> fetched;
-  std::vector<const obc::Boundary*> bnd;
-  fetch_contact_boundaries(strategy, contacts, energy, options, fetched, bnd);
+  const detail::ContactBoundaries bnd =
+      detail::fetch_contact_boundaries(strategy, terminals, energy, options);
 
   // Fold every contact's self-energy into its attachment block (last block
   // uses the right-extending lead orientation, everything else the
@@ -805,16 +817,16 @@ std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
   // read the diagonal of G = (z S - H - sum_p Sigma_p)^{-1} with RGF.  No
   // injection columns exist off the real axis (every lead mode decays), so
   // self-energy-only backends are as good as mode-based ones here.
-  for (idx p = 0; p < contacts.size(); ++p) {
-    const idx bp = contacts.resolve_block(p, nb);
-    if (contacts[p].is_probe()) {
+  for (idx p = 0; p < terminals.size(); ++p) {
+    const idx bp = terminals.resolve_block(p, nb);
+    if (terminals[p].is_probe()) {
       // A - Sigma_p with Sigma_p = -i*eta*I: adds +i*eta to the diagonal.
       CMatrix& d = a.diag(bp);
-      const double eta = contacts[p].probe_eta;
+      const double eta = terminals[p].probe_eta;
       for (idx i = 0; i < a.block_size(); ++i) d(i, i) += cplx{0.0, eta};
       continue;
     }
-    const obc::Boundary& b = *bnd[static_cast<std::size_t>(p)];
+    const obc::Boundary& b = *bnd.of[static_cast<std::size_t>(p)];
     a.diag(bp) -= bp == nb - 1 ? b.sigma_r : b.sigma_l;
   }
   const auto blocks = ctx.greens_solver().diagonal_blocks(a);
@@ -830,7 +842,8 @@ std::vector<cplx> solve_greens_diagonal(EnergyPointContext& ctx,
 std::vector<cplx> solve_greens_diagonal(const dft::DeviceMatrices& dm,
                                         const ContactSet& contacts, cplx energy,
                                         const EnergyPointOptions& options) {
-  return solve_greens_diagonal(thread_context(), dm, contacts, energy, options);
+  return solve_greens_diagonal(detail::thread_context(), dm, contacts, energy,
+                               options);
 }
 
 std::vector<EnergyPointResult> sweep_energy_points(

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "dft/hamiltonian.hpp"
@@ -174,18 +173,17 @@ EnergyPointResult solve_energy_point(EnergyPointContext& ctx,
                                      const EnergyPointOptions& options = {},
                                      parallel::DevicePool* pool = nullptr);
 
-/// N-terminal entry point.  Routing:
-///   * two contacts at {0, last} -> the 2-terminal solve with the left
-///     contact's (sigma_l, inj) and the right contact's (sigma_r, inj_r,
-///     mode basis) — every solver backend works.  Contacts sharing a
-///     representative (two identical contacts) fetch one Boundary for both
-///     sides; dissimilar ones fetch under their own per-contact keys;
-///   * anything else (>= 3 contacts or interior attachment blocks) -> the
-///     multi-terminal path: per-contact boundary fetches (deduplicated for
-///     contacts sharing lead content + shift), solvers::Attachment solve
+/// N-terminal entry point.  After provider assembly (the probes
+/// options.scattering attaches), pair_route picks:
+///   * the pair route -> the 2-terminal solve with the left contact's
+///     (sigma_l, inj) and the right contact's (sigma_r, inj_r, mode basis)
+///     — every solver backend works;
+///   * anything else -> the multi-terminal path: solvers::Attachment solve
 ///     (kMultiTerminal backends: rgf, block_lu), pairwise Caroli T_pq and
 ///     per-contact injected densities.  Interior contacts use the lead's
 ///     left-facing self-energy and injection set (probe convention).
+/// Both fetch one Boundary per distinct representative: contacts sharing
+/// lead content + shift share one fetch.
 /// Contact shifts override options.obc_opts.contact_shift per contact.
 /// When options.scattering attaches probes to a classic pair, the probe-
 /// free source/drain densities are mapped back onto orbital_density /
@@ -201,6 +199,12 @@ EnergyPointResult solve_energy_point(const dft::DeviceMatrices& dm,
                                      const ContactSet& contacts, double energy,
                                      const EnergyPointOptions& options = {},
                                      parallel::DevicePool* pool = nullptr);
+
+/// The one routing rule of a point: true when, after provider assembly,
+/// the terminals are a probe-free classic pair (the 2-terminal route);
+/// false sends it to the multi-terminal route.
+bool pair_route(const ContactSet& contacts, idx nb,
+                const scattering::Spec& scattering);
 
 /// Diagonal of the retarded Green's function G = (z S - H - Sigma)^{-1} at a
 /// complex energy node z, ordered orbital-by-orbital like orbital_density —
@@ -343,27 +347,48 @@ RhsShape task_rhs(EnergyPointResult& out, const obc::Boundary& left,
                   const EnergyPointOptions& options, CMatrix& b_top,
                   CMatrix& b_bot);
 
-/// Stages 3-4 of one two-contact task whose A and boundaries are in hand:
-/// task_rhs, x = solve(b_top, b_bot), finalize_observables.  Returns false
-/// without calling `solve` when nothing propagates.  The scalar point and
-/// the host batch lanes both run this; only their `solve` differs.
-template <class Solve>
-bool solve_task(EnergyPointResult& out, const BlockTridiag& a,
-                const obc::Boundary& left, const obc::Boundary& right,
-                bool have_injection, const EnergyPointOptions& options,
-                CMatrix& b_top, CMatrix& b_bot, CMatrix& x, Solve&& solve) {
-  const RhsShape shape = task_rhs(out, left, right, have_injection,
-                                  a.block_size(), options, b_top, b_bot);
-  if (shape.m == 0) return false;  // nothing propagates at this energy
-  x = solve(std::as_const(b_top), std::as_const(b_bot));
-  finalize_observables(out, a, left, right, have_injection, shape, x, options);
-  return true;
-}
-
 /// Shared guard: density/current requests need a mode-based OBC.
 void require_injection_support(const obc::Strategy& strategy,
                                bool have_injection,
                                const EnergyPointOptions& options);
+
+/// Every lead contact's boundary, one fetch per distinct representative
+/// (its canonical cache id): of[i] points at contact i's, null for a
+/// probe.  Moving the struct keeps `of` valid.
+struct ContactBoundaries {
+  std::vector<FetchedBoundary> fetched;
+  std::vector<const obc::Boundary*> of;
+};
+
+ContactBoundaries fetch_contact_boundaries(obc::Strategy& strategy,
+                                           const ContactSet& contacts,
+                                           cplx energy,
+                                           const EnergyPointOptions& options);
+
+/// Cache hits and misses of a point's boundary fetches.
+struct FetchTally {
+  idx hits = 0;
+  idx misses = 0;
+  void add(const ContactBoundaries& b) {
+    for (const FetchedBoundary& f : b.fetched) (f.hit ? hits : misses) += 1;
+  }
+};
+
+/// solve_energy_point's per-task core.  A batch lane passes the batch's
+/// solver as `lane_solver`: pair-route tasks then solve through its const
+/// solve_boundary_problem (under "obc_prefetch"/"batch_device_phase"
+/// trace spans) instead of a solver resolved in `ctx`.  `tally`, when
+/// set, counts the point's boundary fetches.
+EnergyPointResult solve_point(EnergyPointContext& ctx,
+                              const dft::DeviceMatrices& dm,
+                              const ContactSet& contacts, double energy,
+                              const EnergyPointOptions& options,
+                              parallel::DevicePool* pool,
+                              const solvers::Solver* lane_solver,
+                              FetchTally* tally);
+
+/// The calling thread's context (behind every thread-local entry point).
+EnergyPointContext& thread_context();
 
 }  // namespace detail
 

@@ -8,13 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dft/hamiltonian.hpp"
 #include "numeric/backend.hpp"
 #include "numeric/blas.hpp"
+#include "numeric/device_backend.hpp"
 #include "omen/engine.hpp"
 #include "omen/simulator.hpp"
+#include "parallel/comm.hpp"
+#include "parallel/device.hpp"
 #include "transport/bands.hpp"
 #include "transport/batch.hpp"
 
@@ -255,49 +260,138 @@ TEST(EngineBatch, ChargeBitIdenticalBatchedVsUnbatchedAcrossWorlds) {
   }
 }
 
-TEST(EngineBatch, BatchRefusesTasksWhoseContactsAreNotASymmetricPair) {
-  // The batched pipeline is the one-boundary pair arithmetic: a task whose
-  // end contacts do not share a boundary must be refused, never solved
-  // with contact 0's boundary at both ends.
-  const df::LeadBlocks lead = synthetic_lead(4, 61);
-  const df::LeadBlocks other = synthetic_lead(4, 62);
+namespace {
+
+void expect_same_task(const tr::EnergyPointResult& got,
+                      const tr::EnergyPointResult& ref,
+                      const std::string& what) {
+  // EXPECT_EQ on doubles and double vectors: bit-identical.
+  EXPECT_EQ(got.energy, ref.energy) << what;
+  EXPECT_EQ(got.transmission, ref.transmission) << what;
+  EXPECT_EQ(got.transmission_caroli, ref.transmission_caroli) << what;
+  EXPECT_EQ(got.num_propagating, ref.num_propagating) << what;
+  EXPECT_EQ(got.t_matrix, ref.t_matrix) << what;
+  EXPECT_EQ(got.contact_density, ref.contact_density) << what;
+  EXPECT_EQ(got.orbital_density, ref.orbital_density) << what;
+  EXPECT_EQ(got.orbital_density_r, ref.orbital_density_r) << what;
+  EXPECT_EQ(got.interface_current, ref.interface_current) << what;
+}
+
+}  // namespace
+
+TEST(EngineBatch, BatchMatchesPointForEveryContactSet) {
+  // The batched pipeline takes any validated ContactSet: each task equals
+  // solve_energy_point to the bit, on host lanes and on an offloading
+  // backend (which stages the pair-route tasks and runs the N-terminal
+  // ones on host lanes), with pair and N-terminal tasks mixed in one batch.
+  // Without Caroli columns the staged path defers Step 1 to the tasks
+  // that propagate.
+  const idx s = 4, cells = 8;
+  const df::LeadBlocks lead = synthetic_lead(s, 61);
+  const df::LeadBlocks other = synthetic_lead(s, 62);
   const df::FoldedLead folded = df::fold_lead(lead);
   const df::FoldedLead other_folded = df::fold_lead(other);
-  const df::DeviceMatrices dm =
-      df::assemble_device(lead, 8, std::vector<double>(8, 0.0));
-  tr::BatchContext ctx;
-  const auto run = [&](const tr::ContactSet& contacts) {
-    return tr::solve_energy_batch(ctx, {{0, 0.3, &dm, &contacts}},
-                                  cheap_options(), nullptr,
-                                  nm::host_backend(), 4);
-  };
-  const tr::ContactSet pair = tr::ContactSet::pair(lead, folded, 0.0, 0.0);
-  EXPECT_NO_THROW(run(pair));
-  EXPECT_NO_THROW(run(tr::ContactSet({pair[1], pair[0]})));  // drain first
+  const df::DeviceMatrices dm = df::assemble_device(
+      lead, cells, std::vector<double>(static_cast<std::size_t>(cells), 0.0));
 
+  const tr::ContactSet pair = tr::ContactSet::pair(lead, folded, 0.0, 0.0);
   tr::ContactSet shifted = pair;
   shifted.at(1).shift = 0.1;
-  EXPECT_THROW(run(shifted), std::invalid_argument);
   tr::ContactSet dissimilar = pair;
   dissimilar.at(1).lead = &other;
   dissimilar.at(1).folded = &other_folded;
-  EXPECT_THROW(run(dissimilar), std::invalid_argument);
-  tr::ContactSet interior = pair;
-  interior.at(1).block = 1;
-  EXPECT_THROW(run(interior), std::invalid_argument);
+  std::vector<tr::Contact> third = pair.contacts();
+  third.push_back(pair[0]);
+  third.back().block = 3;
+  tr::Contact probe;
+  probe.block = 4;
+  probe.probe_eta = 0.05;
+  std::vector<tr::Contact> probed = pair.contacts();
+  probed.push_back(probe);
+  const std::vector<std::pair<const char*, tr::ContactSet>> cases{
+      {"pair", pair},
+      {"shifted pair", shifted},
+      {"reversed pair", tr::ContactSet({pair[1], pair[0]})},
+      {"dissimilar pair", dissimilar},
+      {"interior third contact", tr::ContactSet(third)},
+      {"materialized probe", tr::ContactSet(probed)}};
 
-  // The engine batches only probe-free pairs under a kBatchable solver;
-  // anything else solves one point at a time and is refused here.
-  tr::EnergyPointOptions probes = cheap_options();
-  probes.scattering.algorithm =
+  tr::EnergyPointOptions ballistic;
+  ballistic.obc = tr::ObcAlgorithm::kShiftInvert;
+  ballistic.solver = tr::SolverAlgorithm::kBlockLU;
+  tr::EnergyPointOptions dephasing = ballistic;
+  dephasing.scattering.algorithm =
       omenx::scattering::ScatteringAlgorithm::kButtikerProbe;
-  probes.scattering.options.buttiker.eta = 0.05;
-  EXPECT_THROW(tr::solve_energy_batch(ctx, {{0, 0.3, &dm, &pair}}, probes,
-                                      nullptr, nm::host_backend(), 4),
-               std::invalid_argument);
+  dephasing.scattering.options.buttiker.eta = 0.05;
+  // 9.0 sits above every band: nothing propagates there.
+  const std::vector<double> energies{-0.8, 0.1, 0.7, 9.0};
+
+  omenx::parallel::DevicePool pool(2);
+  nm::DeviceBackend device(pool);
+  for (nm::Backend* backend : {&nm::host_backend(),
+                               static_cast<nm::Backend*>(&device)}) {
+    for (const int variant : {0, 1, 2}) {
+      const bool scatter = variant == 1;
+      tr::EnergyPointOptions opts = scatter ? dephasing : ballistic;
+      opts.want_caroli = variant != 2;
+      std::vector<tr::BatchTask> tasks;
+      std::vector<std::string> labels;
+      for (const auto& [name, contacts] : cases)
+        for (std::size_t ie = 0; ie < energies.size(); ++ie) {
+          tasks.push_back({static_cast<idx>(ie), energies[ie], &dm, &contacts});
+          labels.push_back(std::string(backend->name()) + " " + name +
+                           (scatter ? " + probe model" : "") +
+                           (opts.want_caroli ? "" : " no caroli") +
+                           " E=" + std::to_string(energies[ie]));
+        }
+      tr::BatchContext ctx;
+      tr::BatchStats stats;
+      const auto got = tr::solve_energy_batch(ctx, tasks, opts, nullptr,
+                                              *backend, 4, &stats);
+      ASSERT_EQ(got.size(), tasks.size());
+      EXPECT_EQ(stats.batches, 1);
+      EXPECT_EQ(stats.tasks, static_cast<idx>(tasks.size()));
+      // Only an offloading backend stages, and only while pair tasks exist.
+      EXPECT_EQ(stats.device_batches, backend->offloads() && !scatter ? 1 : 0);
+      int open = 0, multi = 0;
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        open += got[i].num_propagating > 0 ? 1 : 0;
+        multi += got[i].t_matrix.empty() ? 0 : 1;
+        tr::EnergyPointOptions point = opts;
+        point.k_index = tasks[i].k_index;
+        expect_same_task(got[i],
+                         tr::solve_energy_point(dm, *tasks[i].contacts,
+                                                tasks[i].energy, point),
+                         labels[i]);
+      }
+      EXPECT_GT(open, 0) << backend->name();
+      EXPECT_GT(multi, 0) << backend->name();
+    }
+  }
+}
+
+TEST(EngineBatch, BatchRefusesNonBatchableSolversAndSpatialGroups) {
+  const df::LeadBlocks lead = synthetic_lead(4, 63);
+  const df::FoldedLead folded = df::fold_lead(lead);
+  const df::DeviceMatrices dm =
+      df::assemble_device(lead, 8, std::vector<double>(8, 0.0));
+  const tr::ContactSet pair = tr::ContactSet::pair(lead, folded, 0.0, 0.0);
+  tr::BatchContext ctx;
   tr::EnergyPointOptions scalar = cheap_options();
   scalar.solver = tr::SolverAlgorithm::kBcr;
   EXPECT_THROW(tr::solve_energy_batch(ctx, {{0, 0.3, &dm, &pair}}, scalar,
                                       nullptr, nm::host_backend(), 4),
                std::invalid_argument);
+  // A spatial group solves cooperatively: refused before any message.
+  omenx::parallel::CommWorld world(2);
+  world.run([&](omenx::parallel::Comm& comm) {
+    if (comm.rank() != 0) return;
+    tr::BatchContext rank_ctx;
+    tr::EnergyPointOptions spatial = cheap_options();
+    spatial.spatial = &comm;
+    EXPECT_THROW(tr::solve_energy_batch(rank_ctx, {{0, 0.3, &dm, &pair}},
+                                        spatial, nullptr, nm::host_backend(),
+                                        4),
+                 std::invalid_argument);
+  });
 }

@@ -224,7 +224,8 @@ TEST(Engine, ForcedProtocolMatchesFlatLoop) {
   // one task executor, so every output must agree bit for bit: on a
   // request mixing charge-weighted real-axis energies with contour nodes,
   // for the symmetric pair (batched under block_lu, per task under bcr)
-  // and a 3-contact list (per task, T matrix filled), batching on and off.
+  // and a 3-contact list (batched too, T matrix filled), batching on and
+  // off.
   const idx s = 5, cells = 10;
   std::vector<df::LeadBlocks> leads{synthetic_lead(s, 77),
                                     synthetic_lead(s, 83)};
@@ -293,9 +294,9 @@ TEST(Engine, ForcedProtocolMatchesFlatLoop) {
           cfg.flat_single_rank = ranks == 0;
           const auto got = om::Engine(cfg).run(req);
           expect_same_outputs(got, ref, label);
-          // Only the block_lu pair batches.
-          const bool batched = batch && layout == 2 &&
-                               solver == tr::SolverAlgorithm::kBlockLU;
+          // Every layout batches under block_lu; bcr never does.
+          const bool batched =
+              batch && solver == tr::SolverAlgorithm::kBlockLU;
           EXPECT_EQ(got.stats.batches_issued > 0, batched) << label;
         }
       }

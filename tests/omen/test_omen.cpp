@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
+#include "charge/quadrature.hpp"
 #include "dft/hamiltonian.hpp"
 #include "poisson/scf.hpp"
 #include "numeric/blas.hpp"
@@ -340,6 +342,60 @@ TEST(Simulator, KAverageUsesTrapezoidalBzWeights) {
   EXPECT_NEAR(expected, 0.25, 1e-6);
   EXPECT_NEAR(uniform, 1.0 / 3.0, 1e-6);
   EXPECT_GT(std::abs(sp.transmission[0] - uniform), 0.05);
+
+  // The charge takes the same weights: on both quadratures it equals the
+  // BZ-weighted sum of one engine sweep per k, with the contour anchored
+  // below the lowest band bottom over every k.
+  const double mu_l = e, mu_r = e - 0.1;
+  std::vector<double> grid;
+  for (double x = win.emin + 0.01; x < win.emax; x += 0.04) grid.push_back(x);
+  double band_min = std::numeric_limits<double>::infinity();
+  for (idx ik = 0; ik < 3; ++ik)
+    band_min = std::min(
+        band_min, tr::band_window(tr::lead_band_structure(
+                                      df::fold_lead(sim.lead_blocks(ik))))
+                      .emin);
+  for (const auto quadrature : {omenx::charge::QuadratureAlgorithm::kRealGrid,
+                                omenx::charge::QuadratureAlgorithm::kContour}) {
+    omenx::charge::ChargeWindow window;
+    window.mu_l = mu_l;
+    window.mu_r = mu_r;
+    window.kt = 8.617e-5 * cfg.temperature_k;
+    window.band_bottom = band_min - 0.5;  // zero potential and shifts
+    window.grid = grid;
+    const auto nodes =
+        omenx::charge::make_quadrature(quadrature)->build(window);
+    std::vector<double> summed(6, 0.0);
+    for (idx ik = 0; ik < 3; ++ik) {
+      const std::vector<df::LeadBlocks> row{sim.lead_blocks(ik)};
+      om::SweepRequest req;
+      req.materials = {&row};
+      req.cells = 6;
+      req.potential.assign(6, 0.0);
+      req.point = cfg.point;
+      req.point.want_current = false;
+      req.point.want_caroli = false;
+      req.energies = {nodes.energies};
+      req.density_weight = {{nodes.weight_l}, {nodes.weight_r}};
+      if (!nodes.gf_nodes.empty()) {
+        req.gf_nodes = {nodes.gf_nodes};
+        req.gf_weights = {nodes.gf_weights};
+      }
+      const auto res = om::Engine(om::EngineConfig{}).run(req);
+      ASSERT_EQ(res.charge.size(), summed.size());
+      for (std::size_t c = 0; c < summed.size(); ++c)
+        summed[c] += wk[ik] * res.charge[c];
+    }
+    const auto charge =
+        sim.charge_density(grid, mu_l, mu_r, nullptr, quadrature);
+    ASSERT_EQ(charge.size(), summed.size());
+    double scale = 0.0;
+    for (const double q : summed) scale = std::max(scale, std::abs(q));
+    ASSERT_GT(scale, 0.0);
+    for (std::size_t c = 0; c < summed.size(); ++c)
+      EXPECT_NEAR(charge[c], summed[c], 1e-12 * scale)
+          << "quadrature " << static_cast<int>(quadrature) << " cell " << c;
+  }
 }
 
 // Warm-started Anderson SCF across a bias sweep: same converged potentials
